@@ -11,7 +11,6 @@ other.
 from .algebra import (
     CentralScalar,
     FiniteAlgebra,
-    apply_involution,
     certify_central_scalar,
     is_alternative,
     is_associative,
@@ -86,10 +85,8 @@ from .residue import (
     Submodule,
     all_vectors,
     canonicalize,
-    enumerate_submodule,
     intersect,
     kernel,
-    membership,
     solve_left,
 )
 from .suites import SUITES, VerificationReport, run_suite

@@ -216,10 +216,6 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
     return algebra
 
 
-def apply_involution(algebra: FiniteAlgebra, x) -> np.ndarray:
-    return algebra.involve(x)
-
-
 # -- identity predicates -----------------------------------------------------
 
 

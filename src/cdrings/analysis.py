@@ -37,11 +37,6 @@ class CenterReport:
     K: Submodule
     Z: Submodule
 
-    @property
-    def C(self) -> Submodule:
-        """Alias kept for doubling-stage cross-reference."""
-        return self.Z
-
     def sizes(self) -> dict[str, int]:
         return {"N": self.N.order(), "K": self.K.order(), "Z": self.Z.order()}
 
@@ -66,10 +61,6 @@ class EssentialityData:
             "B": self.B.order(),
             "J": self.J.order(),
         }
-
-
-def _right_by_vector(algebra: FiniteAlgebra, v) -> np.ndarray:
-    return algebra.right_mul_matrix(v)
 
 
 def associative_center(algebra: FiniteAlgebra) -> Submodule:
@@ -138,7 +129,7 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
         raise StageMismatch("submodules do not live in this algebra's module")
     if s.is_zero:
         return within
-    blocks = [_right_by_vector(algebra, g) for g in s.generators]
+    blocks = [algebra.right_mul_matrix(g) for g in s.generators]
     conditions = ResidueMatrix(algebra.modulus, np.hstack(blocks))
     return intersect(kernel(conditions), within)
 

@@ -2,16 +2,17 @@
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or
 construction errors. The enumeration budget can be overridden with
---budget or the CDRINGS_ENUM_BUDGET environment variable.
+--budget or the CDRINGS_ENUM_BUDGET environment variable. Malformed
+integers, moduli below 2, negative depths, non-positive budgets and flags
+a suite does not take are usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import itertools
+import inspect
 import json
-import math
 import os
 import sys
 
@@ -31,7 +32,7 @@ from .essentiality import (
     is_right_n_essential,
 )
 from .residue import DEFAULT_ENUMERATION_BUDGET
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, unit_parameter_tuples
 
 SEARCH_FLAGS = (
     "associative",
@@ -44,12 +45,31 @@ SEARCH_FLAGS = (
 )
 
 
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = what  # argparse names the type in its "invalid value" message
+    return parse
+
+
+_budget = _int_at_least(1, "budget")
+_modulus = _int_at_least(2, "modulus")
+_depth = _int_at_least(0, "depth")
+
+
 def _budget_from(args) -> int:
-    if getattr(args, "budget", None):
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("CDRINGS_ENUM_BUDGET")
     if env:
-        return int(env)
+        try:
+            return _budget(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(f"CDRINGS_ENUM_BUDGET={env!r}: {exc}") from None
     return DEFAULT_ENUMERATION_BUDGET
 
 
@@ -60,11 +80,13 @@ def _parse_params(text: str) -> tuple[int, ...]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accept '2..9' or a comma list '2,3,4'."""
+    """Accept '2..9' or a comma list '2,3,4' of moduli."""
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",")]
+        lo, hi = (_modulus(p) for p in text.split("..", 1))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        return list(range(lo, hi + 1))
+    return [_modulus(p) for p in text.split(",")]
 
 
 def _flag_summary(algebra) -> dict[str, bool]:
@@ -76,10 +98,20 @@ def _flag_summary(algebra) -> dict[str, bool]:
     }
 
 
+def _essentiality_checks():
+    """(search flag, label, check) of the three definitional checks, looked
+    up in this module's namespace at each call rather than held in a table."""
+    return (
+        ("centrally_essential", "centrally essential", is_centrally_essential),
+        ("left_n_essential", "left N-essential", is_left_n_essential),
+        ("right_n_essential", "right N-essential", is_right_n_essential),
+    )
+
+
 def cmd_build(args) -> int:
     budget = _budget_from(args)
     try:
-        stages = build_tower(TowerSpec(args.base, _parse_params(args.params)))
+        stages = build_tower(TowerSpec(args.base, args.params))
     except AlgebraError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 2
@@ -88,7 +120,7 @@ def cmd_build(args) -> int:
         provenance = {
             "kind": "tower",
             "base": args.base,
-            "params": list(_parse_params(args.params))[: alg.rank.bit_length() - 1],
+            "params": list(args.params)[: alg.rank.bit_length() - 1],
             "name": alg.name,
         }
         flags = _flag_summary(alg)
@@ -129,11 +161,7 @@ def cmd_analyze(args) -> int:
     )
     for key, value in _flag_summary(alg).items():
         print(f"  {key}: {value}")
-    for label, check in (
-        ("centrally essential", is_centrally_essential),
-        ("left N-essential", is_left_n_essential),
-        ("right N-essential", is_right_n_essential),
-    ):
+    for _, label, check in _essentiality_checks():
         try:
             verdict = check(alg, budget=budget)
             line = f"  {label}: {verdict.verdict} [{verdict.method}]"
@@ -146,32 +174,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("thm-1.3", "thm-1.4"):
-        if args.bases:
-            kwargs["bases"] = tuple(_parse_range(args.bases))
-        if args.depth:
-            kwargs["depth"] = args.depth
+    takes = inspect.signature(SUITES[args.suite]).parameters
+    given = {name: getattr(args, name) for name in ("n_range", "bases", "depth", "budget")}
+    extra = [name for name, value in given.items() if value is not None and name not in takes]
+    if extra:
+        flags = ", ".join("--" + name.replace("_", "-") for name in extra)
+        raise argparse.ArgumentTypeError(f"suite {args.suite} does not take {flags}")
+    kwargs = {name: value for name, value in given.items() if value is not None}
+    if "budget" in takes:
         kwargs["budget"] = _budget_from(args)
-    elif args.suite in ("prop-5.2", "prop-5.3"):
-        if args.n_range:
-            kwargs["n_range"] = _parse_range(args.n_range)
-        kwargs["budget"] = _budget_from(args)
-    elif args.suite == "lemma-5.1":
-        if args.n_range:
-            kwargs["n_range"] = _parse_range(args.n_range)
-    elif args.suite == "remark-2.5":
-        if args.bases:
-            kwargs["bases"] = tuple(_parse_range(args.bases))
-        if args.depth:
-            kwargs["depth"] = args.depth
-    elif args.suite in ("thm-1.5", "lemma-2.1"):
-        kwargs["budget"] = _budget_from(args)
-    try:
-        report = run_suite(args.suite, **kwargs)
-    except AlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = run_suite(args.suite, **kwargs)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True, indent=1))
     else:
@@ -211,11 +223,7 @@ class _FlagExpression:
 def _search_flags(algebra, budget: int) -> tuple[dict[str, bool], list[str]]:
     flags = _flag_summary(algebra)
     skipped = []
-    for name, check in (
-        ("centrally_essential", is_centrally_essential),
-        ("left_n_essential", is_left_n_essential),
-        ("right_n_essential", is_right_n_essential),
-    ):
+    for name, _, check in _essentiality_checks():
         try:
             flags[name] = check(algebra, budget=budget).verdict
         except EnumerationBudgetExceeded:
@@ -230,13 +238,15 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    bases = _parse_range(args.bases)
-    out = open(args.out, "w") if args.out else sys.stdout
     try:
-        for base in bases:
-            units = [u for u in range(1, base) if math.gcd(u, base) == 1]
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"cannot write search rows: {exc}", file=sys.stderr)
+        return 2
+    try:
+        for base in args.bases:
             for depth in range(0, args.depth + 1):
-                for params in itertools.product(units, repeat=depth):
+                for params in unit_parameter_tuples(base, depth):
                     try:
                         stages = build_tower(TowerSpec(base, params))
                     except AlgebraError as exc:
@@ -256,18 +266,17 @@ def cmd_search(args) -> int:
                         "rank": alg.rank,
                         "flags": flags,
                     }
-                    if expr is not None and expr.names & set(skipped):
+                    blocked = expr.names & set(skipped) if expr is not None else set()
+                    if blocked:
                         row["skipped"] = True
                         row["reason"] = (
                             "filter needs "
-                            + ",".join(sorted(expr.names & set(skipped)))
+                            + ",".join(sorted(blocked))
                             + " but the definitional scan exceeds the budget"
                         )
-                        print(json.dumps(row, sort_keys=True), file=out)
-                        continue
-                    if skipped:
+                    elif skipped:
                         row["flags_skipped"] = skipped
-                    if expr is None or expr.evaluate(flags):
+                    if blocked or expr is None or expr.evaluate(flags):
                         print(json.dumps(row, sort_keys=True), file=out)
     finally:
         if args.out:
@@ -282,16 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=None,
         help="enumeration budget (elements); default 2**20 or CDRINGS_ENUM_BUDGET",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a doubling tower")
-    p_build.add_argument("--base", type=int, required=True, help="base modulus n")
+    p_build.add_argument("--base", type=_modulus, required=True, help="base modulus n")
     p_build.add_argument(
-        "--params", default="", help="comma-separated doubling parameters, e.g. 1,1,1"
+        "--params",
+        type=_parse_params,
+        default="",
+        help="comma-separated doubling parameters, e.g. 1,1,1",
     )
     p_build.add_argument("--out", default=None, help="write the algebra document here")
     p_build.add_argument(
@@ -305,17 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES), help="suite name")
-    p_verify.add_argument("--n-range", default=None, help="modulus sweep, e.g. 2..9")
-    p_verify.add_argument("--bases", default=None, help="tower bases, e.g. 2,3,4")
-    p_verify.add_argument("--depth", type=int, default=None, help="tower depth")
+    p_verify.add_argument(
+        "--n-range", type=_parse_range, default=None, help="modulus sweep, e.g. 2..9"
+    )
+    p_verify.add_argument(
+        "--bases", type=_parse_range, default=None, help="tower bases, e.g. 2,3,4"
+    )
+    p_verify.add_argument("--depth", type=_depth, default=None, help="tower depth")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON report")
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser(
         "search", help="sweep unit-parameter towers and filter by property flags"
     )
-    p_search.add_argument("--bases", required=True, help="bases, e.g. 2..5 or 2,3,4")
-    p_search.add_argument("--depth", type=int, default=3, help="maximum tower depth")
+    p_search.add_argument(
+        "--bases", type=_parse_range, required=True, help="bases, e.g. 2..5 or 2,3,4"
+    )
+    p_search.add_argument("--depth", type=_depth, default=3, help="maximum tower depth")
     p_search.add_argument(
         "--filter",
         default=None,
@@ -331,6 +349,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -1,11 +1,13 @@
 """Deciders for centrally essential and N-essential rings.
 
-The definitional checks are literal: a ring is centrally essential when
-Z(R) r meets Z(R) nontrivially for every nonzero r, so the scan walks every
-nonzero ambient element and looks for a nonzero product landing back in the
-submodule. The products are batched (for each fixed z the map r -> z r is a
-single matrix product), but the quantifier structure is exactly the
-definition; nothing is replaced by algebraic shortcuts.
+Every definitional check is one quantifier, implemented once by `_scan`:
+for every nonzero u of a universe U, the multiples {s u : s in S} meet a
+target T outside 0. Centrally essential and left/right N-essential take
+S = T = Z(R) or N(R) and U = R (right N-essential multiplies u s); an
+essential ideal I of a ring C takes S = U = C and T = I. The products are
+batched (for each fixed s the map u -> s u is one matrix product over U),
+but the quantifier structure is exactly the definition; nothing is replaced
+by algebraic shortcuts.
 
 The criteria route computes the same verdicts from stage data of the
 undoubled algebra:
@@ -15,6 +17,9 @@ undoubled algebra:
     (A, alpha) is centrally essential     <=>  B essential B-submodule of A
                                                and J' = J cap I essential
                                                ideal of B
+
+The rank-4 and rank-8 criteria ask whether Ann(2) is a proper essential
+ideal of Z/nZ, which is the same ideal scan over the scalar ring.
 
 Right N-essential is the mirror of the left definition (products r N instead
 of N r); whether the two can ever differ is an open question, so the mirror
@@ -27,9 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative
-from .analysis import EssentialityData, associative_center, center, essentiality_data
-from .errors import EnumerationBudgetExceeded, NotInvertible
+from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative, scalar_ring
+from .analysis import (
+    EssentialityData,
+    annihilator,
+    associative_center,
+    center,
+    essentiality_data,
+)
+from .presentations import require_units
 from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
     Submodule,
@@ -70,101 +81,104 @@ def _matmul_mod(rows: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return (rows @ mat) % n
 
 
-def _scan_essential_submodule(
+def _scan(
     algebra: FiniteAlgebra,
-    sub: Submodule,
+    multipliers: np.ndarray,
+    target: np.ndarray,
+    universe: np.ndarray,
     *,
     side: str,
     property_name: str,
-    budget: int,
+    detail: str,
 ) -> EssentialityVerdict:
-    """Definitional scan: for every nonzero r, does sub*r meet sub\\{0}?
+    """Definitional scan: for every nonzero u in universe, does some s in
+    multipliers give a product s u (side='left') or u s (side='right') in
+    target\\{0}?
 
-    side='left' tests {z r : z in sub}, side='right' tests {r z : z in sub}.
-    Iteration is organized z-outer so each step is one batched matrix
-    product over ambient elements; the quantifiers are unchanged.
+    All three arrays hold element rows; universe lists zero first. Iteration
+    is organized s-outer so each step is one batched matrix product over the
+    universe; the quantifiers are unchanged.
     """
     n, d = algebra.modulus, algebra.rank
-    total = n**d
-    if total > budget:
-        raise EnumerationBudgetExceeded(total, budget)
-    ambient = all_vectors(n, d, budget)
-    sub_elems = sub.elements(budget)
-    raw_codes = vector_codes(sub_elems, n, d)
-    # Scan z in code order: the unit and its scalar multiples come first and
-    # tend to satisfy most of the ambient in the first couple of passes.
-    sub_elems = sub_elems[np.argsort(raw_codes)]
-    sub_codes = np.sort(raw_codes)
+    total = len(universe)
+    # Scan s in code order: the unit and its scalar multiples come first and
+    # tend to satisfy most of the universe in the first couple of passes. The
+    # order is kept as indices because a sorted copy of the multipliers would
+    # sit in memory next to the caller's array.
+    order = np.argsort(vector_codes(multipliers, n, d))
+    target_codes = np.sort(vector_codes(target, n, d))
     cost = 0
 
-    # Witness pre-pass: a handful of fixed candidates r, each checked against
-    # every z of the submodule. An unsatisfied candidate is already a
-    # complete counterexample, which spares the full sweep in false cases.
+    def refuted(u) -> EssentialityVerdict:
+        witness = tuple(int(t) for t in u)
+        return EssentialityVerdict(property_name, False, "definitional", witness, cost, detail)
+
+    # Witness pre-pass: a handful of fixed candidates u, each checked against
+    # every multiplier. An unsatisfied candidate is already a complete
+    # counterexample, which spares the full sweep in false cases.
     candidate_ids = sorted(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
-    for rid in candidate_ids:
-        r = ambient[rid]
-        mats = (
-            algebra.right_mul_matrix(r) if side == "left" else algebra.left_mul_matrix(r)
-        )
-        prods = (sub_elems @ mats) % n
-        cost += len(sub_elems)
+    for uid in candidate_ids:
+        u = universe[uid]
+        mats = algebra.right_mul_matrix(u) if side == "left" else algebra.left_mul_matrix(u)
+        prods = (multipliers @ mats) % n
+        cost += len(multipliers)
         codes = vector_codes(prods, n, d)
-        if not ((codes != 0) & np.isin(codes, sub_codes)).any():
-            return EssentialityVerdict(
-                property_name,
-                False,
-                "definitional",
-                tuple(int(t) for t in r),
-                cost,
-                detail=f"{side} multiples of the submodule by the witness miss it",
-            )
+        if not ((codes != 0) & np.isin(codes, target_codes)).any():
+            return refuted(u)
 
     satisfied = np.zeros(total, dtype=bool)
-    satisfied[0] = True  # r = 0 is outside the quantifier
+    satisfied[0] = True  # u = 0 is outside the quantifier
     # Exact float32 pipeline: products and codes stay below 2**24 for every
     # in-budget instance, so BLAS carries the whole sweep.
     use_float = (n - 1) * (n - 1) * d < 2**24 and n**d < 2**24
-    ambient_f = ambient.astype(np.float32) if use_float else None
+    universe_f = universe.astype(np.float32) if use_float else None
     powers = n ** np.arange(d, dtype=np.int64)
-    for z in sub_elems:
-        if not z.any():
+    for i in order:
+        s = multipliers[i]
+        if not s.any():
             continue
         remaining = np.flatnonzero(~satisfied)
         if len(remaining) == 0:
             break
-        mat = (
-            algebra.left_mul_matrix(z) if side == "left" else algebra.right_mul_matrix(z)
-        )
+        mat = algebra.left_mul_matrix(s) if side == "left" else algebra.right_mul_matrix(s)
         if len(remaining) > total // 4:
-            # Dense pass over the whole ambient: recomputing satisfied rows
+            # Dense pass over the whole universe: recomputing satisfied rows
             # is cheaper than gathering a large subset.
             if use_float:
-                prods = ambient_f @ mat.astype(np.float32)
+                prods = universe_f @ mat.astype(np.float32)
                 codes = (prods.astype(np.int64) % n) @ powers
             else:
-                prods = (ambient @ mat) % n
+                prods = (universe @ mat) % n
                 codes = prods @ powers
             cost += total
-            satisfied |= (codes != 0) & np.isin(codes, sub_codes, assume_unique=False)
+            satisfied |= (codes != 0) & np.isin(codes, target_codes, assume_unique=False)
         else:
-            rows = ambient[remaining]
+            rows = universe[remaining]
             prods = _matmul_mod(rows, mat, n)
             codes = prods @ powers
             cost += len(rows)
-            hits = (codes != 0) & np.isin(codes, sub_codes, assume_unique=False)
+            hits = (codes != 0) & np.isin(codes, target_codes, assume_unique=False)
             satisfied[remaining[hits]] = True
     if satisfied.all():
         return EssentialityVerdict(property_name, True, "definitional", None, cost)
-    witness_idx = int(np.flatnonzero(~satisfied)[0])
-    witness = tuple(int(t) for t in ambient[witness_idx])
-    return EssentialityVerdict(
-        property_name,
-        False,
-        "definitional",
-        witness,
-        cost,
+    return refuted(universe[int(np.flatnonzero(~satisfied)[0])])
+
+
+def _scan_ambient(
+    algebra: FiniteAlgebra, sub: Submodule, property_name: str, *, budget: int, side: str = "left"
+) -> EssentialityVerdict:
+    """Scan every nonzero r of the algebra for sub r (or r sub) meeting sub\\{0}."""
+    ambient = all_vectors(algebra.modulus, algebra.rank, budget)
+    elems = sub.elements(budget)
+    return _scan(
+        algebra,
+        elems,
+        elems,
+        ambient,
+        side=side,
+        property_name=property_name,
         detail=f"{side} multiples of the submodule by the witness miss it",
     )
 
@@ -177,9 +191,7 @@ def is_essential_submodule(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """True iff sub*r meets sub nontrivially for every nonzero r in A."""
-    return _scan_essential_submodule(
-        algebra, sub, side="left", property_name=property_name, budget=budget
-    )
+    return _scan_ambient(algebra, sub, property_name, budget=budget)
 
 
 def is_essential_ideal(
@@ -198,26 +210,16 @@ def is_essential_ideal(
     for g in ideal.generators:
         if not ring.contains(g):
             raise ValueError("ideal is not contained in the ring it should be essential in")
-    n, d = algebra.modulus, algebra.rank
     ring_elems = ring.elements(budget)
-    ideal_codes = np.sort(vector_codes(ideal.elements(budget), n, d))
-    cost = 0
-    for c_vec in ring_elems:
-        if not c_vec.any():
-            continue
-        prods = _matmul_mod(ring_elems, algebra.right_mul_matrix(c_vec), n)
-        cost += len(ring_elems)
-        codes = vector_codes(prods, n, d)
-        if not ((codes != 0) & np.isin(codes, ideal_codes)).any():
-            return EssentialityVerdict(
-                property_name,
-                False,
-                "definitional",
-                tuple(int(t) for t in c_vec),
-                cost,
-                detail="ring multiples of the witness miss the ideal",
-            )
-    return EssentialityVerdict(property_name, True, "definitional", None, cost)
+    return _scan(
+        algebra,
+        ring_elems,
+        ideal.elements(budget),
+        ring_elems,
+        side="left",
+        property_name=property_name,
+        detail="ring multiples of the witness miss the ideal",
+    )
 
 
 def is_centrally_essential(
@@ -225,31 +227,36 @@ def is_centrally_essential(
 ) -> EssentialityVerdict:
     """Definitional check of Z(R) r cap Z(R) != 0 for all nonzero r."""
     Z = center(algebra).Z
-    return _scan_essential_submodule(
-        algebra, Z, side="left", property_name="centrally essential", budget=budget
-    )
+    return _scan_ambient(algebra, Z, "centrally essential", budget=budget)
 
 
 def is_left_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
     N = associative_center(algebra)
-    return _scan_essential_submodule(
-        algebra, N, side="left", property_name="left N-essential", budget=budget
-    )
+    return _scan_ambient(algebra, N, "left N-essential", budget=budget)
 
 
 def is_right_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
     N = associative_center(algebra)
-    return _scan_essential_submodule(
-        algebra, N, side="right", property_name="right N-essential", budget=budget
-    )
+    return _scan_ambient(algebra, N, "right N-essential", budget=budget, side="right")
 
 
 def _stage_data(algebra: FiniteAlgebra, data: EssentialityData | None) -> EssentialityData:
     return data if data is not None else essentiality_data(algebra)
+
+
+def _conjunction(name: str, clauses) -> EssentialityVerdict:
+    """Criterion verdict from lazily produced (verdict, failure detail)
+    clauses: the first failing one decides and lends its witness."""
+    cost = 0
+    for verdict, failure in clauses:
+        cost += verdict.cost
+        if not verdict.verdict:
+            return EssentialityVerdict(name, False, "criterion", verdict.witness, cost, failure)
+    return EssentialityVerdict(name, True, "criterion", None, cost)
 
 
 def n_essential_criterion(
@@ -267,29 +274,16 @@ def n_essential_criterion(
     """
     certify_central_scalar(algebra, alpha)
     data = _stage_data(algebra, data)
-    ce = is_centrally_essential(algebra, budget=budget)
-    cost = ce.cost
-    if not ce.verdict:
-        return EssentialityVerdict(
-            "N-essential (criterion)",
-            False,
-            "criterion",
-            ce.witness,
-            cost,
-            detail="stage algebra is not centrally essential",
+
+    def clauses():
+        stage = is_centrally_essential(algebra, budget=budget)
+        yield stage, "stage algebra is not centrally essential"
+        yield (
+            is_essential_ideal(data.I, data.C, algebra, budget=budget),
+            "I is not an essential ideal of the center",
         )
-    ideal = is_essential_ideal(data.I, data.C, algebra, budget=budget)
-    cost += ideal.cost
-    if not ideal.verdict:
-        return EssentialityVerdict(
-            "N-essential (criterion)",
-            False,
-            "criterion",
-            ideal.witness,
-            cost,
-            detail="I is not an essential ideal of the center",
-        )
-    return EssentialityVerdict("N-essential (criterion)", True, "criterion", None, cost)
+
+    return _conjunction("N-essential (criterion)", clauses())
 
 
 def centrally_essential_criterion(
@@ -307,86 +301,57 @@ def centrally_essential_criterion(
     """
     certify_central_scalar(algebra, alpha)
     data = _stage_data(algebra, data)
-    bsub = is_essential_submodule(
-        data.B, algebra, property_name="B essential in stage algebra", budget=budget
-    )
-    cost = bsub.cost
-    if not bsub.verdict:
-        return EssentialityVerdict(
-            "centrally essential (criterion)",
-            False,
-            "criterion",
-            bsub.witness,
-            cost,
-            detail="B is not an essential B-submodule of the stage algebra",
+
+    def clauses():
+        yield (
+            is_essential_submodule(
+                data.B, algebra, property_name="B essential in stage algebra", budget=budget
+            ),
+            "B is not an essential B-submodule of the stage algebra",
         )
-    jprime = intersect(data.J, data.I)
-    ideal = is_essential_ideal(jprime, data.B, algebra, budget=budget)
-    cost += ideal.cost
-    if not ideal.verdict:
-        return EssentialityVerdict(
-            "centrally essential (criterion)",
-            False,
-            "criterion",
-            ideal.witness,
-            cost,
-            detail="J' = J cap I is not an essential ideal of B",
+        yield (
+            is_essential_ideal(intersect(data.J, data.I), data.B, algebra, budget=budget),
+            "J' = J cap I is not an essential ideal of B",
         )
-    return EssentialityVerdict(
-        "centrally essential (criterion)", True, "criterion", None, cost
-    )
+
+    return _conjunction("centrally essential (criterion)", clauses())
 
 
 # -- scalar-ring criteria for the rank-4 and rank-8 presentations -------------
 
 
-def _ann2_is_proper_essential(n: int) -> tuple[bool, str, tuple[int, ...] | None]:
-    """Is Ann(2) = {x : 2x = 0 mod n} a proper essential ideal of Z/nZ?"""
-    ann = {x for x in range(n) if (2 * x) % n == 0}
-    if ann == set(range(n)):
-        return False, "the annihilator of 2 is the whole ring (not proper)", None
-    for c in range(1, n):
-        multiples = {(s * c) % n for s in range(n)}
-        if not (multiples & ann) - {0}:
-            return (
-                False,
-                f"multiples of {c} miss the annihilator of 2 (not essential)",
-                (c,),
-            )
-    return True, "", None
+def ann2_ideal(n: int) -> tuple[Submodule, Submodule, FiniteAlgebra]:
+    """Ann(2) = {x : 2x = 0 mod n}, with Z/nZ as a submodule and as an algebra."""
+    base = scalar_ring(n)
+    ring = Submodule.full(n, 1)
+    return annihilator(Submodule.span(n, [[2]], 1), ring, base), ring, base
+
+
+def _scalar_criterion(name: str, n: int, params) -> EssentialityVerdict:
+    """Holds iff Ann(2) is a proper essential ideal of Z/nZ."""
+    require_units(n, *params)
+    ann2, ring, base = ann2_ideal(n)
+    if ann2 == ring:
+        why = "the annihilator of 2 is the whole ring (not proper)"
+        return EssentialityVerdict(name, False, "criterion", None, n * n, why)
+    ess = is_essential_ideal(ann2, ring, base)
+    why = "" if ess else f"multiples of {ess.witness[0]} miss the annihilator of 2 (not essential)"
+    return EssentialityVerdict(name, ess.verdict, "criterion", ess.witness, n * n, why)
 
 
 def quaternion_criterion(n: int, a: int, b: int) -> EssentialityVerdict:
     """Is the rank-4 algebra (a, b over Z/nZ) non-commutative centrally
     essential? Holds iff Ann(2) is a proper essential ideal of Z/nZ."""
-    for p in (a, b):
-        if np.gcd(p, n) != 1:
-            raise NotInvertible(f"parameter {p} is not a unit mod {n}")
-    ok, why, witness = _ann2_is_proper_essential(n)
-    return EssentialityVerdict(
-        "non-commutative centrally essential (quaternion criterion)",
-        ok,
-        "criterion",
-        witness,
-        n * n,
-        detail=why,
+    return _scalar_criterion(
+        "non-commutative centrally essential (quaternion criterion)", n, (a, b)
     )
 
 
 def octonion_criterion(n: int, a: int, b: int, c: int) -> EssentialityVerdict:
     """Is the rank-8 algebra (a, b, c over Z/nZ) non-associative centrally
     essential? Holds iff Ann(2) is a proper essential ideal of Z/nZ."""
-    for p in (a, b, c):
-        if np.gcd(p, n) != 1:
-            raise NotInvertible(f"parameter {p} is not a unit mod {n}")
-    ok, why, witness = _ann2_is_proper_essential(n)
-    return EssentialityVerdict(
-        "non-associative centrally essential (octonion criterion)",
-        ok,
-        "criterion",
-        witness,
-        n * n,
-        detail=why,
+    return _scalar_criterion(
+        "non-associative centrally essential (octonion criterion)", n, (a, b, c)
     )
 
 

@@ -25,7 +25,7 @@ from .doubling import TowerSpec, build_tower
 from .errors import DimensionMismatch, InvalidAlgebra, NotInvertible
 
 
-def _require_units(n: int, *params: int) -> None:
+def require_units(n: int, *params: int) -> None:
     for p in params:
         if np.gcd(int(p), n) != 1:
             raise NotInvertible(f"parameter {p} is not a unit mod {n}")
@@ -33,7 +33,7 @@ def _require_units(n: int, *params: int) -> None:
 
 def quaternion_algebra(n: int, a: int, b: int) -> FiniteAlgebra:
     """The generalized quaternion algebra on basis (1, i, j, k) over Z/nZ."""
-    _require_units(n, a, b)
+    require_units(n, a, b)
     a %= n
     b %= n
     d = 4
@@ -79,7 +79,7 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
     stage-2 coordinate e3 is -k, and the second-copy coordinates e5, e6
     carry -il, -jl.
     """
-    _require_units(n, a, b, c)
+    require_units(n, a, b, c)
     stage = build_tower(TowerSpec(n, (a % n, b % n, c % n)))[-1]
     signs = _OCTONION_SIGNS % n
     tensor = (

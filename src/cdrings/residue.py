@@ -14,9 +14,7 @@ left kernel {v : v @ m = 0}.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -245,18 +243,6 @@ class Submodule:
         coeffs = np.stack([g.ravel() for g in grids], axis=1)
         return (coeffs @ self.generators) % self.modulus
 
-    def enumerate(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[np.ndarray]:
-        """Yield each element of the span exactly once."""
-        size = self.order()
-        if size > budget:
-            raise EnumerationBudgetExceeded(size, budget)
-        if self.is_zero:
-            yield np.zeros(self.ambient_rank, dtype=np.int64)
-            return
-        radices = [self.modulus // p for _, p in self.pivots]
-        for coeffs in itertools.product(*[range(r) for r in radices]):
-            yield (np.array(coeffs, dtype=np.int64) @ self.generators) % self.modulus
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Submodule)
@@ -324,17 +310,6 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     if not tail_rows:
         return Submodule.zero(n, d)
     return Submodule.span(n, np.array(tail_rows, dtype=np.int64), d)
-
-
-def membership(v, s: Submodule) -> bool:
-    """True iff v lies in the additive span of s."""
-    return s.contains(v)
-
-
-def enumerate_submodule(
-    s: Submodule, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> Iterator[np.ndarray]:
-    return s.enumerate(budget)
 
 
 def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:

@@ -28,15 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .algebra import (
-    is_alternative,
-    is_associative,
-    is_commutative,
-    is_right_alternative,
-    scalar_ring,
-)
+from .algebra import is_alternative, is_associative, is_commutative, is_right_alternative
 from .analysis import (
     associative_center,
     center,
@@ -49,6 +41,7 @@ from .analysis import (
 from .doubling import TowerSpec, build_tower, double
 from .errors import AlgebraError
 from .essentiality import (
+    ann2_ideal,
     is_centrally_essential,
     is_essential_ideal,
     is_left_n_essential,
@@ -59,7 +52,7 @@ from .essentiality import (
     quaternion_criterion,
 )
 from .presentations import quaternion_algebra
-from .residue import DEFAULT_ENUMERATION_BUDGET, Submodule, all_vectors, membership
+from .residue import DEFAULT_ENUMERATION_BUDGET, all_vectors
 
 DEFAULT_SWEEP_BASES = (2, 3, 4, 5, 6)
 DEFAULT_SWEEP_DEPTH = 3
@@ -160,7 +153,6 @@ def _formula_and_criterion_suite(
     formula_check,
     criterion_check,
     definitional_check,
-    *,
     bases,
     depth,
     budget: int,
@@ -175,7 +167,7 @@ def _formula_and_criterion_suite(
         report.instances.append(
             InstanceResult(f"{tid} formula", ok, kind="formula", detail=detail)
         )
-        crit = criterion_check(stage, params[-1], data, budget)
+        crit = criterion_check(stage, params[-1], data=data, budget=budget)
         ambient = doubled.modulus**doubled.rank
         if ambient > budget:
             report.instances.append(
@@ -189,7 +181,7 @@ def _formula_and_criterion_suite(
                 )
             )
             continue
-        defn = definitional_check(doubled, budget)
+        defn = definitional_check(doubled, budget=budget)
         agree = crit.verdict == defn.verdict
         report.instances.append(
             InstanceResult(
@@ -214,17 +206,10 @@ def suite_thm_1_3(
     def formula(data, doubled):
         predicted = predicted_associative_center(data, doubled)
         direct = associative_center(doubled)
-        ok = predicted == direct
-        return ok, f"|N| = {direct.order()}"
-
-    def criterion(stage, alpha, data, budget):
-        return n_essential_criterion(stage, alpha, data=data, budget=budget)
-
-    def definitional(doubled, budget):
-        return is_left_n_essential(doubled, budget=budget)
+        return predicted == direct, f"|N| = {direct.order()}"
 
     return _formula_and_criterion_suite(
-        "thm-1.3", formula, criterion, definitional, bases=bases, depth=depth, budget=budget
+        "thm-1.3", formula, n_essential_criterion, is_left_n_essential, bases, depth, budget
     )
 
 
@@ -238,17 +223,11 @@ def suite_thm_1_4(
     def formula(data, doubled):
         predicted = predicted_center(data, doubled)
         direct = center(doubled).Z
-        ok = predicted == direct
-        return ok, f"|Z| = {direct.order()}"
-
-    def criterion(stage, alpha, data, budget):
-        return centrally_essential_criterion(stage, alpha, data=data, budget=budget)
-
-    def definitional(doubled, budget):
-        return is_centrally_essential(doubled, budget=budget)
+        return predicted == direct, f"|Z| = {direct.order()}"
 
     return _formula_and_criterion_suite(
-        "thm-1.4", formula, criterion, definitional, bases=bases, depth=depth, budget=budget
+        "thm-1.4", formula, centrally_essential_criterion, is_centrally_essential,
+        bases, depth, budget,
     )
 
 
@@ -293,16 +272,16 @@ def suite_thm_1_5(budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationRepor
     return report
 
 
-def suite_prop_5_2(
-    n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET
+def _scalar_criterion_suite(
+    name: str, n_range, budget: int, rank: int, criterion, definitional
 ) -> VerificationReport:
-    """Quaternion criterion vs. definitional verdicts."""
-    report = VerificationReport("prop-5.2")
+    """Per modulus n: a scalar criterion verdict vs. a definitional
+    (verdict, witness) on the rank-`rank` algebra over Z/nZ."""
+    report = VerificationReport(name)
     start = time.perf_counter()
     for n in n_range:
-        crit = quaternion_criterion(n, 1, 1)
-        alg = quaternion_algebra(n, 1, 1)
-        ambient = n**4
+        crit = criterion(n)
+        ambient = n**rank
         if ambient > budget:
             report.instances.append(
                 InstanceResult(
@@ -313,52 +292,47 @@ def suite_prop_5_2(
                 )
             )
             continue
-        defn = noncommutative_centrally_essential_definitional(alg, budget=budget)
+        defn, witness = definitional(n)
         report.instances.append(
             InstanceResult(
                 f"n={n}",
-                crit.verdict == defn.verdict,
-                detail=f"criterion={crit.verdict} definitional={defn.verdict}",
-                witness=None if crit.verdict == defn.verdict else defn.witness,
+                crit.verdict == defn,
+                detail=f"criterion={crit.verdict} definitional={defn}",
+                witness=None if crit.verdict == defn else witness,
             )
         )
     report.elapsed = time.perf_counter() - start
     return report
+
+
+def suite_prop_5_2(
+    n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> VerificationReport:
+    """Quaternion criterion vs. definitional verdicts."""
+
+    def definitional(n):
+        alg = quaternion_algebra(n, 1, 1)
+        defn = noncommutative_centrally_essential_definitional(alg, budget=budget)
+        return defn.verdict, defn.witness
+
+    return _scalar_criterion_suite(
+        "prop-5.2", n_range, budget, 4, lambda n: quaternion_criterion(n, 1, 1), definitional
+    )
 
 
 def suite_prop_5_3(
     n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> VerificationReport:
     """Octonion criterion vs. definitional verdicts."""
-    report = VerificationReport("prop-5.3")
-    start = time.perf_counter()
-    for n in n_range:
-        crit = octonion_criterion(n, 1, 1, 1)
-        ambient = n**8
-        if ambient > budget:
-            report.instances.append(
-                InstanceResult(
-                    f"n={n}",
-                    True,
-                    detail=f"definitional skipped (|A| = {ambient}); criterion = {crit.verdict}",
-                    skipped=True,
-                )
-            )
-            continue
-        stages = build_tower(TowerSpec(n, (1, 1, 1)))
-        alg = stages[-1]
+
+    def definitional(n):
+        alg = build_tower(TowerSpec(n, (1, 1, 1)))[-1]
         ce = is_centrally_essential(alg, budget=budget)
-        defn = ce.verdict and not is_associative(alg)
-        report.instances.append(
-            InstanceResult(
-                f"n={n}",
-                crit.verdict == defn,
-                detail=f"criterion={crit.verdict} definitional={defn}",
-                witness=None if crit.verdict == defn else ce.witness,
-            )
-        )
-    report.elapsed = time.perf_counter() - start
-    return report
+        return ce.verdict and not is_associative(alg), ce.witness
+
+    return _scalar_criterion_suite(
+        "prop-5.3", n_range, budget, 8, lambda n: octonion_criterion(n, 1, 1, 1), definitional
+    )
 
 
 def suite_lemma_5_1(n_range=range(2, 10)) -> VerificationReport:
@@ -369,10 +343,7 @@ def suite_lemma_5_1(n_range=range(2, 10)) -> VerificationReport:
         alg = quaternion_algebra(n, 1, 1)
         data = essentiality_data(alg)
         lhs = is_essential_ideal(data.I, data.B, alg).verdict
-        base = scalar_ring(n)
-        ann_rows = [[x] for x in range(n) if (2 * x) % n == 0]
-        ann2 = Submodule.span(n, ann_rows or np.zeros((0, 1), dtype=np.int64), 1)
-        rhs = is_essential_ideal(ann2, Submodule.full(n, 1), base).verdict
+        rhs = is_essential_ideal(*ann2_ideal(n)).verdict
         report.instances.append(
             InstanceResult(
                 f"n={n}",
@@ -426,7 +397,7 @@ def suite_lemma_2_1(budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationRep
             for y in all_vectors(n, d):
                 total += 1
                 via_identities = n_membership_by_identities(doubled, x, y)
-                via_center = membership(pair_coordinates(doubled, x, y), N)
+                via_center = N.contains(pair_coordinates(doubled, x, y))
                 if via_identities != via_center:
                     mismatches += 1
                     if first_witness is None:

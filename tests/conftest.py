@@ -39,7 +39,7 @@ def brute_kernel(mat, n):
 
 def submodule_set(sub):
     """Element set of a Submodule via its own enumeration."""
-    return frozenset(tuple(int(x) for x in v) for v in sub.enumerate())
+    return frozenset(tuple(int(x) for x in v) for v in sub.elements())
 
 
 def random_matrix(rng, n, rows, cols):

@@ -23,7 +23,6 @@ from cdrings.residue import (
     canonicalize,
     intersect,
     kernel,
-    membership,
 )
 from cdrings.suites import (
     suite_lemma_2_1,
@@ -140,7 +139,7 @@ def test_criterion_6_identity_membership_equivalence():
     N = associative_center(doubled)
     agree = all(
         n_membership_by_identities(doubled, x, y)
-        == membership(pair_coordinates(doubled, x, y), N)
+        == N.contains(pair_coordinates(doubled, x, y))
         for x in all_vectors(4, 2)
         for y in all_vectors(4, 2)
     )
@@ -184,7 +183,7 @@ def test_criterion_9_residue_linalg_oracle_suite():
             elems = submodule_set(span)
             for _ in range(10):
                 v = [rng.randrange(modulus) for _ in range(cols)]
-                assert membership(v, span) == (tuple(v) in elems)
+                assert span.contains(v) == (tuple(v) in elems)
             # intersection vs set intersection
             other = canonicalize(
                 ResidueMatrix(modulus, random_matrix(rng, modulus, rows, cols))

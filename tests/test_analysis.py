@@ -19,7 +19,7 @@ from cdrings.analysis import (
 )
 from cdrings.doubling import double, tower
 from cdrings.errors import StageMismatch
-from cdrings.residue import Submodule, all_vectors, intersect, membership
+from cdrings.residue import Submodule, all_vectors, intersect
 
 from conftest import brute_span, submodule_set
 
@@ -64,7 +64,6 @@ def test_center_report_invariants(z4_quaternion):
     assert rep.Z == intersect(rep.N, rep.K)
     for g in rep.Z.generators:
         assert rep.N.contains(g) and rep.K.contains(g)
-    assert rep.C == rep.Z
 
 
 def test_associative_center_full_for_associative(z4_quaternion):
@@ -202,7 +201,7 @@ def test_annihilator_matches_enumeration(z4_quaternion):
     comm = data.commutator_ideal
     C = data.C
     expected = set()
-    for c in C.enumerate():
+    for c in C.elements():
         if all(
             not A.mul(c, np.array(s)).any() for s in comm.elements()
         ):
@@ -327,7 +326,7 @@ def test_identity_membership_equals_center_membership(base, params):
     for x in all_vectors(n, d):
         for y in all_vectors(n, d):
             via_identities = n_membership_by_identities(R, x, y)
-            via_center = membership(pair_coordinates(R, x, y), N)
+            via_center = N.contains(pair_coordinates(R, x, y))
             assert via_identities == via_center, (x, y)
 
 
@@ -344,13 +343,6 @@ def test_essentiality_data_containments_and_involution_invariance():
         for sub in (data.B, data.J):
             for g in sub.generators:
                 assert sub.contains(alg.involve(g))
-
-
-def test_apply_involution_matches_method():
-    from cdrings.algebra import apply_involution
-
-    A = tower(4, 1)
-    assert np.array_equal(apply_involution(A, [1, 3]), A.involve([1, 3]))
 
 
 def test_identity_membership_equals_lemma_formula():

@@ -235,3 +235,71 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run_cli(capsys, "analyze", str(out))
     assert code == 0
     assert "skipped" in stdout
+
+
+def exit_code(capsys, *argv):
+    """Exit code and stderr of one call, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def test_bad_budget_env_var_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CDRINGS_ENUM_BUDGET", "abc")
+    code, stderr = exit_code(capsys, "verify", "thm-1.5")
+    assert code == 2
+    assert "CDRINGS_ENUM_BUDGET" in stderr
+
+
+def test_non_integer_params_are_a_usage_error(capsys):
+    code, stderr = exit_code(capsys, "build", "--base", "4", "--params", "a")
+    assert code == 2
+    assert "--params" in stderr
+
+
+def test_open_range_is_a_usage_error(capsys):
+    for bases in ("2..", "5..2"):
+        code, stderr = exit_code(capsys, "search", "--bases", bases, "--depth", "1")
+        assert code == 2
+        assert "--bases" in stderr
+
+
+def test_modulus_below_two_is_a_usage_error(capsys):
+    code, stderr = exit_code(capsys, "verify", "prop-5.2", "--n-range", "1..3")
+    assert code == 2
+    assert "modulus must be >= 2" in stderr
+
+
+def test_unwritable_search_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "rows.jsonl"
+    code, stderr = exit_code(capsys, "search", "--bases", "2", "--depth", "1", "--out", str(out))
+    assert code == 2
+    assert "cannot write" in stderr
+
+
+def test_zero_budget_is_a_usage_error(capsys):
+    code, stderr = exit_code(capsys, "--budget", "0", "build", "--base", "4", "--params", "1,1")
+    assert code == 2
+    assert "budget must be >= 1" in stderr
+
+
+def test_negative_depth_is_a_usage_error(capsys):
+    code, stderr = exit_code(capsys, "verify", "thm-1.3", "--bases", "2", "--depth", "-1")
+    assert code == 2
+    assert "depth must be >= 0" in stderr
+
+
+def test_verify_honours_depth_zero(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "verify", "remark-2.5", "--bases", "2", "--depth", "0", "--json"
+    )
+    assert code == 0
+    assert json.loads(stdout)["instances"] == []
+
+
+def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
+    code, stderr = exit_code(capsys, "verify", "prop-5.2", "--bases", "9")
+    assert code == 2
+    assert "--bases" in stderr

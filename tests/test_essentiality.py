@@ -17,7 +17,8 @@ from cdrings.essentiality import (
     octonion_criterion,
     quaternion_criterion,
 )
-from cdrings.residue import Submodule, all_vectors
+from cdrings.residue import Submodule, all_vectors, intersect
+from cdrings.suites import sweep_towers
 
 from conftest import submodule_set
 
@@ -43,6 +44,43 @@ def naive_essential_submodule(algebra, sub):
         if not hit:
             return False, tuple(int(t) for t in r)
     return True, None
+
+
+def ring_multiples_meet(algebra, c, ring, ideal_set):
+    """Does {s c : s in ring} meet the ideal outside 0? Element by element."""
+    for s in ring.elements():
+        prod = algebra.mul(s, c)
+        if prod.any() and tuple(int(t) for t in prod) in ideal_set:
+            return True
+    return False
+
+
+def naive_essential_ideal(algebra, ideal, ring):
+    """Literal double loop: every nonzero c of the ring against every s."""
+    ideal_set = submodule_set(ideal)
+    for c in ring.elements():
+        if c.any() and not ring_multiples_meet(algebra, c, ring, ideal_set):
+            return False
+    return True
+
+
+def test_essential_ideal_matches_double_loop_on_stage_data():
+    stages = {}
+    for base, params, tower_stages in sweep_towers((2, 3, 4, 5, 6), 2, extra={}):
+        for idx, stage in enumerate(tower_stages):
+            stages[(base, params[:idx])] = stage
+    checked = 0
+    for key, stage in stages.items():
+        data = essentiality_data(stage)
+        for ideal, ring in ((data.I, data.C), (intersect(data.J, data.I), data.B)):
+            got = is_essential_ideal(ideal, ring, stage)
+            assert got.verdict == naive_essential_ideal(stage, ideal, ring), key
+            if not got.verdict:
+                c = np.array(got.witness)
+                assert c.any() and ring.contains(c), key
+                assert not ring_multiples_meet(stage, c, ring, submodule_set(ideal)), key
+            checked += 1
+    assert checked == 2 * len(stages) == 90
 
 
 def test_essential_ideal_trivial_cases():
