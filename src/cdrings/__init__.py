@@ -32,6 +32,7 @@ from .analysis import (
     commutative_center,
     commutator_ideal,
     essentiality_data,
+    identity_conditions,
     n_membership_by_identities,
     pair_coordinates,
     predicted_associative_center,

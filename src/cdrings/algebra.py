@@ -237,28 +237,24 @@ def is_commutative(algebra: FiniteAlgebra) -> bool:
     return not ((c - c.transpose(1, 0, 2)) % algebra.modulus).any()
 
 
+def _alternates(t: np.ndarray, n: int, a: int, b: int) -> bool:
+    """Does the associator tensor t alternate in slots a and b? Slots (0, 1)
+    give (x, x, y) = 0 and slots (1, 2) give (x, y, y) = 0 for all elements."""
+    diag = np.diagonal(t, axis1=a, axis2=b)
+    return not diag.any() and not ((t + np.swapaxes(t, a, b)) % n).any()
+
+
 def is_left_alternative(algebra: FiniteAlgebra) -> bool:
-    t = _associator_tensor(algebra)
-    n = algebra.modulus
-    d = algebra.rank
-    diag = t[np.arange(d), np.arange(d)]
-    if diag.any():
-        return False
-    return not ((t + t.transpose(1, 0, 2, 3)) % n).any()
+    return _alternates(_associator_tensor(algebra), algebra.modulus, 0, 1)
 
 
 def is_right_alternative(algebra: FiniteAlgebra) -> bool:
-    t = _associator_tensor(algebra)
-    n = algebra.modulus
-    d = algebra.rank
-    diag = t[:, np.arange(d), np.arange(d)]
-    if diag.any():
-        return False
-    return not ((t + t.transpose(0, 2, 1, 3)) % n).any()
+    return _alternates(_associator_tensor(algebra), algebra.modulus, 1, 2)
 
 
 def is_alternative(algebra: FiniteAlgebra) -> bool:
-    return is_left_alternative(algebra) and is_right_alternative(algebra)
+    t = _associator_tensor(algebra)
+    return _alternates(t, algebra.modulus, 0, 1) and _alternates(t, algebra.modulus, 1, 2)
 
 
 # -- central, symmetric, invertible certificates -----------------------------

@@ -19,6 +19,7 @@ kernel computations; the verification suites sweep that equality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,8 +214,9 @@ def predicted_center(data: EssentialityData, doubled: FiniteAlgebra) -> Submodul
 
 # A pair (x, y) lies in N((A, alpha)) iff x satisfies the first system and y
 # the second, with u, v ranging over A; bilinearity in (u, v) reduces the
-# quantifier to basis pairs. The table is data so it can be audited and
-# rendered in the docs rather than hand-coded 24 times.
+# quantifier to basis pairs. The tables are data so they can be audited,
+# rendered in the docs and compiled into condition matrices
+# (`identity_conditions`) rather than hand-coded 24 times.
 FIRST_COMPONENT_IDENTITIES: tuple[tuple[str, str], ...] = (
     ("(xu)v", "x(uv)"),
     ("(ux)v", "u(xv)"),
@@ -273,38 +275,68 @@ _PARSED = {
 }
 
 
-def _eval_term(algebra: FiniteAlgebra, tree, env: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(tree, str):
-        return env[tree]
-    left, right = tree
-    return algebra.mul(
-        _eval_term(algebra, left, env), _eval_term(algebra, right, env)
+def _term_map(c: np.ndarray, tree, var: str) -> np.ndarray:
+    """A term as a linear map of `var`, at every basis pair u = e_i, v = e_j.
+
+    out[p, i, j, k] is coordinate k of the term at var = e_p. Walking from
+    the variable to the root, each product with a constant sibling w right
+    multiplies the map by R_w when the variable sits in the left factor and
+    by L_w when it sits in the right; w[i, j, :] is the sibling evaluated
+    from the structure tensor. Entries are left unreduced (below d^2 n^3).
+    """
+    d = c.shape[0]
+    eye = np.eye(d, dtype=np.int64)
+
+    def build(node):
+        """(has_var, tensor): [p, i, j, k] with the variable, [i, j, k] without."""
+        if node == var:
+            return True, np.broadcast_to(eye[:, None, None, :], (d, d, d, d))
+        if node == "u":
+            return False, np.broadcast_to(eye[:, None, :], (d, d, d))
+        if node == "v":
+            return False, np.broadcast_to(eye[None, :, :], (d, d, d))
+        (left_var, left), (right_var, right) = build(node[0]), build(node[1])
+        if left_var:  # x -> x w, i.e. right multiplication by w
+            return True, np.einsum("pija,ijb,abk->pijk", left, right, c, optimize=True)
+        if right_var:  # x -> w x, i.e. left multiplication by w
+            return True, np.einsum("ija,pijb,abk->pijk", left, right, c, optimize=True)
+        return False, np.einsum("ija,ijb,abk->ijk", left, right, c, optimize=True)
+
+    return build(tree)[1]
+
+
+def _condition_matrix(
+    stage: FiniteAlgebra, identities: tuple[tuple[str, str], ...], var: str
+) -> ResidueMatrix:
+    """d x (len(identities) * d^3) matrix whose left kernel is the solution
+    set of the identity system: one block per (identity, e_i, e_j), each the
+    map lhs - rhs of the variable."""
+    c = stage.structure
+    terms = {t: _term_map(c, _PARSED[t], var) % stage.modulus for pair in identities for t in pair}
+    blocks = np.stack([terms[lhs] - terms[rhs] for lhs, rhs in identities], axis=1)
+    return ResidueMatrix(stage.modulus, blocks.reshape(stage.rank, -1))
+
+
+@functools.lru_cache(maxsize=4)
+def identity_conditions(stage: FiniteAlgebra) -> tuple[ResidueMatrix, ResidueMatrix]:
+    """Condition matrices (M1, M2) of the two identity systems on `stage`.
+
+    x satisfies the first system iff x @ M1 = 0 mod n, and y the second iff
+    y @ M2 = 0, so kernel(M1) x kernel(M2) is the associative center of any
+    double of the stage. Compiled on first use and kept for the last four
+    stages; each matrix is rank x 12 rank^3 (100 MB at rank 32).
+    """
+    return (
+        _condition_matrix(stage, FIRST_COMPONENT_IDENTITIES, "x"),
+        _condition_matrix(stage, SECOND_COMPONENT_IDENTITIES, "y"),
     )
-
-
-def _holds_on_basis(
-    algebra: FiniteAlgebra,
-    identities: tuple[tuple[str, str], ...],
-    var: str,
-    value: np.ndarray,
-) -> bool:
-    d = algebra.rank
-    basis = [algebra.basis_element(i) for i in range(d)]
-    for u in basis:
-        for v in basis:
-            env = {var: value, "u": u, "v": v}
-            for lhs, rhs in identities:
-                a = _eval_term(algebra, _PARSED[lhs], env)
-                b = _eval_term(algebra, _PARSED[rhs], env)
-                if not np.array_equal(a, b):
-                    return False
-    return True
 
 
 def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool:
     """Decide (x, y) in N((A, alpha)) from the two identity systems alone.
 
-    x and y are elements of the undoubled stage A. Must agree with direct
+    x and y are elements of the undoubled stage A; the systems are tested as
+    the matrix products of `identity_conditions(A)`. Must agree with direct
     membership of concat(x, y) in associative_center(doubled); the suites
     sweep that equivalence exhaustively at desk scale.
     """
@@ -313,9 +345,9 @@ def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool:
         raise StageMismatch(f"{doubled.name} was not produced by doubling")
     x = parent.element(x)
     y = parent.element(y)
-    return _holds_on_basis(
-        parent, FIRST_COMPONENT_IDENTITIES, "x", x
-    ) and _holds_on_basis(parent, SECOND_COMPONENT_IDENTITIES, "y", y)
+    first, second = identity_conditions(parent)
+    n = parent.modulus
+    return not (x @ first.array % n).any() and not (y @ second.array % n).any()
 
 
 def pair_coordinates(doubled: FiniteAlgebra, x, y) -> np.ndarray:
@@ -340,6 +372,7 @@ __all__ = [
     "essentiality_data",
     "predicted_associative_center",
     "predicted_center",
+    "identity_conditions",
     "n_membership_by_identities",
     "pair_coordinates",
     "FIRST_COMPONENT_IDENTITIES",

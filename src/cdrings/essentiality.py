@@ -28,6 +28,7 @@ choice is flagged in the docs and the search tool treats it as searchable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,20 @@ def _scan(
 
 
 def _scan_ambient(
-    algebra: FiniteAlgebra, sub: Submodule, property_name: str, *, budget: int, side: str = "left"
+    algebra: FiniteAlgebra,
+    members: Callable[[], Submodule],
+    property_name: str,
+    *,
+    budget: int,
+    side: str = "left",
 ) -> EssentialityVerdict:
-    """Scan every nonzero r of the algebra for sub r (or r sub) meeting sub\\{0}."""
+    """Scan every nonzero r of the algebra for sub r (or r sub) meeting sub\\{0}.
+
+    `members()` returns sub. It is called only once R fits the budget, so an
+    over-budget check raises before paying for the center it would scan.
+    """
     ambient = all_vectors(algebra.modulus, algebra.rank, budget)
-    elems = sub.elements(budget)
+    elems = members().elements(budget)
     return _scan(
         algebra,
         elems,
@@ -191,7 +201,7 @@ def is_essential_submodule(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """True iff sub*r meets sub nontrivially for every nonzero r in A."""
-    return _scan_ambient(algebra, sub, property_name, budget=budget)
+    return _scan_ambient(algebra, lambda: sub, property_name, budget=budget)
 
 
 def is_essential_ideal(
@@ -226,22 +236,29 @@ def is_centrally_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
     """Definitional check of Z(R) r cap Z(R) != 0 for all nonzero r."""
-    Z = center(algebra).Z
-    return _scan_ambient(algebra, Z, "centrally essential", budget=budget)
+    return _scan_ambient(
+        algebra, lambda: center(algebra).Z, "centrally essential", budget=budget
+    )
 
 
 def is_left_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
-    N = associative_center(algebra)
-    return _scan_ambient(algebra, N, "left N-essential", budget=budget)
+    return _scan_ambient(
+        algebra, lambda: associative_center(algebra), "left N-essential", budget=budget
+    )
 
 
 def is_right_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
-    N = associative_center(algebra)
-    return _scan_ambient(algebra, N, "right N-essential", budget=budget, side="right")
+    return _scan_ambient(
+        algebra,
+        lambda: associative_center(algebra),
+        "right N-essential",
+        budget=budget,
+        side="right",
+    )
 
 
 def _stage_data(algebra: FiniteAlgebra, data: EssentialityData | None) -> EssentialityData:

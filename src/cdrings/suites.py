@@ -56,7 +56,7 @@ from .residue import DEFAULT_ENUMERATION_BUDGET, all_vectors
 
 DEFAULT_SWEEP_BASES = (2, 3, 4, 5, 6)
 DEFAULT_SWEEP_DEPTH = 3
-EXTRA_DEPTHS = {2: 4}  # base -> additional depth swept beyond the default
+EXTRA_DEPTHS = {2: 4}  # base -> deeper default sweep depth
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,15 @@ def unit_parameter_tuples(base: int, depth: int):
     return itertools.product(units, repeat=depth)
 
 
-def sweep_towers(bases=DEFAULT_SWEEP_BASES, depth=DEFAULT_SWEEP_DEPTH, extra=EXTRA_DEPTHS):
+def sweep_towers(bases=DEFAULT_SWEEP_BASES, depth=None):
     """Yield (base, params, stages) for every unit-parameter tower.
 
-    Covers all depths 1..depth for each base, plus the configured extras.
+    Covers all depths 1..depth for each base. Without a depth the sweep is
+    the paper's: DEFAULT_SWEEP_DEPTH plus the EXTRA_DEPTHS of each base.
     """
     for base in bases:
-        depths = list(range(1, depth + 1))
-        if base in (extra or {}):
-            depths += list(range(depth + 1, extra[base] + 1))
-        for dep in depths:
+        top = EXTRA_DEPTHS.get(base, DEFAULT_SWEEP_DEPTH) if depth is None else depth
+        for dep in range(1, top + 1):
             for params in unit_parameter_tuples(base, dep):
                 stages = build_tower(TowerSpec(base, params))
                 yield base, params, stages
@@ -198,10 +197,14 @@ def _formula_and_criterion_suite(
 
 def suite_thm_1_3(
     bases=DEFAULT_SWEEP_BASES,
-    depth=DEFAULT_SWEEP_DEPTH,
+    depth=None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
-    """Associative-center closed form and the N-essential criterion."""
+    """Associative-center closed form and the N-essential criterion.
+
+    depth=None sweeps the paper's depths (see `sweep_towers`); an explicit
+    depth bounds every base, Z2 included.
+    """
 
     def formula(data, doubled):
         predicted = predicted_associative_center(data, doubled)
@@ -215,10 +218,11 @@ def suite_thm_1_3(
 
 def suite_thm_1_4(
     bases=DEFAULT_SWEEP_BASES,
-    depth=DEFAULT_SWEEP_DEPTH,
+    depth=None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
-    """Center closed form and the centrally essential criterion."""
+    """Center closed form and the centrally essential criterion, over the
+    same sweep as `suite_thm_1_3`."""
 
     def formula(data, doubled):
         predicted = predicted_center(data, doubled)
@@ -361,7 +365,7 @@ def suite_remark_2_5(
     """Double associative <=> stage associative and commutative."""
     report = VerificationReport("remark-2.5")
     start = time.perf_counter()
-    for base, params, stages in sweep_towers(bases, depth, extra={}):
+    for base, params, stages in sweep_towers(bases, depth):
         stage, doubled = stages[-2], stages[-1]
         lhs = is_associative(doubled)
         rhs = is_associative(stage) and is_commutative(stage)

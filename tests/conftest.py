@@ -116,3 +116,41 @@ def brute_commutative_center_set(algebra, elements):
         idx = np.flatnonzero(alive)
         alive[idx[~ok]] = False
     return frozenset(tuple(int(t) for t in v) for v in elements[alive])
+
+
+def eval_term(algebra, tree, env, memo):
+    """Evaluate a parsed identity term element by element through `mul`,
+    sharing subterms already evaluated under the same env through `memo`."""
+    if isinstance(tree, str):
+        return env[tree]
+    if tree not in memo:
+        left, right = tree
+        memo[tree] = algebra.mul(
+            eval_term(algebra, left, env, memo), eval_term(algebra, right, env, memo)
+        )
+    return memo[tree]
+
+
+def identity_difference(algebra, identity, env, memo=None):
+    """lhs - rhs of one identity (a pair of term strings) under env, mod n."""
+    from cdrings.analysis import _PARSED
+
+    memo = {} if memo is None else memo
+    lhs, rhs = (eval_term(algebra, _PARSED[term], env, memo) for term in identity)
+    return (lhs - rhs) % algebra.modulus
+
+
+def holds_on_basis(algebra, identities, var, value):
+    """Does `value` satisfy every identity for all basis pairs u, v?
+
+    The per-element reference for the compiled condition matrices of
+    `cdrings.analysis.identity_conditions`.
+    """
+    basis = [algebra.basis_element(i) for i in range(algebra.rank)]
+    for u in basis:
+        for v in basis:
+            env = {var: value, "u": u, "v": v}
+            memo = {}
+            if any(identity_difference(algebra, ident, env, memo).any() for ident in identities):
+                return False
+    return True

@@ -149,7 +149,7 @@ def test_criterion_6_identity_membership_equivalence():
 
 def test_criterion_7_associativity_transfer():
     count = 0
-    for base, params, stages in sweep_towers((2, 3, 4, 5, 6), 3, extra={2: 4}):
+    for base, params, stages in sweep_towers((2, 3, 4, 5, 6)):
         stage, doubled = stages[-2], stages[-1]
         assert is_associative(doubled) == (
             is_associative(stage) and is_commutative(stage)

@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrings.algebra import certify_central_scalar, scalar_ring
 from cdrings.analysis import (
+    FIRST_COMPONENT_IDENTITIES,
+    SECOND_COMPONENT_IDENTITIES,
     annihilator,
     associative_center,
     center,
     commutative_center,
     commutator_ideal,
     essentiality_data,
+    identity_conditions,
     n_membership_by_identities,
     pair_coordinates,
     predicted_associative_center,
@@ -19,9 +26,10 @@ from cdrings.analysis import (
 )
 from cdrings.doubling import double, tower
 from cdrings.errors import StageMismatch
-from cdrings.residue import Submodule, all_vectors, intersect
+from cdrings.residue import Submodule, all_vectors, intersect, kernel
+from cdrings.suites import sweep_towers
 
-from conftest import brute_span, submodule_set
+from conftest import brute_span, holds_on_basis, identity_difference, submodule_set
 
 
 @pytest.fixture(scope="module")
@@ -356,3 +364,113 @@ def test_identity_membership_equals_lemma_formula():
             got = n_membership_by_identities(R, x, y)
             want = data.C.contains(x) and data.I.contains(y)
             assert got == want
+
+
+def _compiled_holds(conditions, value):
+    return not (np.asarray(value) @ conditions.array % conditions.modulus).any()
+
+
+def _systems(stage):
+    first, second = identity_conditions(stage)
+    return (
+        (first, FIRST_COMPONENT_IDENTITIES, "x"),
+        (second, SECOND_COMPONENT_IDENTITIES, "y"),
+    )
+
+
+def _assert_matches_evaluator(stage, conditions, identities, var, value):
+    """The compiled verdict on `value` against the per-element evaluator.
+
+    A value the matrix refutes is refuted again by evaluating the identity
+    and basis pair of its first nonzero block, whose lhs - rhs must equal
+    that block; a value it accepts must pass every identity at every pair.
+    """
+    d = stage.rank
+    blocks = (value @ conditions.array % stage.modulus).reshape(len(identities), d, d, d)
+    failing = np.argwhere(blocks.any(axis=3))
+    if len(failing) == 0:
+        assert holds_on_basis(stage, identities, var, value), (stage.name, var, value)
+        return
+    k, i, j = failing[0]
+    env = {var: value, "u": stage.basis_element(i), "v": stage.basis_element(j)}
+    difference = identity_difference(stage, identities[k], env)
+    assert np.array_equal(difference, blocks[k, i, j]), (stage.name, var, value)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6])
+def test_identity_conditions_match_per_element_evaluator(base):
+    # Every element of every stage up to rank 4, one system at a time.
+    stages = [scalar_ring(base)] + [s[-1] for _, _, s in sweep_towers((base,), 2)]
+    for stage in stages:
+        for conditions, identities, var in _systems(stage):
+            assert conditions.array.shape == (stage.rank, 12 * stage.rank**3)
+            for value in all_vectors(stage.modulus, stage.rank):
+                _assert_matches_evaluator(stage, conditions, identities, var, value)
+
+
+def _pair_submodule(first: Submodule, second: Submodule) -> Submodule:
+    d, n = first.ambient_rank, first.modulus
+    zeros = np.zeros(d, dtype=np.int64)
+    rows = [np.concatenate([g, zeros]) for g in first.generators]
+    rows += [np.concatenate([zeros, h]) for h in second.generators]
+    if not rows:
+        return Submodule.zero(n, 2 * d)
+    return Submodule.span(n, np.array(rows), 2 * d)
+
+
+def _assert_lemma_2_1(stage, alpha):
+    first, second = identity_conditions(stage)
+    doubled = double(stage, alpha)
+    data = essentiality_data(stage)
+    assert kernel(first) == data.C and kernel(second) == data.I
+    direct = associative_center(doubled)
+    assert _pair_submodule(kernel(first), kernel(second)) == direct
+    assert direct == predicted_associative_center(data, doubled)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4])
+def test_lemma_2_1_is_an_exact_equality_at_rank_8(base):
+    # kernel(M1) x kernel(M2) == N(double) == closed form, beyond desk scale:
+    # the double has n^16 elements.
+    _assert_lemma_2_1(tower(base, 1, 1, 1), 1)
+
+
+def _units(n):
+    return [u for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+unit_towers = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from(_units(n)), min_size=1, max_size=3),
+        st.sampled_from(_units(n)),
+    )
+)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(unit_towers, st.data())
+def test_identity_conditions_agree_with_evaluator_on_random_towers(spec, data):
+    n, params, _ = spec
+    stage = tower(n, *params)
+    d = stage.rank
+    for conditions, identities, var in _systems(stage):
+        # one arbitrary element and one drawn from the solution set, so both
+        # verdicts are exercised
+        arbitrary = data.draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+        solutions = kernel(conditions).generators
+        coeffs = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=len(solutions), max_size=len(solutions))
+        )
+        member = np.array(coeffs, dtype=np.int64) @ solutions % n
+        for value in (np.array(arbitrary, dtype=np.int64), member):
+            assert _compiled_holds(conditions, value) == holds_on_basis(
+                stage, identities, var, value
+            )
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(unit_towers)
+def test_lemma_2_1_equality_on_random_towers(spec):
+    n, params, alpha = spec
+    _assert_lemma_2_1(tower(n, *params), alpha)

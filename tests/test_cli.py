@@ -299,6 +299,18 @@ def test_verify_honours_depth_zero(capsys):
     assert json.loads(stdout)["instances"] == []
 
 
+@pytest.mark.parametrize(
+    "depth, instances",
+    [("1", ["Z2;1 formula", "Z2;1 criterion-agreement"]), ("0", [])],
+)
+def test_verify_explicit_depth_bounds_the_z2_sweep(capsys, depth, instances):
+    code, stdout, _ = run_cli(
+        capsys, "verify", "thm-1.3", "--bases", "2", "--depth", depth, "--json"
+    )
+    assert code == 0
+    assert [r["instance"] for r in json.loads(stdout)["instances"]] == instances
+
+
 def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
     code, stderr = exit_code(capsys, "verify", "prop-5.2", "--bases", "9")
     assert code == 2

@@ -66,7 +66,7 @@ def naive_essential_ideal(algebra, ideal, ring):
 
 def test_essential_ideal_matches_double_loop_on_stage_data():
     stages = {}
-    for base, params, tower_stages in sweep_towers((2, 3, 4, 5, 6), 2, extra={}):
+    for base, params, tower_stages in sweep_towers((2, 3, 4, 5, 6), 2):
         for idx, stage in enumerate(tower_stages):
             stages[(base, params[:idx])] = stage
     checked = 0
