@@ -54,6 +54,7 @@ from .errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     InvalidAlgebra,
+    ModulusTooLarge,
     NotCentral,
     NotInvertible,
     NotSymmetric,

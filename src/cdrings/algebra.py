@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidAlgebra,
+    ModulusTooLarge,
     NotCentral,
     NotInvertible,
     NotSymmetric,
@@ -62,6 +63,11 @@ class FiniteAlgebra:
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ValueError(f"structure tensor must be d x d x d, got {structure.shape}")
         d = structure.shape[0]
+        # The widest unreduced int64 sum in the package is a three-factor
+        # contraction over two indices (`mul`, `validate_algebra`, `is_central`),
+        # at most d^2 (n-1)^3; the pairwise ones are smaller.
+        if d * d * (modulus - 1) ** 3 >= 2**63:
+            raise ModulusTooLarge(modulus, d)
         unit = np.array(unit, dtype=np.int64)
         involution = np.array(involution, dtype=np.int64)
         if unit.shape != (d,):
@@ -255,6 +261,20 @@ def is_right_alternative(algebra: FiniteAlgebra) -> bool:
 def is_alternative(algebra: FiniteAlgebra) -> bool:
     t = _associator_tensor(algebra)
     return _alternates(t, algebra.modulus, 0, 1) and _alternates(t, algebra.modulus, 1, 2)
+
+
+def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:
+    """The associative, commutative, alternative and right-alternative
+    flags, the three associator laws read off one associator tensor."""
+    n = algebra.modulus
+    t = _associator_tensor(algebra)
+    right = _alternates(t, n, 1, 2)
+    return {
+        "associative": not t.any(),
+        "commutative": is_commutative(algebra),
+        "alternative": _alternates(t, n, 0, 1) and right,
+        "right_alternative": right,
+    }
 
 
 # -- central, symmetric, invertible certificates -----------------------------

@@ -16,12 +16,7 @@ import json
 import os
 import sys
 
-from .algebra import (
-    is_alternative,
-    is_associative,
-    is_commutative,
-    is_right_alternative,
-)
+from .algebra import identity_flags
 from .analysis import center, essentiality_data
 from .document import algebra_to_document, dumps_document, load_algebra
 from .doubling import TowerSpec, build_tower
@@ -89,15 +84,6 @@ def _parse_range(text: str) -> list[int]:
     return [_modulus(p) for p in text.split(",")]
 
 
-def _flag_summary(algebra) -> dict[str, bool]:
-    return {
-        "associative": is_associative(algebra),
-        "commutative": is_commutative(algebra),
-        "alternative": is_alternative(algebra),
-        "right_alternative": is_right_alternative(algebra),
-    }
-
-
 def _essentiality_checks():
     """(search flag, label, check) of the three definitional checks, looked
     up in this module's namespace at each call rather than held in a table."""
@@ -123,7 +109,7 @@ def cmd_build(args) -> int:
             "params": list(args.params)[: alg.rank.bit_length() - 1],
             "name": alg.name,
         }
-        flags = _flag_summary(alg)
+        flags = identity_flags(alg)
         size = alg.modulus**alg.rank
         flag_text = ", ".join(k for k, v in flags.items() if v) or "none"
         print(f"{alg.name}: rank {alg.rank}, |R| = {size}, flags: {flag_text}")
@@ -159,7 +145,7 @@ def cmd_analyze(args) -> int:
         f"  |C| = {dsz['C']}, |[A,A]| = {dsz['[A,A]']}, |I| = {dsz['I']},"
         f" |B| = {dsz['B']}, |J| = {dsz['J']}"
     )
-    for key, value in _flag_summary(alg).items():
+    for key, value in identity_flags(alg).items():
         print(f"  {key}: {value}")
     for _, label, check in _essentiality_checks():
         try:
@@ -221,7 +207,7 @@ class _FlagExpression:
 
 
 def _search_flags(algebra, budget: int) -> tuple[dict[str, bool], list[str]]:
-    flags = _flag_summary(algebra)
+    flags = identity_flags(algebra)
     skipped = []
     for name, _, check in _essentiality_checks():
         try:

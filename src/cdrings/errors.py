@@ -24,6 +24,18 @@ class EnumerationBudgetExceeded(AlgebraError):
         self.budget = budget
 
 
+class ModulusTooLarge(AlgebraError):
+    """The modulus is too large for exact int64 arithmetic at this rank."""
+
+    def __init__(self, modulus: int, rank: int):
+        super().__init__(
+            f"modulus {modulus} is too large for exact int64 arithmetic at rank {rank}:"
+            " rank^2 * (modulus - 1)^3 must stay below 2^63"
+        )
+        self.modulus = modulus
+        self.rank = rank
+
+
 class RankBudgetExceeded(AlgebraError):
     """A doubling tower would exceed the configured rank limit."""
 

@@ -57,10 +57,13 @@ class EssentialityVerdict:
 
     `method` records whether the verdict came from the definitional scan or
     from a closed-form criterion. False scan verdicts always carry a witness
-    element that violates the defining condition; criterion verdicts
-    propagate the witness of the failing clause when one exists (a failure
-    like "not a proper ideal" has no element witness and carries only
-    detail text). `cost` counts the products evaluated.
+    element that violates the defining condition: the first refuted
+    pre-pass candidate, otherwise the first unmet element of the scanned
+    universe (see `_scan`). Criterion verdicts propagate the witness of the
+    failing clause when one exists (a failure like "not a proper ideal" has
+    no element witness and carries only detail text). `cost` counts the
+    products actually evaluated; a pre-pass candidate stops at its first
+    hit, so a scan's cost is usually far below |S| times |U|.
     """
 
     property_name: str
@@ -74,12 +77,22 @@ class EssentialityVerdict:
         return self.verdict
 
 
-def _matmul_mod(rows: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
-    """rows @ mat reduced mod n, through BLAS when exactness permits."""
-    if (n - 1) * (n - 1) * mat.shape[0] < 2**24:
-        prod = rows.astype(np.float32) @ mat.astype(np.float32)
-        return prod.astype(np.int64) % n
-    return (rows @ mat) % n
+def _reduce_f32(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place, for a float32 array of integers 0 <= x <= 2**22 - n.
+
+    With inv the least float32 >= 1/n, floor(x * inv) is exactly x // n in
+    that range: x * inv >= x / n never rounds below x // n, and because
+    n * (x // n + 1) <= 2**22 the product stays more than half an ulp below
+    x // n + 1. Every other step is exact integer arithmetic below 2**24.
+    """
+    inv = np.float32(1 / n)
+    if float(inv) * n < 1:  # exact in float64: 24 bits times at most 22
+        inv = np.nextafter(inv, np.float32(np.inf))
+    q = x * inv
+    np.floor(q, out=q)
+    q *= np.float32(n)
+    x -= q
+    return x
 
 
 def _scan(
@@ -96,46 +109,69 @@ def _scan(
     multipliers give a product s u (side='left') or u s (side='right') in
     target\\{0}?
 
-    All three arrays hold element rows; universe lists zero first. Iteration
-    is organized s-outer so each step is one batched matrix product over the
-    universe; the quantifiers are unchanged.
+    All three arrays hold element rows; universe lists zero first. Multipliers
+    are tried in code order (0, the unit and its scalar multiples first). A
+    witness pre-pass first tries a few fixed candidates u (universe indices
+    1..32 and the powers n**k); each walks the multipliers in chunks of 64,
+    256, 1024, ... and stops at the first chunk with a hit, so a candidate is
+    refuted only after all of S. Then the sweep runs s-outer, each step one
+    batched matrix product over the universe elements still unmet. The
+    witness of a False verdict is the first refuted candidate, otherwise the
+    first unmet universe element. `cost` counts the products evaluated.
+
+    Products, residues and codes are float32 whenever that is exact (BLAS
+    carries the whole scan for every in-budget instance), int64 otherwise.
     """
     n, d = algebra.modulus, algebra.rank
     total = len(universe)
-    # Scan s in code order: the unit and its scalar multiples come first and
-    # tend to satisfy most of the universe in the first couple of passes. The
-    # order is kept as indices because a sorted copy of the multipliers would
-    # sit in memory next to the caller's array.
+    # The order is kept as indices because a sorted copy of the multipliers
+    # would sit in memory next to the caller's array.
     order = np.argsort(vector_codes(multipliers, n, d))
     target_codes = np.sort(vector_codes(target, n, d))
+    # Products of reduced rows stay within the range of `_reduce_f32`, and
+    # codes below n**d are sums of integers below 2**24.
+    use_float = (n - 1) * (n - 1) * d + n <= 2**22 and n**d < 2**24
+    dtype = np.float32 if use_float else np.int64
+    powers = (n ** np.arange(d, dtype=np.int64)).astype(dtype)
     cost = 0
+
+    def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """Which products rows @ mat (rows already of `dtype`) lie in
+        target\\{0}."""
+        nonlocal cost
+        cost += len(rows)
+        prods = rows @ mat.astype(dtype)
+        if use_float:
+            _reduce_f32(prods, n)
+        else:
+            prods %= n
+        codes = (prods @ powers).astype(np.int64, copy=False)
+        return (codes != 0) & np.isin(codes, target_codes)
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
         return EssentialityVerdict(property_name, False, "definitional", witness, cost, detail)
 
-    # Witness pre-pass: a handful of fixed candidates u, each checked against
-    # every multiplier. An unsatisfied candidate is already a complete
+    # Witness pre-pass: an unsatisfied candidate is already a complete
     # counterexample, which spares the full sweep in false cases.
     candidate_ids = sorted(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
     for uid in candidate_ids:
         u = universe[uid]
-        mats = algebra.right_mul_matrix(u) if side == "left" else algebra.left_mul_matrix(u)
-        prods = (multipliers @ mats) % n
-        cost += len(multipliers)
-        codes = vector_codes(prods, n, d)
-        if not ((codes != 0) & np.isin(codes, target_codes)).any():
+        mat = algebra.right_mul_matrix(u) if side == "left" else algebra.left_mul_matrix(u)
+        start, size = 0, 64
+        while start < len(order):
+            chunk = multipliers[order[start : start + size]].astype(dtype, copy=False)
+            if hits(chunk, mat).any():
+                break
+            start, size = start + size, 4 * size
+        else:
             return refuted(u)
 
     satisfied = np.zeros(total, dtype=bool)
     satisfied[0] = True  # u = 0 is outside the quantifier
-    # Exact float32 pipeline: products and codes stay below 2**24 for every
-    # in-budget instance, so BLAS carries the whole sweep.
-    use_float = (n - 1) * (n - 1) * d < 2**24 and n**d < 2**24
-    universe_f = universe.astype(np.float32) if use_float else None
-    powers = n ** np.arange(d, dtype=np.int64)
+    universe_t = universe.astype(dtype, copy=False)
     for i in order:
         s = multipliers[i]
         if not s.any():
@@ -147,21 +183,9 @@ def _scan(
         if len(remaining) > total // 4:
             # Dense pass over the whole universe: recomputing satisfied rows
             # is cheaper than gathering a large subset.
-            if use_float:
-                prods = universe_f @ mat.astype(np.float32)
-                codes = (prods.astype(np.int64) % n) @ powers
-            else:
-                prods = (universe @ mat) % n
-                codes = prods @ powers
-            cost += total
-            satisfied |= (codes != 0) & np.isin(codes, target_codes, assume_unique=False)
+            satisfied |= hits(universe_t, mat)
         else:
-            rows = universe[remaining]
-            prods = _matmul_mod(rows, mat, n)
-            codes = prods @ powers
-            cost += len(rows)
-            hits = (codes != 0) & np.isin(codes, target_codes, assume_unique=False)
-            satisfied[remaining[hits]] = True
+            satisfied[remaining[hits(universe_t[remaining], mat)]] = True
     if satisfied.all():
         return EssentialityVerdict(property_name, True, "definitional", None, cost)
     return refuted(universe[int(np.flatnonzero(~satisfied)[0])])

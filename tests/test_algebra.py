@@ -8,18 +8,21 @@ from cdrings.algebra import (
     CentralScalar,
     FiniteAlgebra,
     certify_central_scalar,
+    identity_flags,
     is_alternative,
     is_associative,
     is_central,
     is_commutative,
     is_invertible,
+    is_left_alternative,
     is_right_alternative,
     scalar_ring,
     validate_algebra,
 )
 from cdrings.doubling import tower
-from cdrings.errors import DimensionMismatch, NotCentral
+from cdrings.errors import DimensionMismatch, InvalidAlgebra, ModulusTooLarge, NotCentral
 from cdrings.residue import all_vectors
+from cdrings.suites import sweep_towers
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +282,58 @@ def test_is_central_detects_noncentral(z4_quaternion):
     assert not is_central(z4_quaternion, z4_quaternion.basis_element(1))
     # 2i is central in the Z4 quaternions (it lies in N + Ni + Nj + Nk)
     assert is_central(z4_quaternion, 2 * z4_quaternion.basis_element(1))
+
+
+def test_identity_flags_match_the_predicates():
+    for _, _, stages in sweep_towers((2, 3, 4, 5, 6), 3):
+        for alg in stages:
+            assert identity_flags(alg) == {
+                "associative": is_associative(alg),
+                "commutative": is_commutative(alg),
+                "alternative": is_alternative(alg),
+                "right_alternative": is_right_alternative(alg),
+            }
+            assert identity_flags(alg)["alternative"] == (
+                is_left_alternative(alg) and is_right_alternative(alg)
+            )
+
+
+def largest_exact_modulus(rank):
+    """The largest n with rank^2 (n - 1)^3 < 2^63."""
+    lo, hi = 2, 2**22
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if rank * rank * (mid - 1) ** 3 < 2**63:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_moduli_too_large_for_int64_raise_a_typed_error():
+    # mul(n-1, n-1) used to wrap around to 0, and the tower used to fail
+    # validation with a spurious InvalidAlgebra.
+    with pytest.raises(ModulusTooLarge):
+        scalar_ring(2**61 - 1)
+    with pytest.raises(ModulusTooLarge) as exc:
+        tower(3037000493, 1, 1)
+    assert not isinstance(exc.value, InvalidAlgebra)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_mul_is_exact_at_the_modulus_bound(depth):
+    rank = 2**depth
+    n = largest_exact_modulus(rank)
+    alg = tower(n, *[n - 1] * depth)  # -1 is a unit and makes the widest sums
+    assert alg.rank == rank
+    rng = random.Random(depth)
+    c = alg.structure.tolist()
+    for x in ([n - 1] * rank, [rng.randrange(n) for _ in range(rank)]):
+        y = [rng.randrange(n) for _ in range(rank)]
+        exact = [
+            sum(x[i] * y[j] * c[i][j][k] for i in range(rank) for j in range(rank)) % n
+            for k in range(rank)
+        ]
+        assert alg.mul(x, y).tolist() == exact
+    with pytest.raises(ModulusTooLarge):
+        tower(n + 1, *[n] * depth)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,3 +319,20 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
     code, stderr = exit_code(capsys, "verify", "prop-5.2", "--bases", "9")
     assert code == 2
     assert "--bases" in stderr
+
+
+def test_build_reports_a_modulus_too_large_for_int64(capsys):
+    code, _, stderr = run_cli(capsys, "build", "--base", "3037000493", "--params", "1,1")
+    assert code == 2
+    assert "too large for exact int64 arithmetic" in stderr
+
+
+@pytest.mark.parametrize("argv, expected", [(["verify", "thm-1.5"], 0), (["verify", "nope"], 2)])
+def test_python_m_cdrings_returns_the_cli_exit_code(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdrings", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == expected, proc.stderr

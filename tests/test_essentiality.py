@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from cdrings.algebra import scalar_ring
+from cdrings.algebra import FiniteAlgebra, scalar_ring
 from cdrings.analysis import center, essentiality_data
 from cdrings.doubling import double, tower
 from cdrings.errors import EnumerationBudgetExceeded, NotInvertible
 from cdrings.essentiality import (
+    _reduce_f32,
     centrally_essential_criterion,
     is_centrally_essential,
     is_essential_ideal,
@@ -20,7 +23,13 @@ from cdrings.essentiality import (
 from cdrings.residue import Submodule, all_vectors, intersect
 from cdrings.suites import sweep_towers
 
-from conftest import submodule_set
+from conftest import (
+    batch_mul,
+    batch_mul_right,
+    brute_associative_center_set,
+    brute_commutative_center_set,
+    submodule_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +144,94 @@ def test_scan_agrees_with_naive_double_loop():
         if not want:
             # both witnesses must independently violate the condition
             assert got.witness is not None
+
+
+def witness_rule_oracle(algebra, members, side):
+    """(verdict, witness) of "members r (side 'left') or r members (side
+    'right') meets members outside 0 for every nonzero r", by a literal loop
+    over r in code order, with the documented witness rule: the first unmet
+    r among the pre-pass candidates (codes 1..32 and the powers n^k),
+    otherwise the first unmet r."""
+    n, d = algebra.modulus, algebra.rank
+    # code order: coordinate 0 varies fastest
+    ring = [tuple(reversed(t)) for t in itertools.product(range(n), repeat=d)]
+    S = np.array(sorted(members), dtype=np.int64)
+    unmet = []
+    for code, r in enumerate(ring[1:], start=1):
+        prods = batch_mul(algebra, S, r) if side == "left" else batch_mul_right(algebra, r, S)
+        if not any(p.any() and tuple(int(t) for t in p) in members for p in prods):
+            unmet.append(code)
+    if not unmet:
+        return True, None
+    candidates = sorted(set(range(1, 33)) | {n**k for k in range(d)})
+    first = next((k for k in candidates if k in unmet), unmet[0])
+    return False, ring[first]
+
+
+def test_ambient_scans_match_the_witness_rule_oracle():
+    stages = {}
+    for base, params, tower_stages in sweep_towers((2, 3, 4, 5, 6), 2):
+        for idx, stage in enumerate(tower_stages):
+            stages[(base, params[:idx])] = stage
+    assert len(stages) == 45
+    false_verdicts = 0
+    for key, stage in stages.items():
+        elems = all_vectors(stage.modulus, stage.rank)
+        N = brute_associative_center_set(stage, elems)
+        Z = N & brute_commutative_center_set(stage, elems)
+        for check, members, side in (
+            (is_centrally_essential, Z, "left"),
+            (is_left_n_essential, N, "left"),
+            (is_right_n_essential, N, "right"),
+        ):
+            got = check(stage)
+            assert (got.verdict, got.witness) == witness_rule_oracle(stage, members, side), (
+                key,
+                check.__name__,
+            )
+            false_verdicts += not got.verdict
+    assert false_verdicts > 0
+
+
+def test_witness_outside_the_pre_pass_candidates():
+    # In Z/99Z the multiples of the ideal (3) miss it exactly at 33 and 66;
+    # neither is a code up to 32 or a power of 99, so the first one is the
+    # witness.
+    ring = scalar_ring(99)
+    ideal = Submodule.span(99, [[3]], 1)
+    got = is_essential_submodule(ideal, ring)
+    assert (got.verdict, got.witness) == (False, (33,))
+    assert witness_rule_oracle(ring, submodule_set(ideal), "left") == (False, (33,))
+
+
+def test_pre_pass_candidate_met_past_the_first_chunk():
+    # In Z68 x Z68 (componentwise product) the unit (1, 1) is the 70th
+    # element in code order. The candidate u = (0, 1) gives s u = 0 for the
+    # 68 elements (a, 0), so its first hit (0, 1) is the 69th multiplier,
+    # in the second chunk; the ring is essential in itself.
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[1, 1, 1] = 1
+    ring = FiniteAlgebra(68, c, [1, 1], np.eye(2, dtype=np.int64))
+    got = is_essential_submodule(Submodule.full(68, 2), ring)
+    assert got.verdict and got.witness is None
+
+
+@pytest.mark.parametrize("check", [is_left_n_essential, is_right_n_essential])
+def test_witness_pre_pass_stops_each_candidate_at_its_first_hit(check):
+    # S = N = R has 65,536 elements; walking all of S for each of the 42
+    # pre-pass candidates would cost 2,752,512 products on its own.
+    v = check(tower(2, 1, 1, 1, 1))
+    assert v.verdict
+    assert v.cost < 2 * 65_536
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 41, 47, 97, 1000, 2047, 2048])
+def test_float32_reduction_is_exact_up_to_its_bound(n):
+    # 41, 47 and 97 need the reciprocal rounded up: with the nearest float32
+    # reciprocal, floor(x * inv) misses some multiples of n below 2^22.
+    top = 2**22 - n
+    x = np.arange(top + 1, dtype=np.float32)
+    assert np.array_equal(_reduce_f32(x, n), np.arange(top + 1) % n)
 
 
 def test_left_and_right_n_essential_on_octonion():
