@@ -67,7 +67,7 @@ class FiniteAlgebra:
         # contraction over two indices (`mul`, `validate_algebra`, `is_central`),
         # at most d^2 (n-1)^3; the pairwise ones are smaller.
         if d * d * (modulus - 1) ** 3 >= 2**63:
-            raise ModulusTooLarge(modulus, d)
+            raise ModulusTooLarge(modulus, d, "rank^2 * (modulus - 1)^3")
         unit = np.array(unit, dtype=np.int64)
         involution = np.array(involution, dtype=np.int64)
         if unit.shape != (d,):
@@ -225,7 +225,7 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # -- identity predicates -----------------------------------------------------
 
 
-def _associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
+def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
     """T[i, j, k, :] = associator(e_i, e_j, e_k)."""
     c = algebra.structure
     left = np.einsum("ijq,qkm->ijkm", c, c)
@@ -235,7 +235,7 @@ def _associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
 
 def is_associative(algebra: FiniteAlgebra) -> bool:
     """All basis triples associate; sufficient by trilinearity."""
-    return not _associator_tensor(algebra).any()
+    return not associator_tensor(algebra).any()
 
 
 def is_commutative(algebra: FiniteAlgebra) -> bool:
@@ -251,15 +251,15 @@ def _alternates(t: np.ndarray, n: int, a: int, b: int) -> bool:
 
 
 def is_left_alternative(algebra: FiniteAlgebra) -> bool:
-    return _alternates(_associator_tensor(algebra), algebra.modulus, 0, 1)
+    return _alternates(associator_tensor(algebra), algebra.modulus, 0, 1)
 
 
 def is_right_alternative(algebra: FiniteAlgebra) -> bool:
-    return _alternates(_associator_tensor(algebra), algebra.modulus, 1, 2)
+    return _alternates(associator_tensor(algebra), algebra.modulus, 1, 2)
 
 
 def is_alternative(algebra: FiniteAlgebra) -> bool:
-    t = _associator_tensor(algebra)
+    t = associator_tensor(algebra)
     return _alternates(t, algebra.modulus, 0, 1) and _alternates(t, algebra.modulus, 1, 2)
 
 
@@ -267,7 +267,7 @@ def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:
     """The associative, commutative, alternative and right-alternative
     flags, the three associator laws read off one associator tensor."""
     n = algebra.modulus
-    t = _associator_tensor(algebra)
+    t = associator_tensor(algebra)
     right = _alternates(t, n, 1, 2)
     return {
         "associative": not t.any(),

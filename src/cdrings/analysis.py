@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, associator_tensor
 from .errors import StageMismatch
 from .residue import ResidueMatrix, Submodule, intersect, kernel
 
@@ -68,19 +68,13 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
 
     Each condition is linear in x once a, b range over basis pairs, so N is
-    the left kernel of the horizontally stacked condition blocks.
+    the left kernel of the associator tensor with x moved to each of its
+    three slots in turn, the blocks stacked horizontally.
     """
-    n, d = algebra.modulus, algebra.rank
-    c = algebra.structure
-    # For row vectors: x * e_i = x @ R_i with R_i = c[:, i, :], and
-    # e_i * x = x @ L_i with L_i = c[i, :, :].
-    slot1 = np.einsum("pia,ajk->pijk", c, c) - np.einsum("ijq,pqk->pijk", c, c)
-    slot2 = np.einsum("ipa,ajk->pijk", c, c) - np.einsum("pja,iak->pijk", c, c)
-    slot3 = np.einsum("ijq,qpk->pijk", c, c) - np.einsum("jpa,iak->pijk", c, c)
-    stacked = np.concatenate(
-        [blk.reshape(d, d * d * d) for blk in (slot1, slot2, slot3)], axis=1
-    )
-    return kernel(ResidueMatrix(n, stacked % n))
+    d = algebra.rank
+    t = associator_tensor(algebra)
+    stacked = np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1)
+    return kernel(ResidueMatrix(algebra.modulus, stacked))
 
 
 def commutative_center(algebra: FiniteAlgebra) -> Submodule:

@@ -27,10 +27,10 @@ class EnumerationBudgetExceeded(AlgebraError):
 class ModulusTooLarge(AlgebraError):
     """The modulus is too large for exact int64 arithmetic at this rank."""
 
-    def __init__(self, modulus: int, rank: int):
+    def __init__(self, modulus: int, rank: int, widest_sum: str):
         super().__init__(
             f"modulus {modulus} is too large for exact int64 arithmetic at rank {rank}:"
-            " rank^2 * (modulus - 1)^3 must stay below 2^63"
+            f" {widest_sum} must stay below 2^63"
         )
         self.modulus = modulus
         self.rank = rank

@@ -317,8 +317,14 @@ def n_essential_criterion(
     data = _stage_data(algebra, data)
 
     def clauses():
-        stage = is_centrally_essential(algebra, budget=budget)
-        yield stage, "stage algebra is not centrally essential"
+        # data.C is Z(A), so this is `is_centrally_essential` without
+        # recomputing the center.
+        yield (
+            is_essential_submodule(
+                data.C, algebra, property_name="centrally essential", budget=budget
+            ),
+            "stage algebra is not centrally essential",
+        )
         yield (
             is_essential_ideal(data.I, data.C, algebra, budget=budget),
             "I is not an essential ideal of the center",

@@ -1,4 +1,5 @@
-"""Exact linear algebra over Z/nZ for arbitrary n >= 2.
+"""Exact linear algebra over Z/nZ for any n >= 2 that int64 can hold exactly
+(see `_require_exact`).
 
 Row spans are kept in Howell normal form: the unique echelon canonical form
 that stays valid in the presence of zero divisors (pivots are divisors of n,
@@ -18,10 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, EnumerationBudgetExceeded
+from .errors import DimensionMismatch, EnumerationBudgetExceeded, ModulusTooLarge
 from .modn import annihilator_generator, gcd_transform, normalizing_unit
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
+
+
+def _require_exact(modulus: int, rank: int) -> None:
+    """Raise ModulusTooLarge unless int64 holds the widest unreduced sums on
+    rank-`rank` rows: `_howell`'s paired row operation s*wr + t*wi (all four
+    in [0, n), so up to 2 (n-1)^2) and a combination of at most `rank`
+    Howell rows (`Submodule.elements`, `solve_left`), up to rank (n-1)^2."""
+    if max(2, rank) * (modulus - 1) ** 2 >= 2**63:
+        raise ModulusTooLarge(modulus, rank, "max(2, rank) * (modulus - 1)^2")
 
 
 def _as_residue_array(data, modulus: int) -> np.ndarray:
@@ -167,6 +177,7 @@ class Submodule:
             raise DimensionMismatch(
                 f"generators have width {arr.shape[1]}, ambient rank is {ambient_rank}"
             )
+        _require_exact(modulus, arr.shape[1])
         gens, cols, _, _ = _howell(arr % modulus, modulus, want_transform=False)
         pivots = tuple(
             (c, int(gens[i][c])) for i, c in enumerate(cols)
@@ -268,6 +279,7 @@ def canonicalize(m: ResidueMatrix) -> Submodule:
 
 def kernel(m: ResidueMatrix) -> Submodule:
     """Left kernel {v : v @ m = 0} as a canonical submodule."""
+    _require_exact(m.modulus, m.rows)
     arr = m.array
     if arr.shape[0] == 0:
         return Submodule.zero(m.modulus, 0)
@@ -317,6 +329,7 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
     b = np.asarray(rhs, dtype=np.int64) % m.modulus
     if b.shape != (m.cols,):
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({m.cols},)")
+    _require_exact(m.modulus, m.cols)  # at most m.cols transform rows are combined
     gens, cols, transform, _ = _howell(m.array, m.modulus, want_transform=True)
     w = b.copy()
     coeffs = np.zeros(gens.shape[0], dtype=np.int64)

@@ -5,6 +5,10 @@ routes (closed form vs. linear solve, criterion vs. definitional scan,
 presentation vs. tower). Suites are deterministic: instance order is fixed
 and nothing is sampled, so repeated runs produce identical reports.
 
+A suite is a generator of `InstanceResult` rows registered under its name
+with `@_suite(name)`; the registered function (also the `SUITES` entry)
+runs the generator and returns the timed `VerificationReport`.
+
 Suite names are stable CLI keys:
 
     thm-1.3     pair closed form of the associative center + N-essential
@@ -23,10 +27,12 @@ Suite names are stable CLI keys:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .algebra import is_alternative, is_associative, is_commutative, is_right_alternative
 from .analysis import (
@@ -147,98 +153,99 @@ def _tower_id(base: int, params) -> str:
     return f"Z{base};{','.join(str(p) for p in params)}"
 
 
-def _formula_and_criterion_suite(
-    name: str,
-    formula_check,
-    criterion_check,
-    definitional_check,
-    bases,
-    depth,
-    budget: int,
-) -> VerificationReport:
-    report = VerificationReport(name)
-    start = time.perf_counter()
+SUITES: dict[str, Callable[..., VerificationReport]] = {}
+
+
+def _suite(name: str):
+    """Register a generator of `InstanceResult` rows as the suite `name`.
+
+    The registered function takes the generator's parameters (its signature,
+    kept by `functools.wraps`, is where `cmd_verify` reads the flags a suite
+    takes), runs it and returns the timed report.
+    """
+
+    def register(rows):
+        @functools.wraps(rows)
+        def run(*args, **kwargs) -> VerificationReport:
+            report = VerificationReport(name)
+            start = time.perf_counter()
+            report.instances.extend(rows(*args, **kwargs))
+            report.elapsed = time.perf_counter() - start
+            return report
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+def _formula_and_criterion_rows(
+    label: str, predicted, direct, criterion_check, definitional_check, bases, depth, budget: int
+):
+    """Per tower: the closed form `predicted(data, doubled)` against the
+    kernel `direct(doubled)` (a submodule named `label`), then the stage
+    criterion against the definitional check on the double."""
     for base, params, stages in sweep_towers(bases, depth):
         stage, doubled = stages[-2], stages[-1]
         data = essentiality_data(stage)
         tid = _tower_id(base, params)
-        ok, detail = formula_check(data, doubled)
-        report.instances.append(
-            InstanceResult(f"{tid} formula", ok, kind="formula", detail=detail)
+        closed_form = predicted(data, doubled)
+        computed = direct(doubled)
+        yield InstanceResult(
+            f"{tid} formula",
+            closed_form == computed,
+            kind="formula",
+            detail=f"|{label}| = {computed.order()}",
         )
         crit = criterion_check(stage, params[-1], data=data, budget=budget)
         ambient = doubled.modulus**doubled.rank
         if ambient > budget:
-            report.instances.append(
-                InstanceResult(
-                    f"{tid} criterion-agreement",
-                    True,
-                    kind="criterion-agreement",
-                    detail=f"definitional check skipped: |R| = {ambient} exceeds budget"
-                    f" {budget}; criterion verdict = {crit.verdict}",
-                    skipped=True,
-                )
+            yield InstanceResult(
+                f"{tid} criterion-agreement",
+                True,
+                kind="criterion-agreement",
+                detail=f"definitional check skipped: |R| = {ambient} exceeds budget"
+                f" {budget}; criterion verdict = {crit.verdict}",
+                skipped=True,
             )
             continue
         defn = definitional_check(doubled, budget=budget)
         agree = crit.verdict == defn.verdict
-        report.instances.append(
-            InstanceResult(
-                f"{tid} criterion-agreement",
-                agree,
-                kind="criterion-agreement",
-                detail=f"criterion={crit.verdict} definitional={defn.verdict}",
-                witness=None if agree else (defn.witness or crit.witness),
-            )
+        yield InstanceResult(
+            f"{tid} criterion-agreement",
+            agree,
+            kind="criterion-agreement",
+            detail=f"criterion={crit.verdict} definitional={defn.verdict}",
+            witness=None if agree else (defn.witness or crit.witness),
         )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
-def suite_thm_1_3(
-    bases=DEFAULT_SWEEP_BASES,
-    depth=None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> VerificationReport:
+@_suite("thm-1.3")
+def suite_thm_1_3(bases=DEFAULT_SWEEP_BASES, depth=None, budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Associative-center closed form and the N-essential criterion.
 
     depth=None sweeps the paper's depths (see `sweep_towers`); an explicit
     depth bounds every base, Z2 included.
     """
-
-    def formula(data, doubled):
-        predicted = predicted_associative_center(data, doubled)
-        direct = associative_center(doubled)
-        return predicted == direct, f"|N| = {direct.order()}"
-
-    return _formula_and_criterion_suite(
-        "thm-1.3", formula, n_essential_criterion, is_left_n_essential, bases, depth, budget
+    return _formula_and_criterion_rows(
+        "N", predicted_associative_center, associative_center,
+        n_essential_criterion, is_left_n_essential, bases, depth, budget,
     )
 
 
-def suite_thm_1_4(
-    bases=DEFAULT_SWEEP_BASES,
-    depth=None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> VerificationReport:
+@_suite("thm-1.4")
+def suite_thm_1_4(bases=DEFAULT_SWEEP_BASES, depth=None, budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Center closed form and the centrally essential criterion, over the
     same sweep as `suite_thm_1_3`."""
-
-    def formula(data, doubled):
-        predicted = predicted_center(data, doubled)
-        direct = center(doubled).Z
-        return predicted == direct, f"|Z| = {direct.order()}"
-
-    return _formula_and_criterion_suite(
-        "thm-1.4", formula, centrally_essential_criterion, is_centrally_essential,
-        bases, depth, budget,
+    return _formula_and_criterion_rows(
+        "Z", predicted_center, lambda doubled: center(doubled).Z,
+        centrally_essential_criterion, is_centrally_essential, bases, depth, budget,
     )
 
 
-def suite_thm_1_5(budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationReport:
+@_suite("thm-1.5")
+def suite_thm_1_5(budget: int = DEFAULT_ENUMERATION_BUDGET):
     """The flagship example: rank-8 unit-parameter tower over Z4."""
-    report = VerificationReport("thm-1.5")
-    start = time.perf_counter()
     stages = build_tower(TowerSpec(4, (1, 1, 1, 1)))
     R = stages[3]
     checks = [
@@ -247,71 +254,50 @@ def suite_thm_1_5(budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationRepor
         ("commutative", is_commutative(R), False),
     ]
     for flag, got, expected in checks:
-        report.instances.append(
-            InstanceResult(
-                f"rank-8 Z4 tower {flag}",
-                got == expected,
-                detail=f"expected {expected}, got {got}",
-            )
+        yield InstanceResult(
+            f"rank-8 Z4 tower {flag}",
+            got == expected,
+            detail=f"expected {expected}, got {got}",
         )
     ce = is_centrally_essential(R, budget=budget)
-    report.instances.append(
-        InstanceResult(
-            "rank-8 Z4 tower centrally essential (definitional)",
-            ce.verdict and ce.method == "definitional",
-            detail=f"scanned all {R.modulus**R.rank - 1} nonzero elements,"
-            f" {ce.cost} products",
-            witness=ce.witness,
-        )
+    yield InstanceResult(
+        "rank-8 Z4 tower centrally essential (definitional)",
+        ce.verdict and ce.method == "definitional",
+        detail=f"scanned all {R.modulus**R.rank - 1} nonzero elements, {ce.cost} products",
+        witness=ce.witness,
     )
-    further = stages[4]
-    report.instances.append(
-        InstanceResult(
-            "rank-16 further double not right-alternative",
-            not is_right_alternative(further),
-            detail="right-alternative identity must fail",
-        )
+    yield InstanceResult(
+        "rank-16 further double not right-alternative",
+        not is_right_alternative(stages[4]),
+        detail="right-alternative identity must fail",
     )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
-def _scalar_criterion_suite(
-    name: str, n_range, budget: int, rank: int, criterion, definitional
-) -> VerificationReport:
+def _scalar_criterion_rows(n_range, budget: int, rank: int, criterion, definitional):
     """Per modulus n: a scalar criterion verdict vs. a definitional
     (verdict, witness) on the rank-`rank` algebra over Z/nZ."""
-    report = VerificationReport(name)
-    start = time.perf_counter()
     for n in n_range:
         crit = criterion(n)
         ambient = n**rank
         if ambient > budget:
-            report.instances.append(
-                InstanceResult(
-                    f"n={n}",
-                    True,
-                    detail=f"definitional skipped (|A| = {ambient}); criterion = {crit.verdict}",
-                    skipped=True,
-                )
+            yield InstanceResult(
+                f"n={n}",
+                True,
+                detail=f"definitional skipped (|A| = {ambient}); criterion = {crit.verdict}",
+                skipped=True,
             )
             continue
         defn, witness = definitional(n)
-        report.instances.append(
-            InstanceResult(
-                f"n={n}",
-                crit.verdict == defn,
-                detail=f"criterion={crit.verdict} definitional={defn}",
-                witness=None if crit.verdict == defn else witness,
-            )
+        yield InstanceResult(
+            f"n={n}",
+            crit.verdict == defn,
+            detail=f"criterion={crit.verdict} definitional={defn}",
+            witness=None if crit.verdict == defn else witness,
         )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
-def suite_prop_5_2(
-    n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> VerificationReport:
+@_suite("prop-5.2")
+def suite_prop_5_2(n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Quaternion criterion vs. definitional verdicts."""
 
     def definitional(n):
@@ -319,14 +305,13 @@ def suite_prop_5_2(
         defn = noncommutative_centrally_essential_definitional(alg, budget=budget)
         return defn.verdict, defn.witness
 
-    return _scalar_criterion_suite(
-        "prop-5.2", n_range, budget, 4, lambda n: quaternion_criterion(n, 1, 1), definitional
+    return _scalar_criterion_rows(
+        n_range, budget, 4, lambda n: quaternion_criterion(n, 1, 1), definitional
     )
 
 
-def suite_prop_5_3(
-    n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> VerificationReport:
+@_suite("prop-5.3")
+def suite_prop_5_3(n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGET):
     """Octonion criterion vs. definitional verdicts."""
 
     def definitional(n):
@@ -334,100 +319,64 @@ def suite_prop_5_3(
         ce = is_centrally_essential(alg, budget=budget)
         return ce.verdict and not is_associative(alg), ce.witness
 
-    return _scalar_criterion_suite(
-        "prop-5.3", n_range, budget, 8, lambda n: octonion_criterion(n, 1, 1, 1), definitional
+    return _scalar_criterion_rows(
+        n_range, budget, 8, lambda n: octonion_criterion(n, 1, 1, 1), definitional
     )
 
 
-def suite_lemma_5_1(n_range=range(2, 10)) -> VerificationReport:
+@_suite("lemma-5.1")
+def suite_lemma_5_1(n_range=range(2, 10)):
     """I essential in B on the quaternions <=> Ann(2) essential in the base."""
-    report = VerificationReport("lemma-5.1")
-    start = time.perf_counter()
     for n in n_range:
         alg = quaternion_algebra(n, 1, 1)
         data = essentiality_data(alg)
         lhs = is_essential_ideal(data.I, data.B, alg).verdict
         rhs = is_essential_ideal(*ann2_ideal(n)).verdict
-        report.instances.append(
-            InstanceResult(
-                f"n={n}",
-                lhs == rhs,
-                detail=f"I-in-B={lhs} Ann(2)-in-base={rhs}",
-            )
-        )
-    report.elapsed = time.perf_counter() - start
-    return report
+        yield InstanceResult(f"n={n}", lhs == rhs, detail=f"I-in-B={lhs} Ann(2)-in-base={rhs}")
 
 
-def suite_remark_2_5(
-    bases=(2, 3, 4), depth=3, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> VerificationReport:
+@_suite("remark-2.5")
+def suite_remark_2_5(bases=(2, 3, 4), depth=3):
     """Double associative <=> stage associative and commutative."""
-    report = VerificationReport("remark-2.5")
-    start = time.perf_counter()
     for base, params, stages in sweep_towers(bases, depth):
         stage, doubled = stages[-2], stages[-1]
         lhs = is_associative(doubled)
         rhs = is_associative(stage) and is_commutative(stage)
-        report.instances.append(
-            InstanceResult(
-                f"{_tower_id(base, params)}",
-                lhs == rhs,
-                detail=f"double-associative={lhs} stage-assoc-and-comm={rhs}",
-            )
+        yield InstanceResult(
+            _tower_id(base, params),
+            lhs == rhs,
+            detail=f"double-associative={lhs} stage-assoc-and-comm={rhs}",
         )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
-def suite_lemma_2_1(budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationReport:
+@_suite("lemma-2.1")
+def suite_lemma_2_1():
     """Identity-system membership equals associative-center membership.
 
     Exhaustive over all pairs (x, y) for the rank-4 tower over Z2 and the
     rank-2 tower over Z4.
     """
-    report = VerificationReport("lemma-2.1")
-    start = time.perf_counter()
     cases = [("Z2 quaternion stage", build_tower(TowerSpec(2, (1, 1)))[-1]),
              ("Z4 doubled base", build_tower(TowerSpec(4, (1,)))[-1])]
     for label, stage in cases:
         doubled = double(stage, 1)
         N = associative_center(doubled)
-        n, d = stage.modulus, stage.rank
+        vectors = all_vectors(stage.modulus, stage.rank)
         mismatches = 0
-        total = 0
         first_witness = None
-        for x in all_vectors(n, d):
-            for y in all_vectors(n, d):
-                total += 1
-                via_identities = n_membership_by_identities(doubled, x, y)
-                via_center = N.contains(pair_coordinates(doubled, x, y))
-                if via_identities != via_center:
-                    mismatches += 1
-                    if first_witness is None:
-                        first_witness = (tuple(map(int, x)), tuple(map(int, y)))
-        report.instances.append(
-            InstanceResult(
-                label,
-                mismatches == 0,
-                detail=f"{total} pairs swept, {mismatches} disagreements",
-                witness=first_witness,
-            )
+        for x, y in itertools.product(vectors, repeat=2):
+            via_identities = n_membership_by_identities(doubled, x, y)
+            via_center = N.contains(pair_coordinates(doubled, x, y))
+            if via_identities != via_center:
+                mismatches += 1
+                if first_witness is None:
+                    first_witness = (tuple(map(int, x)), tuple(map(int, y)))
+        yield InstanceResult(
+            label,
+            mismatches == 0,
+            detail=f"{len(vectors) ** 2} pairs swept, {mismatches} disagreements",
+            witness=first_witness,
         )
-    report.elapsed = time.perf_counter() - start
-    return report
-
-
-SUITES = {
-    "thm-1.3": suite_thm_1_3,
-    "thm-1.4": suite_thm_1_4,
-    "thm-1.5": suite_thm_1_5,
-    "prop-5.2": suite_prop_5_2,
-    "prop-5.3": suite_prop_5_3,
-    "lemma-5.1": suite_lemma_5_1,
-    "remark-2.5": suite_remark_2_5,
-    "lemma-2.1": suite_lemma_2_1,
-}
 
 
 def run_suite(name: str, **kwargs) -> VerificationReport:

@@ -1,5 +1,7 @@
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cdrings.cli import main
+from cdrings.suites import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -315,10 +318,34 @@ def test_verify_explicit_depth_bounds_the_z2_sweep(capsys, depth, instances):
     assert [r["instance"] for r in json.loads(stdout)["instances"]] == instances
 
 
-def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
-    code, stderr = exit_code(capsys, "verify", "prop-5.2", "--bases", "9")
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "prop-5.2", "--bases", "9"], "--bases"),
+        (["--budget", "5", "verify", "remark-2.5"], "--budget"),
+        (["--budget", "5", "verify", "lemma-2.1"], "--budget"),
+    ],
+    ids=["prop-5.2-bases", "remark-2.5-budget", "lemma-2.1-budget"],
+)
+def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
+    code, stderr = exit_code(capsys, *argv)
     assert code == 2
-    assert "--bases" in stderr
+    assert flag in stderr
+
+
+def test_suite_signatures_match_the_readme_flags_table():
+    # cmd_verify derives a suite's flags from the registered function's
+    # signature, so the registry must keep each generator's parameters.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| suite | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        suites, flags = row.strip("|").split("|")
+        params = {f.lstrip("-").replace("-", "_") for f in re.findall(r"`([^`]+)`", flags)}
+        for suite in re.findall(r"`([^`]+)`", suites):
+            documented[suite] = params
+    taken = {name: set(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
+    assert taken == documented
 
 
 def test_build_reports_a_modulus_too_large_for_int64(capsys):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded
+from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded, ModulusTooLarge
 from cdrings.residue import (
     ResidueMatrix,
     Submodule,
@@ -286,3 +286,30 @@ def test_howell_oracles_on_harsher_composites(n):
         assert submodule_set(intersect(span, other)) == (
             submodule_set(span) & submodule_set(other)
         )
+
+
+def _unimodular(n):
+    return [[n - 3, 1], [n - 4, 2]]  # determinant n - 2, a unit for odd n
+
+
+def test_span_rejects_a_modulus_whose_row_operations_overflow_int64():
+    # At n = 2**40 + 15 the unreduced s*wr + t*wi wrapped around, and this
+    # span came out with order 297, containing neither e0 nor e1.
+    n = 2**40 + 15
+    with pytest.raises(ModulusTooLarge):
+        Submodule.span(n, _unimodular(n), 2)
+    with pytest.raises(ModulusTooLarge):
+        kernel(ResidueMatrix(n, [[1], [1]]))
+    with pytest.raises(ModulusTooLarge):
+        solve_left(ResidueMatrix(n, [[1, 0], [0, 1]]), [1, 1])
+
+
+def test_span_is_exact_at_the_largest_allowed_odd_modulus():
+    n = 2**31 - 1  # 2 (n-1)^2 < 2^63; the bound admits n <= 2^31 at rank 2
+    assert Submodule.span(n, _unimodular(n), 2) == Submodule.full(n, 2)
+    assert Submodule.span(2**31, [[1, 0]], 2).order() == 2**31
+    with pytest.raises(ModulusTooLarge):
+        Submodule.span(2**31 + 1, [[1, 0]], 2)
+    # Enumerating a rank-d span sums d products, so wider ambients lower it.
+    with pytest.raises(ModulusTooLarge):
+        Submodule.span(2**31 - 1, [[1, 0, 0]], 3)
