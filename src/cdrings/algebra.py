@@ -44,6 +44,7 @@ class FiniteAlgebra:
         "name",
         "parent",
         "alpha",
+        "memo",
     )
 
     def __init__(
@@ -90,6 +91,7 @@ class FiniteAlgebra:
         self.name = name or f"algebra(rank {d}, Z{modulus})"
         self.parent = parent
         self.alpha = alpha
+        self.memo = {}  # invariants computed on first use, see `analysis._memoized`
 
     # -- elements ----------------------------------------------------------
 
@@ -329,9 +331,6 @@ class CentralScalar:
     algebra: FiniteAlgebra
     value: np.ndarray
     inverse: np.ndarray
-
-    def describe(self) -> str:
-        return self.algebra.format_element(self.value)
 
 
 def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:

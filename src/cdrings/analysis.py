@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra, associator_tensor
+from .doubling import _require_doubled
 from .errors import StageMismatch
 from .residue import ResidueMatrix, Submodule, intersect, kernel
 
@@ -64,6 +65,20 @@ class EssentialityData:
         }
 
 
+def _memoized(fn):
+    """Compute fn(algebra) once per instance and keep it in `algebra.memo`,
+    which dies with the algebra: equal algebras built apart never share it."""
+
+    @functools.wraps(fn)
+    def memoized(algebra: FiniteAlgebra):
+        if fn.__name__ not in algebra.memo:
+            algebra.memo[fn.__name__] = fn(algebra)
+        return algebra.memo[fn.__name__]
+
+    return memoized
+
+
+@_memoized
 def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
 
@@ -86,6 +101,7 @@ def commutative_center(algebra: FiniteAlgebra) -> Submodule:
     return kernel(ResidueMatrix(n, block.reshape(d, d * d)))
 
 
+@_memoized
 def center(algebra: FiniteAlgebra) -> CenterReport:
     N = associative_center(algebra)
     K = commutative_center(algebra)
@@ -129,15 +145,13 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
     return intersect(kernel(conditions), within)
 
 
-def symmetric_center(algebra: FiniteAlgebra, C: Submodule | None = None) -> Submodule:
+def symmetric_center(algebra: FiniteAlgebra) -> Submodule:
     """B = {a in C : a* = a}."""
-    if C is None:
-        C = center(algebra).Z
     n, d = algebra.modulus, algebra.rank
     fixed = kernel(
         ResidueMatrix(n, (algebra.involution - np.eye(d, dtype=np.int64)) % n)
     )
-    return intersect(C, fixed)
+    return intersect(center(algebra).Z, fixed)
 
 
 def skew_span(algebra: FiniteAlgebra) -> Submodule:
@@ -147,61 +161,48 @@ def skew_span(algebra: FiniteAlgebra) -> Submodule:
     return Submodule.span(algebra.modulus, rows, d)
 
 
-def skew_annihilator(algebra: FiniteAlgebra, B: Submodule | None = None) -> Submodule:
+def skew_annihilator(algebra: FiniteAlgebra) -> Submodule:
     """J = Ann_B({a - a* : a in A})."""
-    if B is None:
-        B = symmetric_center(algebra)
-    return annihilator(skew_span(algebra), B, algebra)
+    return annihilator(skew_span(algebra), symmetric_center(algebra), algebra)
 
 
+@_memoized
 def essentiality_data(algebra: FiniteAlgebra) -> EssentialityData:
     """All stage invariants needed by the doubling criteria, computed once."""
     C = center(algebra).Z
     comm = commutator_ideal(algebra)
     I = annihilator(comm, C, algebra)
-    B = symmetric_center(algebra, C)
+    B = symmetric_center(algebra)
     skew = skew_span(algebra)
     J = annihilator(skew, B, algebra)
     return EssentialityData(algebra.name, C, comm, I, B, skew, J)
 
 
-def _require_double_of(data_rank: int, doubled: FiniteAlgebra) -> FiniteAlgebra:
-    parent = doubled.parent
-    if parent is None:
-        raise StageMismatch(f"{doubled.name} was not produced by doubling")
-    if parent.rank != data_rank:
-        raise StageMismatch(
-            f"stage data has ambient rank {data_rank}, parent rank is {parent.rank}"
-        )
-    return parent
-
-
-def _embed_pair(first: Submodule, second: Submodule, rank2: int, n: int) -> Submodule:
+def _embed_pair(first: Submodule, second: Submodule, doubled: FiniteAlgebra) -> Submodule:
+    """{(x, y) : x in first, y in second}, both in the stage `doubled` doubles."""
+    parent = _require_doubled(doubled)
     d = first.ambient_rank
-    rows = []
-    for g in first.generators:
-        rows.append(np.concatenate([g, np.zeros(d, dtype=np.int64)]))
-    for h in second.generators:
-        rows.append(np.concatenate([np.zeros(d, dtype=np.int64), h]))
-    if not rows:
-        return Submodule.zero(n, rank2)
-    return Submodule.span(n, np.array(rows, dtype=np.int64), rank2)
+    if parent.rank != d:
+        raise StageMismatch(f"stage data has ambient rank {d}, parent rank is {parent.rank}")
+    rows = np.vstack([
+        np.hstack([first.generators, np.zeros_like(first.generators)]),
+        np.hstack([np.zeros_like(second.generators), second.generators]),
+    ])
+    return Submodule.span(doubled.modulus, rows, 2 * d)
 
 
 def predicted_associative_center(
     data: EssentialityData, doubled: FiniteAlgebra
 ) -> Submodule:
     """Closed form N(R) = {(x, y) : x in C, y in I} from stage-A data."""
-    _require_double_of(data.C.ambient_rank, doubled)
-    return _embed_pair(data.C, data.I, doubled.rank, doubled.modulus)
+    return _embed_pair(data.C, data.I, doubled)
 
 
 def predicted_center(data: EssentialityData, doubled: FiniteAlgebra) -> Submodule:
     """Closed form Z(R) = {(x, y) : x in B∩C, y in I∩J} from stage-A data."""
-    _require_double_of(data.C.ambient_rank, doubled)
     first = intersect(data.B, data.C)
     second = intersect(data.I, data.J)
-    return _embed_pair(first, second, doubled.rank, doubled.modulus)
+    return _embed_pair(first, second, doubled)
 
 
 # -- membership in N(R) via the two identity systems -------------------------
@@ -334,9 +335,7 @@ def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool:
     membership of concat(x, y) in associative_center(doubled); the suites
     sweep that equivalence exhaustively at desk scale.
     """
-    parent = doubled.parent
-    if parent is None:
-        raise StageMismatch(f"{doubled.name} was not produced by doubling")
+    parent = _require_doubled(doubled)
     x = parent.element(x)
     y = parent.element(y)
     first, second = identity_conditions(parent)
@@ -346,9 +345,7 @@ def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool:
 
 def pair_coordinates(doubled: FiniteAlgebra, x, y) -> np.ndarray:
     """concat(x, y) as an element of the double."""
-    parent = doubled.parent
-    if parent is None:
-        raise StageMismatch(f"{doubled.name} was not produced by doubling")
+    parent = _require_doubled(doubled)
     return np.concatenate([parent.element(x), parent.element(y)])
 
 

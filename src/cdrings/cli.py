@@ -19,7 +19,7 @@ import sys
 from .algebra import identity_flags
 from .analysis import center, essentiality_data
 from .document import algebra_to_document, dumps_document, load_algebra
-from .doubling import TowerSpec, build_tower
+from .doubling import TowerSpec, build_tower, unit_towers
 from .errors import AlgebraError, EnumerationBudgetExceeded
 from .essentiality import (
     is_centrally_essential,
@@ -27,7 +27,7 @@ from .essentiality import (
     is_right_n_essential,
 )
 from .residue import DEFAULT_ENUMERATION_BUDGET
-from .suites import SUITES, run_suite, unit_parameter_tuples
+from .suites import SUITES, run_suite
 
 SEARCH_FLAGS = (
     "associative",
@@ -231,39 +231,26 @@ def cmd_search(args) -> int:
         return 2
     try:
         for base in args.bases:
-            for depth in range(0, args.depth + 1):
-                for params in unit_parameter_tuples(base, depth):
-                    try:
-                        stages = build_tower(TowerSpec(base, params))
-                    except AlgebraError as exc:
-                        row = {
-                            "base": base,
-                            "params": list(params),
-                            "skipped": True,
-                            "reason": f"construction failed: {exc}",
-                        }
-                        print(json.dumps(row, sort_keys=True), file=out)
-                        continue
-                    alg = stages[-1]
-                    flags, skipped = _search_flags(alg, budget)
-                    row = {
-                        "base": base,
-                        "params": list(params),
-                        "rank": alg.rank,
-                        "flags": flags,
-                    }
-                    blocked = expr.names & set(skipped) if expr is not None else set()
-                    if blocked:
-                        row["skipped"] = True
-                        row["reason"] = (
-                            "filter needs "
-                            + ",".join(sorted(blocked))
-                            + " but the definitional scan exceeds the budget"
-                        )
-                    elif skipped:
-                        row["flags_skipped"] = skipped
-                    if blocked or expr is None or expr.evaluate(flags):
-                        print(json.dumps(row, sort_keys=True), file=out)
+            for params, stages in unit_towers(base, args.depth):
+                row = {"base": base, "params": list(params)}
+                if isinstance(stages, AlgebraError):
+                    row.update(skipped=True, reason=f"construction failed: {stages}")
+                    print(json.dumps(row, sort_keys=True), file=out)
+                    continue
+                flags, skipped = _search_flags(stages[-1], budget)
+                row.update(rank=stages[-1].rank, flags=flags)
+                blocked = expr.names & set(skipped) if expr is not None else set()
+                if blocked:
+                    row["skipped"] = True
+                    row["reason"] = (
+                        "filter needs "
+                        + ",".join(sorted(blocked))
+                        + " but the definitional scan exceeds the budget"
+                    )
+                elif skipped:
+                    row["flags_skipped"] = skipped
+                if blocked or expr is None or expr.evaluate(flags):
+                    print(json.dumps(row, sort_keys=True), file=out)
     finally:
         if args.out:
             out.close()

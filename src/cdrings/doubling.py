@@ -14,12 +14,13 @@ product formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import CentralScalar, FiniteAlgebra, certify_central_scalar, ensure_valid, scalar_ring
-from .errors import CertificationError, RankBudgetExceeded, StageMismatch
+from .errors import AlgebraError, CertificationError, RankBudgetExceeded, StageMismatch
 
 DEFAULT_MAX_RANK = 64
 
@@ -29,13 +30,12 @@ class TowerSpec:
     """Base modulus plus the ordered doubling parameters.
 
     Each parameter is an int (meaning that scalar multiple of the stage unit)
-    or a coordinate vector in the algebra built so far. Generated second-copy
-    basis labels use `symbol_prefix` followed by the stage number.
+    or a coordinate vector in the algebra built so far. Stage i labels its
+    second-copy basis with `v<i>` (`v1`, `v2`, ...).
     """
 
     base_modulus: int
     params: tuple = field(default_factory=tuple)
-    symbol_prefix: str = "v"
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
@@ -103,6 +103,19 @@ def double(
     return ensure_valid(doubled)
 
 
+def _next_stage(stages: list[FiniteAlgebra], param, max_rank: int) -> FiniteAlgebra:
+    """Stage i = len(stages): stages[-1] doubled by param, labelled `v<i>`."""
+    idx, current = len(stages), stages[-1]
+    if 2 * current.rank > max_rank:
+        raise RankBudgetExceeded(
+            f"stage {idx} would have rank {2 * current.rank} > limit {max_rank}"
+        )
+    try:
+        return double(current, param, symbol=f"v{idx}")
+    except CertificationError as exc:
+        raise type(exc)(f"stage {idx}: {exc}") from exc
+
+
 def build_tower(
     spec: TowerSpec,
     *,
@@ -114,17 +127,44 @@ def build_tower(
     by the (stage-by-stage certified) parameter alpha_{i+1}.
     """
     stages = [scalar_ring(spec.base_modulus)]
-    for idx, param in enumerate(spec.params, start=1):
-        current = stages[-1]
-        if 2 * current.rank > max_rank:
-            raise RankBudgetExceeded(
-                f"stage {idx} would have rank {2 * current.rank} > limit {max_rank}"
-            )
-        try:
-            stages.append(double(current, param, symbol=f"{spec.symbol_prefix}{idx}"))
-        except CertificationError as exc:
-            raise type(exc)(f"stage {idx}: {exc}") from exc
+    for param in spec.params:
+        stages.append(_next_stage(stages, param, max_rank))
     return stages
+
+
+def _grown(stages, param):
+    """stages plus its next stage, or the AlgebraError that prevents it."""
+    if isinstance(stages, AlgebraError):
+        return stages
+    try:
+        return stages + [_next_stage(stages, param, DEFAULT_MAX_RANK)]
+    except AlgebraError as exc:
+        return exc.with_traceback(None)  # kept for every extension, so drop its frames
+
+
+def unit_towers(base: int, depth: int):
+    """Yield (params, stages) for every unit-parameter tower over Z/base of
+    depth 0 to `depth`: one depth at a time, each in `itertools.product`
+    order of the units.
+
+    Every tower extends its prefix from the previous depth, so each stage is
+    built once and nothing deeper than `depth` is built. A tower that cannot
+    be built yields its AlgebraError in place of its stages (as do all of
+    its extensions), exactly as `build_tower` would raise it.
+    """
+    units = [u for u in range(1, base) if math.gcd(u, base) == 1]
+    try:
+        level = [((), [scalar_ring(base)])]
+    except AlgebraError as exc:
+        level = [((), exc)]
+    yield from level
+    for _ in range(depth):
+        deeper = []
+        for params, stages in level:
+            for u in units:
+                deeper.append((params + (u,), _grown(stages, u)))
+                yield deeper[-1]
+        level = deeper
 
 
 def tower(base_modulus: int, *params, max_rank: int = DEFAULT_MAX_RANK) -> FiniteAlgebra:

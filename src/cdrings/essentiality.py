@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative, scalar_ring
-from .analysis import (
-    EssentialityData,
-    annihilator,
-    associative_center,
-    center,
-    essentiality_data,
-)
+from .analysis import annihilator, associative_center, center, essentiality_data
 from .presentations import require_units
 from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -285,10 +279,6 @@ def is_right_n_essential(
     )
 
 
-def _stage_data(algebra: FiniteAlgebra, data: EssentialityData | None) -> EssentialityData:
-    return data if data is not None else essentiality_data(algebra)
-
-
 def _conjunction(name: str, clauses) -> EssentialityVerdict:
     """Criterion verdict from lazily produced (verdict, failure detail)
     clauses: the first failing one decides and lends its witness."""
@@ -304,7 +294,6 @@ def n_essential_criterion(
     algebra: FiniteAlgebra,
     alpha=1,
     *,
-    data: EssentialityData | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """Criterion for (A, alpha) being N-essential, from stage-A data only.
@@ -314,15 +303,11 @@ def n_essential_criterion(
     one is computable.
     """
     certify_central_scalar(algebra, alpha)
-    data = _stage_data(algebra, data)
+    data = essentiality_data(algebra)
 
     def clauses():
-        # data.C is Z(A), so this is `is_centrally_essential` without
-        # recomputing the center.
         yield (
-            is_essential_submodule(
-                data.C, algebra, property_name="centrally essential", budget=budget
-            ),
+            is_centrally_essential(algebra, budget=budget),
             "stage algebra is not centrally essential",
         )
         yield (
@@ -337,7 +322,6 @@ def centrally_essential_criterion(
     algebra: FiniteAlgebra,
     alpha=1,
     *,
-    data: EssentialityData | None = None,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """Criterion for (A, alpha) being centrally essential, from stage-A data.
@@ -347,7 +331,7 @@ def centrally_essential_criterion(
     algebra, which is what the pair decomposition of the double reduces to.)
     """
     certify_central_scalar(algebra, alpha)
-    data = _stage_data(algebra, data)
+    data = essentiality_data(algebra)
 
     def clauses():
         yield (

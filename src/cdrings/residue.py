@@ -49,12 +49,10 @@ class ResidueMatrix:
     def __init__(self, modulus: int, data):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        arr = np.array(data, dtype=np.int64)
+        arr = _as_residue_array(data, modulus)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         self.modulus = modulus
-        arr %= modulus
-        arr.setflags(write=False)
         self.array = arr
 
     @classmethod

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,7 +43,7 @@ from .analysis import (
     predicted_associative_center,
     predicted_center,
 )
-from .doubling import TowerSpec, build_tower, double
+from .doubling import TowerSpec, build_tower, double, unit_towers
 from .errors import AlgebraError
 from .essentiality import (
     ann2_ideal,
@@ -130,23 +129,19 @@ class VerificationReport:
         }
 
 
-def unit_parameter_tuples(base: int, depth: int):
-    units = [u for u in range(1, base) if math.gcd(u, base) == 1]
-    return itertools.product(units, repeat=depth)
-
-
 def sweep_towers(bases=DEFAULT_SWEEP_BASES, depth=None):
     """Yield (base, params, stages) for every unit-parameter tower.
 
-    Covers all depths 1..depth for each base. Without a depth the sweep is
-    the paper's: DEFAULT_SWEEP_DEPTH plus the EXTRA_DEPTHS of each base.
+    Covers all depths 1..depth of each base in `unit_towers` order and
+    raises the first construction error. Without a depth the sweep is the
+    paper's: DEFAULT_SWEEP_DEPTH plus the EXTRA_DEPTHS of each base.
     """
     for base in bases:
         top = EXTRA_DEPTHS.get(base, DEFAULT_SWEEP_DEPTH) if depth is None else depth
-        for dep in range(1, top + 1):
-            for params in unit_parameter_tuples(base, dep):
-                stages = build_tower(TowerSpec(base, params))
-                yield base, params, stages
+        for params, stages in itertools.islice(unit_towers(base, top), 1, None):
+            if isinstance(stages, AlgebraError):
+                raise stages
+            yield base, params, stages
 
 
 def _tower_id(base: int, params) -> str:
@@ -197,7 +192,7 @@ def _formula_and_criterion_rows(
             kind="formula",
             detail=f"|{label}| = {computed.order()}",
         )
-        crit = criterion_check(stage, params[-1], data=data, budget=budget)
+        crit = criterion_check(stage, params[-1], budget=budget)
         ambient = doubled.modulus**doubled.rank
         if ambient > budget:
             yield InstanceResult(

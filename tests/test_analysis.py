@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrings.algebra import certify_central_scalar, scalar_ring
+from cdrings.algebra import FiniteAlgebra, certify_central_scalar, scalar_ring
 from cdrings.analysis import (
     FIRST_COMPONENT_IDENTITIES,
     SECOND_COMPONENT_IDENTITIES,
@@ -305,6 +305,25 @@ def test_predicted_center_z3_octonion_is_scalars():
     predicted = predicted_center(data, R)
     assert predicted == Submodule.span(3, [[1] + [0] * 7])
     assert center(R).Z == predicted
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6])
+def test_closed_forms_never_seed_the_direct_kernels(base):
+    for _, params, stages in sweep_towers((base,), 2):
+        stage, doubled = stages[-2], stages[-1]
+        data = essentiality_data(stage)
+        closed_n = predicted_associative_center(data, doubled)
+        closed_z = predicted_center(data, doubled)
+        assert doubled.memo == {}, params
+        assert essentiality_data(stage) is data
+        assert center(doubled) is center(doubled)
+        essentiality_data(doubled)
+        assert set(doubled.memo) == {"associative_center", "center", "essentiality_data"}
+        fresh = FiniteAlgebra(
+            doubled.modulus, doubled.structure, doubled.unit, doubled.involution
+        )
+        assert associative_center(doubled) == associative_center(fresh) == closed_n
+        assert center(doubled).Z == center(fresh).Z == closed_z
 
 
 def test_predicted_center_stage_mismatch(z4_octonion):

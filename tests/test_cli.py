@@ -227,6 +227,15 @@ def test_search_marks_budget_skips(tmp_path, capsys):
         assert "budget" in r["reason"]
 
 
+def test_search_reports_a_base_that_cannot_be_built(capsys):
+    code, stdout, _ = run_cli(capsys, "search", "--bases", "2097153", "--depth", "0")
+    assert code == 0
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert len(rows) == 1
+    assert rows[0]["skipped"] is True and rows[0]["params"] == []
+    assert rows[0]["reason"].startswith("construction failed: modulus 2097153 is too large")
+
+
 def test_search_rejects_unknown_flag(capsys):
     code, _, stderr = run_cli(
         capsys, "search", "--bases", "3", "--depth", "1", "--filter", "bogus_flag"

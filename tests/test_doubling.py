@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cdrings.algebra import is_associative, is_commutative, scalar_ring, validate_algebra
-from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, split, tower
+from cdrings import doubling
+from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, split, tower, unit_towers
 from cdrings.errors import (
     NotCentral,
     NotInvertible,
@@ -186,3 +187,47 @@ def test_doubled_labels():
     stages = build_tower(TowerSpec(4, (1, 1)))
     assert stages[1].labels == ["1", "v1"]
     assert stages[2].labels == ["1", "v1", "v2", "v1v2"]
+
+
+@pytest.mark.parametrize(
+    "base, depth", [(2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (2, 4)]
+)
+def test_unit_towers_double_each_prefix_once(base, depth, monkeypatch):
+    doubled_ranks = []
+
+    def counting_double(algebra, *args, **kwargs):
+        doubled_ranks.append(algebra.rank)
+        return double(algebra, *args, **kwargs)
+
+    monkeypatch.setattr(doubling, "double", counting_double)
+    walked = list(unit_towers(base, depth))
+    monkeypatch.undo()
+
+    units = [u for u in range(1, base) if np.gcd(u, base) == 1]
+    expected = [p for dep in range(depth + 1) for p in itertools.product(units, repeat=dep)]
+    assert [params for params, _ in walked] == expected
+    # One double per tree node below the root, and none past `depth`.
+    assert len(doubled_ranks) == len(expected) - 1
+    assert max(doubled_ranks) == 2 ** (depth - 1)
+    for params, stages in walked:
+        last = build_tower(TowerSpec(base, params))[-1]
+        assert len(stages) == len(params) + 1
+        assert stages[-1] == last
+        assert (stages[-1].labels, stages[-1].name) == (last.labels, last.name)
+
+
+def test_unit_towers_yield_construction_errors_in_place(monkeypatch):
+    monkeypatch.setattr(doubling, "DEFAULT_MAX_RANK", 4)
+    walked = list(unit_towers(3, 4))
+    assert [params for params, _ in walked] == [
+        p for dep in range(5) for p in itertools.product((1, 2), repeat=dep)
+    ]
+    for params, stages in walked:
+        if len(params) < 3:
+            assert isinstance(stages, list)
+            continue
+        # Rank 8 exceeds the limit at stage 3, for every extension as well.
+        with pytest.raises(RankBudgetExceeded) as raised:
+            build_tower(TowerSpec(3, params), max_rank=4)
+        assert isinstance(stages, RankBudgetExceeded)
+        assert str(stages) == str(raised.value) == "stage 3 would have rank 8 > limit 4"
