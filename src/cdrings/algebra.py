@@ -227,11 +227,19 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # -- identity predicates -----------------------------------------------------
 
 
-def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
-    """T[i, j, k, :] = associator(e_i, e_j, e_k)."""
+def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k)."""
     c = algebra.structure
     left = np.einsum("ijq,qkm->ijkm", c, c)
     right = np.einsum("jkq,iqm->ijkm", c, c)
+    left %= algebra.modulus
+    right %= algebra.modulus
+    return left, right
+
+
+def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
+    """T[i, j, k, :] = associator(e_i, e_j, e_k)."""
+    left, right = product_tensors(algebra)
     return (left - right) % algebra.modulus
 
 

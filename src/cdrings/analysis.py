@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, associator_tensor
+from .algebra import FiniteAlgebra, associator_tensor, product_tensors
 from .doubling import _require_doubled
 from .errors import StageMismatch
 from .residue import ResidueMatrix, Submodule, intersect, kernel
@@ -88,8 +88,12 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """
     d = algebra.rank
     t = associator_tensor(algebra)
-    stacked = np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1)
-    return kernel(ResidueMatrix(algebra.modulus, stacked))
+    conditions = ResidueMatrix(
+        algebra.modulus,
+        np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1),
+    )
+    del t  # only the reduced copy in `conditions` stays alive through the kernel
+    return kernel(conditions)
 
 
 def commutative_center(algebra: FiniteAlgebra) -> Submodule:
@@ -243,87 +247,45 @@ SECOND_COMPONENT_IDENTITIES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _parse_term(text: str):
-    """Parse a three-letter product like '(xu)v' into a nested pair tree."""
-
-    def parse(s: str, pos: int):
-        if s[pos] == "(":
-            inner, pos = parse_product(s, pos + 1)
-            assert s[pos] == ")", text
-            return inner, pos + 1
-        return s[pos], pos + 1
-
-    def parse_product(s: str, pos: int):
-        left, pos = parse(s, pos)
-        right, pos = parse(s, pos)
-        return (left, right), pos
-
-    tree, end = parse_product(text, 0)
-    assert end == len(text), text
-    return tree
-
-
-_PARSED = {
-    text: _parse_term(text)
-    for pair in FIRST_COMPONENT_IDENTITIES + SECOND_COMPONENT_IDENTITIES
-    for text in pair
-}
-
-
-def _term_map(c: np.ndarray, tree, var: str) -> np.ndarray:
+def _term_map(products: tuple[np.ndarray, np.ndarray], term: str, var: str) -> np.ndarray:
     """A term as a linear map of `var`, at every basis pair u = e_i, v = e_j.
 
-    out[p, i, j, k] is coordinate k of the term at var = e_p. Walking from
-    the variable to the root, each product with a constant sibling w right
-    multiplies the map by R_w when the variable sits in the left factor and
-    by L_w when it sits in the right; w[i, j, :] is the sibling evaluated
-    from the structure tensor. Entries are left unreduced (below d^2 n^3).
+    out[p, i, j, k] is coordinate k of the term at var = e_p. A term '(ab)c'
+    reads P[a, b, c] and 'a(bc)' reads Q[a, b, c] (`product_tensors`), with
+    the axes of its letters moved into (var, u, v) order.
     """
-    d = c.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-
-    def build(node):
-        """(has_var, tensor): [p, i, j, k] with the variable, [i, j, k] without."""
-        if node == var:
-            return True, np.broadcast_to(eye[:, None, None, :], (d, d, d, d))
-        if node == "u":
-            return False, np.broadcast_to(eye[:, None, :], (d, d, d))
-        if node == "v":
-            return False, np.broadcast_to(eye[None, :, :], (d, d, d))
-        (left_var, left), (right_var, right) = build(node[0]), build(node[1])
-        if left_var:  # x -> x w, i.e. right multiplication by w
-            return True, np.einsum("pija,ijb,abk->pijk", left, right, c, optimize=True)
-        if right_var:  # x -> w x, i.e. left multiplication by w
-            return True, np.einsum("ija,pijb,abk->pijk", left, right, c, optimize=True)
-        return False, np.einsum("ija,ijb,abk->ijk", left, right, c, optimize=True)
-
-    return build(tree)[1]
+    letters = term.replace("(", "").replace(")", "")
+    tensor = products[0] if term.startswith("(") else products[1]
+    return tensor.transpose(*(letters.index(s) for s in (var, "u", "v")), 3)
 
 
 def _condition_matrix(
-    stage: FiniteAlgebra, identities: tuple[tuple[str, str], ...], var: str
+    stage: FiniteAlgebra, products, identities: tuple[tuple[str, str], ...], var: str
 ) -> ResidueMatrix:
     """d x (len(identities) * d^3) matrix whose left kernel is the solution
     set of the identity system: one block per (identity, e_i, e_j), each the
     map lhs - rhs of the variable."""
-    c = stage.structure
-    terms = {t: _term_map(c, _PARSED[t], var) % stage.modulus for pair in identities for t in pair}
-    blocks = np.stack([terms[lhs] - terms[rhs] for lhs, rhs in identities], axis=1)
+    blocks = np.stack(
+        [_term_map(products, lhs, var) - _term_map(products, rhs, var) for lhs, rhs in identities],
+        axis=1,
+    )
     return ResidueMatrix(stage.modulus, blocks.reshape(stage.rank, -1))
 
 
-@functools.lru_cache(maxsize=4)
+@_memoized
 def identity_conditions(stage: FiniteAlgebra) -> tuple[ResidueMatrix, ResidueMatrix]:
     """Condition matrices (M1, M2) of the two identity systems on `stage`.
 
     x satisfies the first system iff x @ M1 = 0 mod n, and y the second iff
     y @ M2 = 0, so kernel(M1) x kernel(M2) is the associative center of any
-    double of the stage. Compiled on first use and kept for the last four
-    stages; each matrix is rank x 12 rank^3 (100 MB at rank 32).
+    double of the stage. Every block is read off the two product tensors of
+    the stage, compiled once per stage and kept in its memo; each matrix is
+    rank x 12 rank^3 (100 MB at rank 32).
     """
+    products = product_tensors(stage)
     return (
-        _condition_matrix(stage, FIRST_COMPONENT_IDENTITIES, "x"),
-        _condition_matrix(stage, SECOND_COMPONENT_IDENTITIES, "y"),
+        _condition_matrix(stage, products, FIRST_COMPONENT_IDENTITIES, "x"),
+        _condition_matrix(stage, products, SECOND_COMPONENT_IDENTITIES, "y"),
     )
 
 

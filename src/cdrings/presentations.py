@@ -152,30 +152,27 @@ def verify_basis_map(
         return False, "signs must be +1 or -1 mod n"
 
     perm = np.array(targets)
-    # transported tensor: source product e_p e_q expressed in target basis
-    for p in range(d):
-        for q in range(d):
-            expected = np.zeros(d, dtype=np.int64)
-            for r in range(d):
-                expected[perm[r]] = (
-                    source.structure[p, q, r] * signs[p] * signs[q] * signs[r]
-                ) % n
-            got = target.structure[perm[p], perm[q]] % n
-            if not np.array_equal(expected, got):
-                return (
-                    False,
-                    f"product of basis elements {p} and {q} transports to "
-                    f"{expected.tolist()}, target has {got.tolist()}",
-                )
-    unit_t = np.zeros(d, dtype=np.int64)
-    for s in range(d):
-        unit_t[perm[s]] = (source.unit[s] * signs[s]) % n
+    flip = np.where(signs == 1, 1, -1)
+    # expected[p, q, perm[r]] = sign(p) sign(q) sign(r) c[p, q, r]: the source
+    # product e_p e_q in target coordinates, beside got[p, q] = e_perm[p] e_perm[q]
+    expected = np.empty_like(source.structure)
+    expected[:, :, perm] = source.structure * np.einsum("p,q,r->pqr", flip, flip, flip) % n
+    got = target.structure[perm][:, perm]
+    bad = np.argwhere((expected != got).any(axis=2))
+    if len(bad):
+        p, q = bad[0]
+        return (
+            False,
+            f"product of basis elements {p} and {q} transports to "
+            f"{expected[p, q].tolist()}, target has {got[p, q].tolist()}",
+        )
+    unit_t = np.empty_like(source.unit)
+    unit_t[perm] = source.unit * flip % n
     if not np.array_equal(unit_t, target.unit):
         return False, "unit does not transport"
-    for s in range(d):
-        img = np.zeros(d, dtype=np.int64)
-        for r in range(d):
-            img[perm[r]] = (source.involution[s, r] * signs[s] * signs[r]) % n
-        if not np.array_equal(img, target.involution[perm[s]] % n):
-            return False, f"involution image of basis element {s} does not transport"
+    images = np.empty_like(source.involution)
+    images[:, perm] = source.involution * np.outer(flip, flip) % n
+    bad = np.flatnonzero((images != target.involution[perm]).any(axis=1))
+    if len(bad):
+        return False, f"involution image of basis element {bad[0]} does not transport"
     return True, None

@@ -147,6 +147,23 @@ def _howell(rows: np.ndarray, n: int, want_transform: bool):
     return pivot_rows, pivot_cols, transform, kernel
 
 
+def _echelon_coefficients(w: np.ndarray, rows: np.ndarray, pivot_cols, n: int) -> np.ndarray | None:
+    """Coefficients c with c @ rows == w, or None when w is outside their span.
+
+    `rows` are Howell rows with pivots in `pivot_cols`; w is reduced pivot by
+    pivot, and a pivot entry the pivot does not divide leaves a remainder.
+    """
+    coeffs = np.zeros(len(pivot_cols), dtype=np.int64)
+    for idx, c in enumerate(pivot_cols):
+        if w[c]:
+            q, rem = divmod(int(w[c]), int(rows[idx][c]))
+            if rem:
+                return None
+            coeffs[idx] = q
+            w = (w - q * rows[idx]) % n
+    return None if w.any() else coeffs
+
+
 @dataclass(frozen=True)
 class Submodule:
     """Additive subgroup of (Z/nZ)^d in Howell canonical form.
@@ -215,27 +232,13 @@ class Submodule:
 
     def contains(self, v) -> bool:
         """Membership by echelon reduction against the canonical generators."""
-        w = self._check_vector(v).copy()
-        for row, (c, p) in zip(self.generators, self.pivots):
-            if w[c]:
-                q, rem = divmod(int(w[c]), p)
-                if rem:
-                    return False
-                w = (w - q * row) % self.modulus
-        return not w.any()
+        return self.coefficients_of(v) is not None
 
     def coefficients_of(self, v) -> np.ndarray | None:
         """Coefficients c with c @ generators == v, or None if v is outside."""
-        w = self._check_vector(v).copy()
-        coeffs = np.zeros(self.num_generators, dtype=np.int64)
-        for idx, (row, (c, p)) in enumerate(zip(self.generators, self.pivots)):
-            if w[c]:
-                q, rem = divmod(int(w[c]), p)
-                if rem:
-                    return None
-                coeffs[idx] = q
-                w = (w - q * row) % self.modulus
-        return coeffs if not w.any() else None
+        return _echelon_coefficients(
+            self._check_vector(v), self.generators, [c for c, _ in self.pivots], self.modulus
+        )
 
     def elements(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """All elements of the span as an (order, d) array, zero first.
@@ -329,19 +332,8 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({m.cols},)")
     _require_exact(m.modulus, m.cols)  # at most m.cols transform rows are combined
     gens, cols, transform, _ = _howell(m.array, m.modulus, want_transform=True)
-    w = b.copy()
-    coeffs = np.zeros(gens.shape[0], dtype=np.int64)
-    for idx, c in enumerate(cols):
-        if w[c]:
-            p = int(gens[idx][c])
-            q, rem = divmod(int(w[c]), p)
-            if rem:
-                return None
-            coeffs[idx] = q
-            w = (w - q * gens[idx]) % m.modulus
-    if w.any():
-        return None
-    return (coeffs @ transform) % m.modulus
+    coeffs = _echelon_coefficients(b, gens, cols, m.modulus)
+    return None if coeffs is None else (coeffs @ transform) % m.modulus
 
 
 @functools.lru_cache(maxsize=8)

@@ -118,25 +118,26 @@ def brute_commutative_center_set(algebra, elements):
     return frozenset(tuple(int(t) for t in v) for v in elements[alive])
 
 
-def eval_term(algebra, tree, env, memo):
-    """Evaluate a parsed identity term element by element through `mul`,
-    sharing subterms already evaluated under the same env through `memo`."""
-    if isinstance(tree, str):
-        return env[tree]
-    if tree not in memo:
-        left, right = tree
-        memo[tree] = algebra.mul(
-            eval_term(algebra, left, env, memo), eval_term(algebra, right, env, memo)
-        )
-    return memo[tree]
+def eval_term(algebra, term, env, memo):
+    """Evaluate an identity term such as '(xu)v' or 'x(uv)' element by
+    element: (ab)c is mul(mul(a, b), c) and a(bc) is mul(a, mul(b, c)).
+    `memo` keeps the products already evaluated under the same env, keyed by
+    their text ('xu', '(xu)v'), so shared subterms are multiplied once."""
+    if term not in memo:
+        if len(term) == 2:
+            left, right = env[term[0]], env[term[1]]
+        elif term.startswith("("):
+            left, right = eval_term(algebra, term[1:3], env, memo), env[term[4]]
+        else:
+            left, right = env[term[0]], eval_term(algebra, term[2:4], env, memo)
+        memo[term] = algebra.mul(left, right)
+    return memo[term]
 
 
 def identity_difference(algebra, identity, env, memo=None):
     """lhs - rhs of one identity (a pair of term strings) under env, mod n."""
-    from cdrings.analysis import _PARSED
-
     memo = {} if memo is None else memo
-    lhs, rhs = (eval_term(algebra, _PARSED[term], env, memo) for term in identity)
+    lhs, rhs = (eval_term(algebra, term, env, memo) for term in identity)
     return (lhs - rhs) % algebra.modulus
 
 

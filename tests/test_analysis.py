@@ -385,10 +385,6 @@ def test_identity_membership_equals_lemma_formula():
             assert got == want
 
 
-def _compiled_holds(conditions, value):
-    return not (np.asarray(value) @ conditions.array % conditions.modulus).any()
-
-
 def _systems(stage):
     first, second = identity_conditions(stage)
     return (
@@ -447,11 +443,27 @@ def _assert_lemma_2_1(stage, alpha):
     assert direct == predicted_associative_center(data, doubled)
 
 
-@pytest.mark.parametrize("base", [2, 3, 4])
-def test_lemma_2_1_is_an_exact_equality_at_rank_8(base):
+@pytest.mark.parametrize(
+    "params",
+    [(2, 1, 1, 1), (3, 1, 1, 1), (4, 1, 1, 1), pytest.param((2, 1, 1, 1, 1), id="2-rank16")],
+    ids=lambda params: str(params[0]),
+)
+def test_lemma_2_1_is_an_exact_equality_at_rank_8(params):
     # kernel(M1) x kernel(M2) == N(double) == closed form, beyond desk scale:
-    # the double has n^16 elements.
-    _assert_lemma_2_1(tower(base, 1, 1, 1), 1)
+    # the double has n^16 elements (2^32 for the rank-16 stage).
+    _assert_lemma_2_1(tower(*params), 1)
+
+
+def test_identity_conditions_are_kept_in_the_stage_memo():
+    stage = tower(3, 1, 1)
+    compiled = identity_conditions(stage)
+    assert identity_conditions(stage) is compiled
+    assert stage.memo["identity_conditions"] is compiled
+    twin = tower(3, 1, 1)
+    assert twin == stage and "identity_conditions" not in twin.memo
+    rebuilt = identity_conditions(twin)
+    assert rebuilt == compiled
+    assert rebuilt[0] is not compiled[0] and rebuilt[1] is not compiled[1]
 
 
 def _units(n):
@@ -483,9 +495,7 @@ def test_identity_conditions_agree_with_evaluator_on_random_towers(spec, data):
         )
         member = np.array(coeffs, dtype=np.int64) @ solutions % n
         for value in (np.array(arbitrary, dtype=np.int64), member):
-            assert _compiled_holds(conditions, value) == holds_on_basis(
-                stage, identities, var, value
-            )
+            _assert_matches_evaluator(stage, conditions, identities, var, value)
 
 
 @settings(max_examples=20, deadline=None, database=None)

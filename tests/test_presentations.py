@@ -1,7 +1,10 @@
+import random
+
 import numpy as np
 import pytest
 
 from cdrings.algebra import (
+    FiniteAlgebra,
     is_alternative,
     is_associative,
     is_commutative,
@@ -71,6 +74,69 @@ def test_sign_flipped_map_fails_at_ij_product():
     ok, violation = verify_basis_map(pres, stage, flipped)
     assert not ok
     assert "1 and 2" in violation  # the (i, j) product is the first mismatch
+
+
+def _loop_verify_basis_map(source, target, basis_map):
+    """Entry-by-entry reference for `verify_basis_map` on a valid signed
+    bijection: the first violation in the same order, with the same text."""
+    n, d = source.modulus, source.rank
+    perm = [basis_map.target_index(s) for s in range(d)]
+    signs = [basis_map.sign(s) % n for s in range(d)]
+    for p in range(d):
+        for q in range(d):
+            expected = [0] * d
+            for r in range(d):
+                c = int(source.structure[p, q, r])
+                expected[perm[r]] = c * signs[p] * signs[q] * signs[r] % n
+            got = target.structure[perm[p], perm[q]].tolist()
+            if expected != got:
+                return False, (
+                    f"product of basis elements {p} and {q} transports to "
+                    f"{expected}, target has {got}"
+                )
+    unit = [0] * d
+    for s in range(d):
+        unit[perm[s]] = int(source.unit[s]) * signs[s] % n
+    if unit != target.unit.tolist():
+        return False, "unit does not transport"
+    for s in range(d):
+        image = [0] * d
+        for r in range(d):
+            image[perm[r]] = int(source.involution[s, r]) * signs[s] * signs[r] % n
+        if image != target.involution[perm[s]].tolist():
+            return False, f"involution image of basis element {s} does not transport"
+    return True, None
+
+
+def test_verify_basis_map_matches_the_entry_by_entry_reference():
+    rng = random.Random(7)
+    n = 5
+    pres = quaternion_algebra(n, 2, 3)
+    stage = build_tower(TowerSpec(n, (2, 3)))[-1]
+    swapped = np.eye(4, dtype=np.int64)[[0, 2, 1, 3]]
+    targets = [
+        stage,
+        FiniteAlgebra(n, stage.structure, [2, 0, 0, 0], stage.involution),
+        FiniteAlgebra(n, stage.structure, stage.unit, swapped),
+    ]
+    maps = [quaternion_tower_map(n)]
+    for _ in range(40):
+        perm = rng.sample(range(4), 4)
+        maps.append(BasisMap(tuple((t, rng.choice([1, n - 1])) for t in perm)))
+    cases = [(pres, target, basis_map) for target in targets for basis_map in maps]
+    # i -> j -> k -> i is an automorphism of the Hamilton quaternions, so the
+    # involution is compared under a permutation that is not its own inverse
+    hamilton = quaternion_algebra(n, n - 1, n - 1)
+    cyclic = BasisMap(((0, 1), (2, 1), (3, 1), (1, 1)))
+    broken = FiniteAlgebra(n, hamilton.structure, hamilton.unit, swapped)
+    cases += [(hamilton, hamilton, cyclic), (hamilton, broken, cyclic)]
+    verdicts = []
+    for source, target, basis_map in cases:
+        want = _loop_verify_basis_map(source, target, basis_map)
+        assert verify_basis_map(source, target, basis_map) == want, basis_map
+        verdicts.append(want[1].split(" ")[0] if want[1] else None)
+    assert set(verdicts) == {None, "product", "unit", "involution"}
+    assert verdicts[-2:] == [None, "involution"]
 
 
 def test_identity_map_verifies():

@@ -255,6 +255,25 @@ def test_solve_left():
     assert solve_left(m2, [1, 0]) is None
 
 
+def test_solve_left_and_coefficients_match_enumeration():
+    rng = random.Random(41)
+    for n in (4, 6):
+        for rows, cols in ((2, 3), (3, 2), (3, 3)):
+            for _ in range(4):
+                m = ResidueMatrix(n, random_matrix(rng, n, rows, cols))
+                reachable = brute_span(m.array, n)
+                s = canonicalize(m)
+                for rhs in all_vectors(n, cols):
+                    key = tuple(int(x) for x in rhs)
+                    v = solve_left(m, rhs)
+                    coeffs = s.coefficients_of(rhs)
+                    if key in reachable:
+                        assert np.array_equal(v @ m.array % n, rhs), (n, m, key)
+                        assert np.array_equal(coeffs @ s.generators % n, rhs), (n, m, key)
+                    else:
+                        assert v is None and coeffs is None, (n, m, key)
+
+
 def test_all_vectors_and_codes_roundtrip():
     vs = all_vectors(3, 4)
     assert vs.shape == (81, 4)
