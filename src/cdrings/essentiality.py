@@ -233,7 +233,9 @@ def is_essential_ideal(
     """True iff for every nonzero c in ring, {s c : s in ring} meets ideal\\{0}.
 
     ideal must sit inside ring; the scan enumerates the ring, not the whole
-    algebra, so desk-scale centers stay cheap even in big ambient modules.
+    algebra, so desk-scale centers stay cheap even in big ambient modules, as
+    long as n^d < 2^63 (products are coded as integers below n^d; a larger
+    ambient raises ModulusTooLarge).
     """
     for g in ideal.generators:
         if not ring.contains(g):

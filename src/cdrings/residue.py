@@ -6,7 +6,9 @@ that stays valid in the presence of zero divisors (pivots are divisors of n,
 entries above a pivot are reduced mod the pivot, and annihilator multiples of
 every pivot row are absorbed into the span). Two generating sets span the
 same additive subgroup of (Z/nZ)^d iff their Howell forms are identical,
-which is what makes Submodule a canonical, hashable value.
+which is what makes Submodule a canonical, hashable value. The kernel, the
+intersection and the transform are each read off one elimination of an
+augmented block such as [A | I], split by pivot column, with no second pass.
 
 All vectors are rows; the kernel convention throughout the package is the
 left kernel {v : v @ m = 0}.
@@ -14,6 +16,7 @@ left kernel {v : v @ m = 0}.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
 
@@ -34,13 +37,6 @@ def _require_exact(modulus: int, rank: int) -> None:
         raise ModulusTooLarge(modulus, rank, "max(2, rank) * (modulus - 1)^2")
 
 
-def _as_residue_array(data, modulus: int) -> np.ndarray:
-    arr = np.array(data, dtype=np.int64)
-    arr %= modulus
-    arr.setflags(write=False)
-    return arr
-
-
 class ResidueMatrix:
     """Dense matrix over Z/nZ; entries are kept reduced to [0, n)."""
 
@@ -49,7 +45,9 @@ class ResidueMatrix:
     def __init__(self, modulus: int, data):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        arr = _as_residue_array(data, modulus)
+        arr = np.array(data, dtype=np.int64)
+        arr %= modulus
+        arr.setflags(write=False)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
         self.modulus = modulus
@@ -86,17 +84,14 @@ class ResidueMatrix:
         return f"ResidueMatrix(mod {self.modulus}, {self.array.tolist()})"
 
 
-def _howell(rows: np.ndarray, n: int, want_transform: bool):
-    """Reduce `rows` to Howell normal form.
+def _howell(rows: np.ndarray, n: int):
+    """Reduce `rows` to Howell normal form; returns (pivot_rows, pivot_cols).
 
-    Returns (pivot_rows, pivot_cols, transform_rows, kernel_rows). The
-    transform satisfies transform_rows[i] @ rows == pivot_rows[i]; the kernel
-    rows span the full left kernel {v : v @ rows == 0}. Transform and kernel
-    are None unless requested.
+    Kernels, intersections and transforms are read off one elimination of an
+    augmented block (`_tail`, `solve_left`), never tracked row by row.
     """
-    m, cols = rows.shape
-    work = [row.copy() for row in rows.astype(np.int64) % n]
-    trans = [row.copy() for row in np.eye(m, dtype=np.int64)] if want_transform else None
+    cols = rows.shape[1]
+    work = list(rows.astype(np.int64) % n)
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
@@ -105,46 +100,28 @@ def _howell(rows: np.ndarray, n: int, want_transform: bool):
             j += 1
         if j == len(work):
             continue
-        if j > r:
-            work[r], work[j] = work[j], work[r]
-            if trans is not None:
-                trans[r], trans[j] = trans[j], trans[r]
+        work[r], work[j] = work[j], work[r]
         u = normalizing_unit(int(work[r][c]), n)
         if u != 1:
             work[r] = (work[r] * u) % n
-            if trans is not None:
-                trans[r] = (trans[r] * u) % n
         for i in range(r + 1, len(work)):
             if work[i][c]:
                 g, s, t, uu, vv = gcd_transform(int(work[r][c]), int(work[i][c]), n)
                 wr, wi = work[r], work[i]
                 work[r], work[i] = (s * wr + t * wi) % n, (uu * wr + vv * wi) % n
-                if trans is not None:
-                    tr, ti = trans[r], trans[i]
-                    trans[r], trans[i] = (s * tr + t * ti) % n, (uu * tr + vv * ti) % n
         p = int(work[r][c])
         for i in range(r):
             q = int(work[i][c]) // p
             if q:
                 work[i] = (work[i] - q * work[r]) % n
-                if trans is not None:
-                    trans[i] = (trans[i] - q * trans[r]) % n
         a = annihilator_generator(p, n)
         if a:
             # The annihilator multiple of a pivot row completes the span for
-            # later columns; even when it vanishes, its transform row is a
-            # kernel generator and must be kept.
+            # later columns.
             work.append((a * work[r]) % n)
-            if trans is not None:
-                trans.append((a * trans[r]) % n)
         pivot_cols.append(c)
         r += 1
-    pivot_rows = np.array(work[:r], dtype=np.int64).reshape(r, cols)
-    transform = kernel = None
-    if want_transform:
-        transform = np.array(trans[:r], dtype=np.int64).reshape(r, m)
-        kernel = np.array(trans[r:], dtype=np.int64).reshape(len(trans) - r, m)
-    return pivot_rows, pivot_cols, transform, kernel
+    return np.array(work[:r], dtype=np.int64).reshape(r, cols), pivot_cols
 
 
 def _echelon_coefficients(w: np.ndarray, rows: np.ndarray, pivot_cols, n: int) -> np.ndarray | None:
@@ -181,23 +158,25 @@ class Submodule:
 
     @classmethod
     def span(cls, modulus: int, rows, ambient_rank: int | None = None) -> "Submodule":
-        arr = np.array(rows, dtype=np.int64)
+        arr = np.atleast_2d(np.array(rows, dtype=np.int64))
         if arr.size == 0:
             if ambient_rank is None:
                 raise ValueError("ambient_rank required for an empty generating set")
             arr = arr.reshape(0, ambient_rank)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if ambient_rank is not None and arr.shape[1] != ambient_rank:
             raise DimensionMismatch(
                 f"generators have width {arr.shape[1]}, ambient rank is {ambient_rank}"
             )
         _require_exact(modulus, arr.shape[1])
-        gens, cols, _, _ = _howell(arr % modulus, modulus, want_transform=False)
-        pivots = tuple(
-            (c, int(gens[i][c])) for i, c in enumerate(cols)
-        )
-        return cls(modulus, arr.shape[1], _as_residue_array(gens, modulus), pivots)
+        return cls._from_howell(modulus, *_howell(arr, modulus))
+
+    @classmethod
+    def _from_howell(cls, modulus: int, gens: np.ndarray, pivot_cols) -> "Submodule":
+        """Freeze rows already in Howell form (copying a view of a larger block)."""
+        gens = np.ascontiguousarray(gens)
+        gens.setflags(write=False)
+        pivots = tuple((c, int(gens[i, c])) for i, c in enumerate(pivot_cols))
+        return cls(modulus, gens.shape[1], gens, pivots)
 
     @classmethod
     def zero(cls, modulus: int, ambient_rank: int) -> "Submodule":
@@ -278,19 +257,25 @@ def canonicalize(m: ResidueMatrix) -> Submodule:
     return Submodule.span(m.modulus, m.array, m.cols)
 
 
+def _tail(stacked: np.ndarray, split: int, n: int) -> Submodule:
+    """The vectors of the row span of `stacked` that vanish before column
+    `split`, cut to the columns from `split` on. By the Howell property, the
+    Howell rows pivoting at or past `split` are already their canonical form."""
+    gens, cols = _howell(stacked, n)
+    k = bisect.bisect_left(cols, split)
+    return Submodule._from_howell(n, gens[k:, split:], [c - split for c in cols[k:]])
+
+
 def kernel(m: ResidueMatrix) -> Submodule:
-    """Left kernel {v : v @ m = 0} as a canonical submodule."""
+    """Left kernel {v : v @ m = 0} as a canonical submodule, read off one
+    elimination of [columns of m | I]: its rows (0, v) are the kernel."""
     _require_exact(m.modulus, m.rows)
     arr = m.array
-    if arr.shape[0] == 0:
-        return Submodule.zero(m.modulus, 0)
     # The kernel only depends on the set of columns; dropping duplicates and
     # zero columns keeps the elimination loop short for stacked conditions.
     cols = np.unique(arr[:, arr.any(axis=0)], axis=1) if arr.any() else arr[:, :0]
-    if cols.shape[1] == 0:
-        return Submodule.full(m.modulus, m.rows)
-    _, _, _, ker = _howell(cols, m.modulus, want_transform=True)
-    return Submodule.span(m.modulus, ker, m.rows)
+    stacked = np.hstack([cols, np.eye(m.rows, dtype=np.int64)])
+    return _tail(stacked, cols.shape[1], m.modulus)
 
 
 def _require_compatible(a: Submodule, b: Submodule) -> None:
@@ -303,37 +288,34 @@ def _require_compatible(a: Submodule, b: Submodule) -> None:
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
-    """Intersection of two spans via the doubled-block elimination trick.
+    """Intersection of two spans, read off one elimination of [[a, a], [b, 0]].
 
-    The rows (g, g) for g in a together with (h, 0) for h in b span exactly
-    the pairs (ua + vb, ua); a pair (0, y) therefore occurs iff y lies in
-    both spans, so the trailing halves of the Howell rows whose pivots sit in
-    the trailing block generate the intersection.
+    Those rows span exactly the pairs (ua + vb, ua); a pair (0, y) therefore
+    occurs iff y lies in both spans, so the Howell rows pivoting in the
+    trailing block, cut to it, are the intersection's canonical form.
     """
     _require_compatible(a, b)
-    d = a.ambient_rank
-    n = a.modulus
-    top = np.hstack([a.generators, a.generators])
-    bot = np.hstack([b.generators, np.zeros_like(b.generators)])
-    stacked = np.vstack([top, bot])
-    if stacked.shape[0] == 0:
-        return Submodule.zero(n, d)
-    gens, cols, _, _ = _howell(stacked, n, want_transform=False)
-    tail_rows = [gens[i][d:] for i, c in enumerate(cols) if c >= d]
-    if not tail_rows:
-        return Submodule.zero(n, d)
-    return Submodule.span(n, np.array(tail_rows, dtype=np.int64), d)
+    stacked = np.vstack([
+        np.hstack([a.generators, a.generators]),
+        np.hstack([b.generators, np.zeros_like(b.generators)]),
+    ])
+    return _tail(stacked, a.ambient_rank, a.modulus)
 
 
 def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
-    """A vector v with v @ m = rhs, or None when no solution exists."""
+    """A vector v with v @ m = rhs, or None when no solution exists.
+
+    One elimination of [m | I]: each Howell row is (t @ m, t), so the rows
+    pivoting inside m give its Howell form and, after the split, the transform.
+    """
     b = np.asarray(rhs, dtype=np.int64) % m.modulus
     if b.shape != (m.cols,):
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({m.cols},)")
     _require_exact(m.modulus, m.cols)  # at most m.cols transform rows are combined
-    gens, cols, transform, _ = _howell(m.array, m.modulus, want_transform=True)
-    coeffs = _echelon_coefficients(b, gens, cols, m.modulus)
-    return None if coeffs is None else (coeffs @ transform) % m.modulus
+    gens, cols = _howell(np.hstack([m.array, np.eye(m.rows, dtype=np.int64)]), m.modulus)
+    head = bisect.bisect_left(cols, m.cols)
+    coeffs = _echelon_coefficients(b, gens[:head, : m.cols], cols[:head], m.modulus)
+    return None if coeffs is None else (coeffs @ gens[:head, m.cols :]) % m.modulus
 
 
 @functools.lru_cache(maxsize=8)
@@ -361,7 +343,7 @@ def all_vectors(modulus: int, rank: int, budget: int = DEFAULT_ENUMERATION_BUDGE
 
 def vector_codes(vectors: np.ndarray, modulus: int, rank: int) -> np.ndarray:
     """Mixed-radix integer code of each row; inverse of `all_vectors` order."""
-    if modulus**rank > 2**62:
-        raise OverflowError("vector codes would overflow int64")
+    if modulus**rank >= 2**63:  # the largest code, modulus^rank - 1, must fit int64
+        raise ModulusTooLarge(modulus, rank, "modulus^rank")
     powers = modulus ** np.arange(rank, dtype=np.int64)
     return vectors @ powers

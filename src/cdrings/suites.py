@@ -44,7 +44,7 @@ from .analysis import (
     predicted_center,
 )
 from .doubling import TowerSpec, build_tower, double, unit_towers
-from .errors import AlgebraError
+from .errors import AlgebraError, EnumerationBudgetExceeded
 from .essentiality import (
     ann2_ideal,
     is_centrally_essential,
@@ -192,7 +192,14 @@ def _formula_and_criterion_rows(
             kind="formula",
             detail=f"|{label}| = {computed.order()}",
         )
-        crit = criterion_check(stage, params[-1], budget=budget)
+        try:
+            crit = criterion_check(stage, params[-1], budget=budget)
+        except EnumerationBudgetExceeded as exc:
+            yield InstanceResult(
+                f"{tid} criterion-agreement", True, kind="criterion-agreement",
+                detail=f"criterion skipped: {exc}", skipped=True,
+            )
+            continue
         ambient = doubled.modulus**doubled.rank
         if ambient > budget:
             yield InstanceResult(

@@ -124,6 +124,15 @@ def test_verify_formula_suites_scoped(capsys):
         assert code == 0
         assert "FAIL" not in stdout
         assert "formula" in stdout and "criterion-agreement" in stdout
+        # A criterion over budget becomes a skipped row; the rows before it
+        # and the other towers are still reported.
+        code, stdout, _ = run_cli(
+            capsys, "--budget", "8", "verify", suite, "--bases", "3", "--depth", "2"
+        )
+        assert code == 0
+        assert "FAIL" not in stdout and "formula" in stdout
+        assert "[SKIP] Z3;1,1 criterion-agreement -- criterion skipped:" in stdout
+        assert "Z3;2,2 formula" in stdout
 
 
 def test_verify_unknown_suite(capsys):

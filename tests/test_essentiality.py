@@ -6,7 +6,7 @@ import pytest
 from cdrings.algebra import FiniteAlgebra, scalar_ring
 from cdrings.analysis import center, essentiality_data
 from cdrings.doubling import double, tower
-from cdrings.errors import EnumerationBudgetExceeded, NotInvertible
+from cdrings.errors import EnumerationBudgetExceeded, ModulusTooLarge, NotInvertible
 from cdrings.essentiality import (
     _reduce_f32,
     centrally_essential_criterion,
@@ -102,6 +102,19 @@ def test_essential_ideal_trivial_cases():
     v = is_essential_ideal(zero3, Submodule.full(3, 1), scalar_ring(3))
     assert not v.verdict
     assert v.witness == (1,)
+
+
+def test_essential_ideal_in_an_ambient_past_the_code_bound_is_a_typed_error():
+    # The scalars of Z5 decide at rank 16 (5^16 < 2^63) but not at rank 32,
+    # where products can no longer be coded as int64 integers.
+    def scalars(algebra):
+        return Submodule.span(5, [[1] + [0] * (algebra.rank - 1)], algebra.rank)
+
+    rank16 = tower(5, 1, 1, 1, 1)
+    assert is_essential_ideal(scalars(rank16), scalars(rank16), rank16).verdict
+    rank32 = tower(5, 1, 1, 1, 1, 1)
+    with pytest.raises(ModulusTooLarge):
+        is_essential_ideal(scalars(rank32), scalars(rank32), rank32)
 
 
 def test_essential_ideal_requires_containment(z4_quaternion):

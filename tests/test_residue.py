@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded, ModulusTooLarge
 from cdrings.residue import (
@@ -16,6 +18,13 @@ from cdrings.residue import (
 )
 
 from conftest import brute_kernel, brute_span, random_matrix, submodule_set
+
+
+def _assert_canonical(got, elements, n, rank):
+    """`got` is the canonical form of the span of `elements`: same generators,
+    pivots and hash, not only the same element set."""
+    want = Submodule.span(n, sorted(elements), rank)
+    assert got == want and got.pivots == want.pivots and hash(got) == hash(want)
 
 
 def test_matrix_entries_reduced_and_frozen():
@@ -117,10 +126,15 @@ def test_kernel_random_3x3_mod6_matches_enumeration():
 @pytest.mark.parametrize("n", [4, 6])
 def test_kernel_random_sweep(n):
     rng = random.Random(100 + n)
-    for _ in range(40):
-        rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
-        m = random_matrix(rng, n, rows, cols)
-        assert submodule_set(kernel(ResidueMatrix(n, m))) == brute_kernel(m, n)
+    # No rows, no columns, neither, and all zeros first: each kernel is {()}
+    # or the whole ambient.
+    edge = [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+            np.zeros((0, 0), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
+    random_shapes = [random_matrix(rng, n, rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(40)]
+    for m in edge + random_shapes:
+        got = kernel(ResidueMatrix(n, m))
+        assert submodule_set(got) == brute_kernel(m, n)
+        _assert_canonical(got, brute_kernel(m, n), n, m.shape[0])
 
 
 def test_intersect_idempotent_and_disjoint():
@@ -281,13 +295,23 @@ def test_all_vectors_and_codes_roundtrip():
     assert codes.tolist() == list(range(81))
 
 
+def test_vector_codes_are_exact_up_to_the_int64_bound():
+    # 2^62 < 5^27 < 2^63: the largest code 5^27 - 1 still fits int64.
+    assert vector_codes(np.full((1, 27), 4, dtype=np.int64), 5, 27).tolist() == [5**27 - 1]
+    for modulus, rank in ((5, 28), (2, 63), (5, 32)):
+        with pytest.raises(ModulusTooLarge):
+            vector_codes(np.zeros((1, rank), dtype=np.int64), modulus, rank)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_kernel_of_wide_stacked_matrices(n):
     # The shape used by center computations: few rows, many columns.
     rng = random.Random(77 + n)
     for _ in range(15):
         m = random_matrix(rng, n, 3, rng.randrange(20, 60))
-        assert submodule_set(kernel(ResidueMatrix(n, m))) == brute_kernel(m, n)
+        got = kernel(ResidueMatrix(n, m))
+        assert submodule_set(got) == brute_kernel(m, n)
+        _assert_canonical(got, brute_kernel(m, n), n, 3)
 
 
 @pytest.mark.parametrize("n", [8, 9, 12])
@@ -298,13 +322,14 @@ def test_howell_oracles_on_harsher_composites(n):
         m = random_matrix(rng, n, rows, cols)
         rm = ResidueMatrix(n, m)
         assert submodule_set(kernel(rm)) == brute_kernel(m, n)
+        _assert_canonical(kernel(rm), brute_kernel(m, n), n, rows)
         span = canonicalize(rm)
         assert submodule_set(span) == brute_span(m, n)
         assert span.order() == len(brute_span(m, n))
         other = canonicalize(ResidueMatrix(n, random_matrix(rng, n, rows, cols)))
-        assert submodule_set(intersect(span, other)) == (
-            submodule_set(span) & submodule_set(other)
-        )
+        both = submodule_set(span) & submodule_set(other)
+        assert submodule_set(intersect(span, other)) == both
+        _assert_canonical(intersect(span, other), both, n, cols)
 
 
 def _unimodular(n):
@@ -332,3 +357,58 @@ def test_span_is_exact_at_the_largest_allowed_odd_modulus():
     # Enumerating a rank-d span sums d products, so wider ambients lower it.
     with pytest.raises(ModulusTooLarge):
         Submodule.span(2**31 - 1, [[1, 0, 0]], 3)
+
+
+# Rank 2 is the widest the int64 bound admits at n = 2^31 (see
+# `test_span_is_exact_at_the_largest_allowed_odd_modulus`).
+_LINEAR_SYSTEM_REGIMES = pytest.mark.parametrize(
+    "moduli, max_rows, max_cols",
+    [((2**31 - 1, 2**31), 2, 2), ((4, 6, 8, 9, 12, 36), 4, 6)],
+    ids=["int64-bound", "small-composites"],
+)
+
+
+@st.composite
+def _linear_systems(draw, moduli, max_rows, max_cols):
+    """(n, m, other, c): m and other share their column count, c has one
+    coefficient per row of m; entries favour 0, 1, -1 and zero divisors."""
+    n = draw(st.sampled_from(moduli))
+    cols = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n - 1, n // 2, n // 4]))
+
+    def matrix():
+        rows = draw(st.integers(0, max_rows))
+        cells = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    m, other = matrix(), matrix()
+    return n, m, other, draw(st.lists(entry, min_size=len(m), max_size=len(m)))
+
+
+def _left_product(v, m, n):
+    """v @ m mod n in Python ints, independent of int64."""
+    return [sum(int(x) * int(row[j]) for x, row in zip(v, m)) % n for j in range(m.shape[1])]
+
+
+@_LINEAR_SYSTEM_REGIMES
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_and_intersection_orders_count_exactly(moduli, max_rows, max_cols, data):
+    n, m, other, _ = data.draw(_linear_systems(moduli, max_rows, max_cols))
+    rows, cols = m.shape
+    assert kernel(ResidueMatrix(n, m)).order() * canonicalize(ResidueMatrix(n, m)).order() == n**rows
+    a, b = canonicalize(ResidueMatrix(n, m)), canonicalize(ResidueMatrix(n, other))
+    total = Submodule.span(n, np.vstack([a.generators, b.generators]), cols)
+    assert intersect(a, b).order() * total.order() == a.order() * b.order()
+
+
+@_LINEAR_SYSTEM_REGIMES
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_generators_and_solutions_are_exact(moduli, max_rows, max_cols, data):
+    n, m, _, c = data.draw(_linear_systems(moduli, max_rows, max_cols))
+    for g in kernel(ResidueMatrix(n, m)).generators:
+        assert not any(_left_product(g, m, n))
+    rhs = _left_product(c, m, n)
+    v = solve_left(ResidueMatrix(n, m), rhs)
+    assert v is not None and _left_product(v, m, n) == rhs
