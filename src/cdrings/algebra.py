@@ -5,6 +5,8 @@ c[i, j, k] (meaning e_i * e_j = sum_k c[i, j, k] e_k), a distinguished unit
 vector, and an involution given as a d x d matrix acting on row vectors
 (x* = x @ involution). Elements are plain length-d integer vectors; all
 per-element operations live on the algebra object, which owns the modulus.
+Every product of residues is formed one pair at a time and reduced mod n, so
+int64 is exact for every modulus `residue._require_exact` admits.
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -23,12 +25,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidAlgebra,
-    ModulusTooLarge,
     NotCentral,
     NotInvertible,
     NotSymmetric,
 )
-from .residue import ResidueMatrix, solve_left
+from .residue import ResidueMatrix, _require_exact, solve_left
 
 
 class FiniteAlgebra:
@@ -58,17 +59,11 @@ class FiniteAlgebra:
         parent: "FiniteAlgebra | None" = None,
         alpha: "CentralScalar | None" = None,
     ):
-        if not isinstance(modulus, int) or modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         structure = np.array(structure, dtype=np.int64)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ValueError(f"structure tensor must be d x d x d, got {structure.shape}")
         d = structure.shape[0]
-        # The widest unreduced int64 sum in the package is a three-factor
-        # contraction over two indices (`mul`, `validate_algebra`, `is_central`),
-        # at most d^2 (n-1)^3; the pairwise ones are smaller.
-        if d * d * (modulus - 1) ** 3 >= 2**63:
-            raise ModulusTooLarge(modulus, d, "rank^2 * (modulus - 1)^3")
+        _require_exact(modulus, d)
         unit = np.array(unit, dtype=np.int64)
         involution = np.array(involution, dtype=np.int64)
         if unit.shape != (d,):
@@ -111,7 +106,7 @@ class FiniteAlgebra:
         return self.unit.copy()
 
     def scalar(self, c: int) -> np.ndarray:
-        return (int(c) * self.unit) % self.modulus
+        return (int(c) % self.modulus * self.unit) % self.modulus
 
     def basis_element(self, i: int) -> np.ndarray:
         out = np.zeros(self.rank, dtype=np.int64)
@@ -122,8 +117,8 @@ class FiniteAlgebra:
 
     def mul(self, x, y) -> np.ndarray:
         x = self.element(x)
-        y = self.element(y)
-        return np.einsum("i,j,ijk->k", x, y, self.structure) % self.modulus
+        right = np.einsum("j,ijk->ik", self.element(y), self.structure) % self.modulus
+        return (x @ right) % self.modulus
 
     def associator(self, a, b, c) -> np.ndarray:
         return (self.mul(self.mul(a, b), c) - self.mul(a, self.mul(b, c))) % self.modulus
@@ -206,7 +201,8 @@ def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
 
     # (e_i e_j)* == e_j* e_i* for all basis pairs
     lhs = np.einsum("ijm,mk->ijk", c, sigma) % n
-    rhs = np.einsum("jp,iq,pqk->ijk", sigma, sigma, c) % n
+    star_left = np.einsum("jp,pqk->jqk", sigma, c) % n  # e_j* e_q
+    rhs = np.einsum("iq,jqk->ijk", sigma, star_left) % n
     if not np.array_equal(lhs, rhs):
         bad = np.argwhere((lhs - rhs) % n)
         i, j = int(bad[0][0]), int(bad[0][1])
@@ -299,9 +295,9 @@ def is_central(algebra: FiniteAlgebra, x) -> bool:
     rx = np.einsum("p,ipk->ik", x, c) % n  # rows: e_i * x
     if ((xr - rx) % n).any():
         return False
-    s1 = np.einsum("ik,kjm->ijm", xr, c) - np.einsum("p,ijq,pqm->ijm", x, c, c)
+    s1 = np.einsum("ik,kjm->ijm", xr, c) - np.einsum("ijq,qm->ijm", c, xr)
     s2 = np.einsum("ik,kjm->ijm", rx, c) - np.einsum("jk,ikm->ijm", xr, c)
-    s3 = np.einsum("ijq,qpm,p->ijm", c, c, x) - np.einsum("jk,ikm->ijm", rx, c)
+    s3 = np.einsum("ijq,qm->ijm", c, rx) - np.einsum("jk,ikm->ijm", rx, c)
     return not ((s1 % n).any() or (s2 % n).any() or (s3 % n).any())
 
 

@@ -132,7 +132,7 @@ def cmd_analyze(args) -> int:
     budget = _budget_from(args)
     try:
         alg = load_algebra(args.document)
-    except (AlgebraError, ValueError, OSError) as exc:
+    except (AlgebraError, ValueError, OverflowError, OSError) as exc:
         print(f"cannot load document: {exc}", file=sys.stderr)
         return 2
     rep = center(alg)

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, ensure_valid
 
 FORMAT_VERSION = 1
+_INTEGER_DEPTHS = {"modulus": 0, "rank": 0, "structure": 1, "unit": 1, "involution": 2}
 
 
 def algebra_to_document(algebra: FiniteAlgebra, provenance: dict | None = None) -> dict:
@@ -35,24 +36,35 @@ def algebra_to_document(algebra: FiniteAlgebra, provenance: dict | None = None) 
     }
 
 
+def _integers(value, key: str, depth: int):
+    """value if it is an int or, at depth > 0, a list of values one level
+    shallower; a float, bool, string or missing key (None) is a ValueError."""
+    if depth and isinstance(value, list):
+        return [_integers(item, key, depth - 1) for item in value]
+    if type(value) is not int:
+        raise ValueError(f"{key}: expected integers, found {value!r}")
+    return value
+
+
 def document_to_algebra(doc: dict) -> FiniteAlgebra:
+    prov = doc.get("provenance", {}) if isinstance(doc, dict) else None
+    if not isinstance(prov, dict):
+        raise ValueError("a document and its provenance must be JSON objects")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r}")
-    n = doc["modulus"]
-    d = doc["rank"]
-    structure = np.array(doc["structure"], dtype=np.int64)
+    n, d, flat, unit, involution = (
+        _integers(doc.get(key), key, depth) for key, depth in _INTEGER_DEPTHS.items()
+    )
+    structure = np.array(flat, dtype=np.int64)
     if structure.shape != (d * d * d,):
-        raise ValueError(
-            f"structure tensor has {structure.size} entries, expected {d**3}"
-        )
-    prov = doc.get("provenance", {})
+        raise ValueError(f"structure tensor has {structure.size} entries, expected {d**3}")
     name = prov.get("name") or _provenance_name(prov)
     algebra = FiniteAlgebra(
         n,
         structure.reshape(d, d, d),
-        doc["unit"],
-        doc["involution"],
+        unit,
+        involution,
         labels=doc.get("labels"),
         name=name,
     )

@@ -152,12 +152,12 @@ def unit_towers(base: int, depth: int):
     be built yields its AlgebraError in place of its stages (as do all of
     its extensions), exactly as `build_tower` would raise it.
     """
-    units = [u for u in range(1, base) if math.gcd(u, base) == 1]
     try:
         level = [((), [scalar_ring(base)])]
     except AlgebraError as exc:
         level = [((), exc)]
     yield from level
+    units = [u for u in range(1, base) if math.gcd(u, base) == 1] if depth else []
     for _ in range(depth):
         deeper = []
         for params, stages in level:

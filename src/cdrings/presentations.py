@@ -16,6 +16,7 @@ checks such signed relabelings exactly, tensor entry by tensor entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import DimensionMismatch, InvalidAlgebra, NotInvertible
 
 def require_units(n: int, *params: int) -> None:
     for p in params:
-        if np.gcd(int(p), n) != 1:
+        if math.gcd(int(p), n) != 1:
             raise NotInvertible(f"parameter {p} is not a unit mod {n}")
 
 
@@ -77,19 +78,14 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
     The tower's pair-coordinate basis maps onto (1, i, j, k, l, il, jl, kl)
     by the signed identity permutation with signs (+ + + - + - - +): the
     stage-2 coordinate e3 is -k, and the second-copy coordinates e5, e6
-    carry -il, -jl.
+    carry -il, -jl. So it has no pair coordinates: `nu`, `embed` and `split`
+    raise StageMismatch.
     """
     require_units(n, a, b, c)
     stage = build_tower(TowerSpec(n, (a % n, b % n, c % n)))[-1]
-    signs = _OCTONION_SIGNS % n
-    tensor = (
-        stage.structure
-        * signs[:, None, None]
-        * signs[None, :, None]
-        * signs[None, None, :]
-    ) % n
-    diag = np.diag(signs)
-    involution = (diag @ stage.involution @ diag) % n
+    s = _OCTONION_SIGNS  # applied as +-1, so no product leaves [-(n-1), n-1]
+    tensor = stage.structure * np.einsum("p,q,r->pqr", s, s, s) % n
+    involution = stage.involution * np.outer(s, s) % n
     alg = FiniteAlgebra(
         n,
         tensor,
@@ -97,8 +93,6 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
         involution,
         labels=list(_OCTONION_LABELS),
         name=f"octonion({a % n},{b % n},{c % n};Z{n})",
-        parent=stage.parent,
-        alpha=stage.alpha,
     )
     return ensure_valid(alg)
 

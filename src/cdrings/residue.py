@@ -29,10 +29,13 @@ DEFAULT_ENUMERATION_BUDGET = 2**20
 
 
 def _require_exact(modulus: int, rank: int) -> None:
-    """Raise ModulusTooLarge unless int64 holds the widest unreduced sums on
-    rank-`rank` rows: `_howell`'s paired row operation s*wr + t*wi (all four
-    in [0, n), so up to 2 (n-1)^2) and a combination of at most `rank`
-    Howell rows (`Submodule.elements`, `solve_left`), up to rank (n-1)^2."""
+    """The package's one modulus rule. Raise ValueError unless the modulus is
+    an int >= 2, and ModulusTooLarge unless int64 holds the widest unreduced
+    sums on rank-`rank` rows: `_howell`'s s*wr + t*wi (up to 2 (n-1)^2) and a
+    combination of at most `rank` rows (`Submodule.elements`, `solve_left`,
+    and every `algebra` product, formed pairwise and reduced), rank (n-1)^2."""
+    if not isinstance(modulus, int) or modulus < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
     if max(2, rank) * (modulus - 1) ** 2 >= 2**63:
         raise ModulusTooLarge(modulus, rank, "max(2, rank) * (modulus - 1)^2")
 

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrings.algebra import (
     CentralScalar,
@@ -19,7 +22,14 @@ from cdrings.algebra import (
     scalar_ring,
     validate_algebra,
 )
-from cdrings.doubling import tower
+from cdrings.analysis import (
+    associative_center,
+    center,
+    essentiality_data,
+    predicted_associative_center,
+    predicted_center,
+)
+from cdrings.doubling import TowerSpec, build_tower, tower
 from cdrings.errors import DimensionMismatch, InvalidAlgebra, ModulusTooLarge, NotCentral
 from cdrings.residue import all_vectors
 from cdrings.suites import sweep_towers
@@ -299,11 +309,11 @@ def test_identity_flags_match_the_predicates():
 
 
 def largest_exact_modulus(rank):
-    """The largest n with rank^2 (n - 1)^3 < 2^63."""
-    lo, hi = 2, 2**22
+    """The largest n with max(2, rank) (n - 1)^2 < 2^63, the package's one bound."""
+    lo, hi = 2, 2**32
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if rank * rank * (mid - 1) ** 3 < 2**63:
+        if max(2, rank) * (mid - 1) ** 2 < 2**63:
             lo = mid
         else:
             hi = mid - 1
@@ -320,20 +330,74 @@ def test_moduli_too_large_for_int64_raise_a_typed_error():
     assert not isinstance(exc.value, InvalidAlgebra)
 
 
+def _exact_mul(c, x, y, n):
+    """x * y mod n in Python ints, independent of int64."""
+    d = len(x)
+    return [
+        sum(x[i] * y[j] * c[i][j][k] for i in range(d) for j in range(d)) % n for k in range(d)
+    ]
+
+
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_mul_is_exact_at_the_modulus_bound(depth):
     rank = 2**depth
     n = largest_exact_modulus(rank)
+    assert n == (2**31 if rank <= 2 else 1518500250)
     alg = tower(n, *[n - 1] * depth)  # -1 is a unit and makes the widest sums
     assert alg.rank == rank
     rng = random.Random(depth)
     c = alg.structure.tolist()
     for x in ([n - 1] * rank, [rng.randrange(n) for _ in range(rank)]):
         y = [rng.randrange(n) for _ in range(rank)]
-        exact = [
-            sum(x[i] * y[j] * c[i][j][k] for i in range(rank) for j in range(rank)) % n
-            for k in range(rank)
-        ]
-        assert alg.mul(x, y).tolist() == exact
+        assert alg.mul(x, y).tolist() == _exact_mul(c, x, y, n)
     with pytest.raises(ModulusTooLarge):
         tower(n + 1, *[n] * depth)
+
+
+def _exactly_central(alg, x):
+    """Python-int oracle: x commutes with every e_i and associates in all three slots."""
+    n, d, c = alg.modulus, alg.rank, alg.structure.tolist()
+    e = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def mul(a, b):
+        return _exact_mul(c, a, b, n)
+
+    def assoc(a, b, w):
+        return [(p - q) % n for p, q in zip(mul(mul(a, b), w), mul(a, mul(b, w)))]
+
+    return all(mul(x, e[i]) == mul(e[i], x) for i in range(d)) and not any(
+        any(assoc(*t)) for i in range(d) for j in range(d)
+        for t in ((x, e[i], e[j]), (e[i], x, e[j]), (e[i], e[j], x))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_at_the_bound(depth, below):
+    """The depth-`depth` tower with every parameter -1 over the largest modulus
+    the bound admits at its rank, or the one below it."""
+    n = largest_exact_modulus(2**depth) - below
+    return build_tower(TowerSpec(n, (n - 1,) * depth))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(depth=st.sampled_from([0, 1, 2, 3]), below=st.sampled_from([0, 1]), data=st.data())
+def test_products_are_exact_at_and_below_the_modulus_bound(depth, below, data):
+    stages = _tower_at_the_bound(depth, below)
+    alg = stages[-1]
+    n, d, c = alg.modulus, alg.rank, alg.structure.tolist()
+    vector = st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+    x, y = data.draw(vector), data.draw(vector)
+    assert alg.mul(x, y).tolist() == _exact_mul(c, x, y, n)
+    assert validate_algebra(alg) == []
+    scalar = alg.scalar(data.draw(st.integers(0, n - 1))).tolist()
+    # A random central element: beyond the scalars when n is even (n/2 times
+    # i, j, k are central in the quaternions), where three-factor sums wrap.
+    gens = center(alg).Z.generators.tolist()
+    coeffs = data.draw(st.lists(st.integers(0, n - 1), min_size=len(gens), max_size=len(gens)))
+    central = [sum(a * g[k] for a, g in zip(coeffs, gens)) % n for k in range(d)]
+    for z in (x, scalar, central):
+        assert is_central(alg, z) == _exactly_central(alg, z)
+    if depth:
+        stage_data = essentiality_data(stages[-2])
+        assert predicted_associative_center(stage_data, alg) == associative_center(alg)
+        assert predicted_center(stage_data, alg) == center(alg).Z

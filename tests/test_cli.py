@@ -83,6 +83,23 @@ def test_analyze_missing_file(capsys):
     assert "cannot load" in stderr
 
 
+_Z2 = {"format_version": 1, "modulus": 2, "rank": 1, "unit": [1], "involution": [[1]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"format_version": 1}, [], dict(_Z2, structure=[1.5]), dict(_Z2, structure=[10**20])],
+    ids=["no-modulus", "array", "float-entry", "entry-beyond-int64"],
+)
+def test_analyze_rejects_a_malformed_document(tmp_path, capsys, doc):
+    # The float entry used to be truncated to 1 and analyzed with exit 0.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert stderr.startswith("cannot load document:")
+
+
 def test_analyze_reports_witness_for_false_verdict(tmp_path, capsys):
     out = tmp_path / "z3quat.json"
     run_cli(capsys, "build", "--base", "3", "--params", "1,1", "--out", str(out))
@@ -237,12 +254,13 @@ def test_search_marks_budget_skips(tmp_path, capsys):
 
 
 def test_search_reports_a_base_that_cannot_be_built(capsys):
-    code, stdout, _ = run_cli(capsys, "search", "--bases", "2097153", "--depth", "0")
+    # Past 2^31 even Z/n is refused; at depth 0 no list of its ~3e9 units is made.
+    code, stdout, _ = run_cli(capsys, "search", "--bases", "3037000501", "--depth", "0")
     assert code == 0
     rows = [json.loads(line) for line in stdout.splitlines()]
     assert len(rows) == 1
     assert rows[0]["skipped"] is True and rows[0]["params"] == []
-    assert rows[0]["reason"].startswith("construction failed: modulus 2097153 is too large")
+    assert rows[0]["reason"].startswith("construction failed: modulus 3037000501 is too large")
 
 
 def test_search_rejects_unknown_flag(capsys):
@@ -364,6 +382,20 @@ def test_suite_signatures_match_the_readme_flags_table():
             documented[suite] = params
     taken = {name: set(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
     assert taken == documented
+
+
+def test_build_reduces_a_parameter_beyond_int64(tmp_path, capsys):
+    # 10^20 + 1 is 1 mod 5; it used to end in an OverflowError traceback.
+    runs = []
+    for params in ("1", str(10**20 + 1)):
+        out = tmp_path / f"{params}.json"
+        code, stdout, _ = run_cli(
+            capsys, "build", "--base", "5", "--params", params, "--out", str(out)
+        )
+        doc = json.loads(out.read_text())
+        algebra = [doc[key] for key in ("modulus", "structure", "unit", "involution")]
+        runs.append((code, stdout.replace(str(out), "OUT"), algebra))
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_build_reports_a_modulus_too_large_for_int64(capsys):

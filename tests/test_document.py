@@ -70,6 +70,44 @@ def test_load_rejects_bad_tensor_size():
         document_to_algebra(doc)
 
 
+def _malformed(**changes):
+    """The rank-2 Z4 document with keys replaced, or deleted where None."""
+    doc = algebra_to_document(tower(4, 1))
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format_version": 1},
+        [1, 2, 3],
+        _malformed(provenance="x"),
+        _malformed(modulus=None),
+        _malformed(structure=None),
+        _malformed(rank="1"),
+        _malformed(rank=[2]),
+        _malformed(modulus=4.0),
+        _malformed(modulus=True),
+        _malformed(structure=[1.5] + [0] * 7),
+        _malformed(structure=[True] + [0] * 7),
+        _malformed(unit=[1, "0"]),
+        _malformed(involution=[[1, 0], [0, 3.0]]),
+        _malformed(involution=[1, 0, 0, 3]),
+    ],
+    ids=lambda doc: json.dumps(doc)[:40],
+)
+def test_load_rejects_malformed_documents(doc):
+    # Each used to crash (KeyError, AttributeError, TypeError) or, for 1.5,
+    # be truncated to 1 and analyzed.
+    with pytest.raises(ValueError):
+        document_to_algebra(doc)
+
+
 def test_structure_is_row_major_triple_index():
     alg = quaternion_algebra(4, 1, 1)
     doc = algebra_to_document(alg)

@@ -13,6 +13,7 @@ from cdrings.errors import (
     RankBudgetExceeded,
     StageMismatch,
 )
+from cdrings.presentations import octonion_algebra
 
 
 def test_double_of_base_has_nu_squared_alpha():
@@ -167,11 +168,15 @@ def test_remark_on_associativity_of_doubles():
 
 
 def test_nu_and_embed_require_doubled_algebra():
-    base = scalar_ring(4)
-    with pytest.raises(StageMismatch):
-        nu(base)
-    with pytest.raises(StageMismatch):
-        embed(base, [1])
+    # octonion_algebra's basis is signed and its first copy is the quaternion
+    # presentation, so the pair law misread it (nu * i came out as 2 il, not il).
+    for algebra in (scalar_ring(4), octonion_algebra(3, 1, 1, 1)):
+        with pytest.raises(StageMismatch):
+            nu(algebra)
+        with pytest.raises(StageMismatch):
+            embed(algebra, [1])
+        with pytest.raises(StageMismatch):
+            split(algebra, algebra.one())
 
 
 def test_octonion_pair_coordinates_of_i_times_nu():

@@ -13,7 +13,7 @@ from cdrings.algebra import (
 from cdrings.analysis import center, essentiality_data
 from cdrings.doubling import TowerSpec, build_tower, tower
 from cdrings.errors import NotInvertible
-from cdrings.essentiality import is_essential_ideal
+from cdrings.essentiality import is_essential_ideal, quaternion_criterion
 from cdrings.presentations import (
     BasisMap,
     octonion_algebra,
@@ -147,7 +147,9 @@ def test_identity_map_verifies():
 
 
 def test_octonion_matches_tower_under_f_map():
-    for n, a, b, c in [(4, 1, 1, 1), (5, 2, 1, 3), (3, 1, 2, 2)]:
+    # At n = 100003 the signs used to be applied as residues n - 1, an
+    # unreduced (n-1)^4 product that overflowed into a spurious InvalidAlgebra.
+    for n, a, b, c in [(4, 1, 1, 1), (5, 2, 1, 3), (3, 1, 2, 2), (100003, 1, 1, 1)]:
         oct_alg = octonion_algebra(n, a, b, c)
         stage = build_tower(TowerSpec(n, (a, b, c)))[-1]
         ok, violation = verify_basis_map(oct_alg, stage, octonion_tower_map(n))
@@ -178,6 +180,17 @@ def test_octonion_contains_quaternion_as_first_copy():
             assert np.array_equal(
                 prod[:4], quat.mul(quat.basis_element(p), quat.basis_element(q))
             )
+
+
+def test_parameters_beyond_int64_are_reduced_first():
+    # 10^20 + 1 is 1 mod 5; it used to raise OverflowError on its way into numpy.
+    huge = 10**20 + 1
+    assert tower(5, huge) == tower(5, 1)
+    assert quaternion_algebra(5, huge, 1) == quaternion_algebra(5, 1, 1)
+    assert octonion_algebra(5, 1, huge, 1) == octonion_algebra(5, 1, 1, 1)
+    assert quaternion_criterion(5, huge, 1) == quaternion_criterion(5, 1, 1)
+    with pytest.raises(NotInvertible):
+        quaternion_algebra(5, 5 * huge, 1)
 
 
 def test_octonion_rejects_non_units():

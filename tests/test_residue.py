@@ -348,6 +348,17 @@ def test_span_rejects_a_modulus_whose_row_operations_overflow_int64():
         solve_left(ResidueMatrix(n, [[1, 0], [0, 1]]), [1, 1])
 
 
+@pytest.mark.parametrize("modulus", [0, 1, -3, True])
+def test_moduli_below_two_are_rejected(modulus):
+    # Submodule.span(0, ...) used to return a Submodule "mod 0".
+    with pytest.raises(ValueError):
+        Submodule.span(modulus, [[1, 2]], 2)
+    with pytest.raises(ValueError):
+        kernel(ResidueMatrix(modulus, [[1, 2]]))
+    with pytest.raises(ValueError):
+        solve_left(ResidueMatrix(modulus, [[1, 2]]), [1, 2])
+
+
 def test_span_is_exact_at_the_largest_allowed_odd_modulus():
     n = 2**31 - 1  # 2 (n-1)^2 < 2^63; the bound admits n <= 2^31 at rank 2
     assert Submodule.span(n, _unimodular(n), 2) == Submodule.full(n, 2)
