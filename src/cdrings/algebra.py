@@ -6,7 +6,8 @@ vector, and an involution given as a d x d matrix acting on row vectors
 (x* = x @ involution). Elements are plain length-d integer vectors; all
 per-element operations live on the algebra object, which owns the modulus.
 Every product of residues is formed one pair at a time and reduced mod n, so
-int64 is exact for every modulus `residue._require_exact` admits.
+int64 is exact for every modulus `residue._require_exact` admits; the product
+tensors use float64 BLAS where that is exact too (`product_tensors`).
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -224,19 +225,36 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k)."""
+    """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k).
+
+    Both are matmuls of the reshaped structure tensor: P = c(d^2 x d) @
+    c(d x d^2), and Q = c(d^2 x d) @ s(d x d^2) with s[q, i, m] = c[i, q, m],
+    its axes moved back to (i, j, k, m). Each partial sum is an integer at most
+    d (n-1)^2, so while that is below 2^53 float64 BLAS is exact in any
+    summation order; above it the contractions are int64 einsums.
+    """
+    n, d = algebra.modulus, algebra.rank
     c = algebra.structure
-    left = np.einsum("ijq,qkm->ijkm", c, c)
-    right = np.einsum("jkq,iqm->ijkm", c, c)
-    left %= algebra.modulus
-    right %= algebra.modulus
+    if d * (n - 1) ** 2 < 2**53:
+        f = c.astype(np.float64)
+        pairs = f.reshape(d * d, d)
+        left = (pairs @ f.reshape(d, d * d)).astype(np.int64).reshape(d, d, d, d)
+        right = (pairs @ f.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
+        right = right.transpose(2, 0, 1, 3).astype(np.int64, order="C")  # from [j, k, i, m]
+    else:
+        left = np.einsum("ijq,qkm->ijkm", c, c)
+        right = np.einsum("jkq,iqm->ijkm", c, c)
+    left %= n
+    right %= n
     return left, right
 
 
 def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
     """T[i, j, k, :] = associator(e_i, e_j, e_k)."""
     left, right = product_tensors(algebra)
-    return (left - right) % algebra.modulus
+    left -= right
+    left %= algebra.modulus
+    return left
 
 
 def is_associative(algebra: FiniteAlgebra) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, associator_tensor, product_tensors
 from .doubling import _require_doubled
 from .errors import StageMismatch
-from .residue import ResidueMatrix, Submodule, intersect, kernel
+from .residue import ResidueMatrix, Submodule, _distinct_columns, intersect, kernel
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,14 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
 
     Each condition is linear in x once a, b range over basis pairs, so N is
     the left kernel of the associator tensor with x moved to each of its
-    three slots in turn, the blocks stacked horizontally.
+    three slots in turn, the blocks stacked horizontally. Each d x d^3 block
+    is cut to its distinct columns before stacking, so the full d x 3d^3
+    stack is never built.
     """
-    d = algebra.rank
+    n, d = algebra.modulus, algebra.rank
     t = associator_tensor(algebra)
-    conditions = ResidueMatrix(
-        algebra.modulus,
-        np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1),
-    )
-    del t  # only the reduced copy in `conditions` stays alive through the kernel
-    return kernel(conditions)
+    blocks = [_distinct_columns(np.moveaxis(t, s, 0).reshape(d, -1), n) for s in range(3)]
+    return kernel(ResidueMatrix(n, np.concatenate(blocks, axis=1)))
 
 
 def commutative_center(algebra: FiniteAlgebra) -> Submodule:

@@ -59,24 +59,36 @@ def document_to_algebra(doc: dict) -> FiniteAlgebra:
     structure = np.array(flat, dtype=np.int64)
     if structure.shape != (d * d * d,):
         raise ValueError(f"structure tensor has {structure.size} entries, expected {d**3}")
-    name = prov.get("name") or _provenance_name(prov)
+    labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == d and all(isinstance(s, str) for s in labels)
+    ):
+        raise ValueError(f"labels: expected a list of {d} strings, found {labels!r}")
     algebra = FiniteAlgebra(
         n,
         structure.reshape(d, d, d),
         unit,
         involution,
-        labels=doc.get("labels"),
-        name=name,
+        labels=labels,
+        name=_provenance_name(prov),
     )
     return ensure_valid(algebra)
 
 
 def _provenance_name(prov: dict) -> str:
-    kind = prov.get("kind", "unspecified")
+    """The provenance `name`, else one made from its kind and tower parameters;
+    a name or kind that is not a string, or tower params that are not a list
+    of integers, is a ValueError."""
+    name, kind = prov.get("name"), prov.get("kind", "unspecified")
+    for key, value in (("name", name), ("kind", kind)):
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"provenance {key}: expected a string, found {value!r}")
     if kind == "tower":
-        params = ",".join(str(p) for p in prov.get("params", []))
-        return f"tower(Z{prov.get('base')};{params})"
-    return kind
+        params = prov.get("params", [])
+        if not isinstance(params, list) or any(type(p) is not int for p in params):
+            raise ValueError(f"provenance params: expected a list of integers, found {params!r}")
+        kind = f"tower(Z{prov.get('base')};{','.join(str(p) for p in params)})"
+    return name or kind
 
 
 def dumps_document(doc: dict) -> str:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cdrings.algebra import (
     CentralScalar,
     FiniteAlgebra,
+    associator_tensor,
     certify_central_scalar,
     identity_flags,
     is_alternative,
@@ -19,6 +21,7 @@ from cdrings.algebra import (
     is_invertible,
     is_left_alternative,
     is_right_alternative,
+    product_tensors,
     scalar_ring,
     validate_algebra,
 )
@@ -401,3 +404,51 @@ def test_products_are_exact_at_and_below_the_modulus_bound(depth, below, data):
         stage_data = essentiality_data(stages[-2])
         assert predicted_associative_center(stage_data, alg) == associative_center(alg)
         assert predicted_center(stage_data, alg) == center(alg).Z
+
+
+def _exact_products(c, n):
+    """(P, Q, P - Q) of `product_tensors` and `associator_tensor`, mod n in
+    Python ints: P[i][j][k] = (e_i e_j) e_k and Q[i][j][k] = e_i (e_j e_k)."""
+    d = len(c)
+    triples = list(itertools.product(range(d), repeat=3))
+    p = {t: [sum(c[t[0]][t[1]][q] * c[q][t[2]][m] for q in range(d)) % n for m in range(d)] for t in triples}
+    q = {t: [sum(c[t[1]][t[2]][r] * c[t[0]][r][m] for r in range(d)) % n for m in range(d)] for t in triples}
+    return p, q, {t: [(a - b) % n for a, b in zip(p[t], q[t])] for t in triples}
+
+
+def _as_dict(tensor):
+    return {t: tensor[t].tolist() for t in itertools.product(range(tensor.shape[0]), repeat=3)}
+
+
+def _float64_edge(rank):
+    """The largest n with rank (n - 1)^2 < 2^53, where `product_tensors`
+    contracts in float64; from n + 1 on it contracts in int64."""
+    n = math.isqrt((2**53 - 1) // rank) + 1
+    assert rank * (n - 1) ** 2 < 2**53 <= rank * n**2
+    return n
+
+
+@pytest.mark.parametrize("route", ["float64", "int64", "int64-bound"])
+@pytest.mark.parametrize("rank", [1, 2, 4, 8])
+def test_product_tensors_are_exact_at_the_float64_bound(rank, route):
+    # Just past the float64 edge most sums still fit 53 bits, so the largest
+    # modulus of the int64 rule is checked as well.
+    n = {
+        "float64": _float64_edge(rank),
+        "int64": _float64_edge(rank) + 1,
+        "int64-bound": largest_exact_modulus(rank),
+    }[route]
+    rng = random.Random(rank)
+    edge = (n - 1, n - 2, n // 2)  # entries that make the widest sums
+    tensors = [[[[n - 1] * rank] * rank] * rank] + [
+        [[[rng.choice(edge + (rng.randrange(n),)) for _ in range(rank)] for _ in range(rank)] for _ in range(rank)]
+        for _ in range(3)
+    ]
+    algebras = [FiniteAlgebra(n, c, [1] + [0] * (rank - 1), np.eye(rank, dtype=np.int64)) for c in tensors]
+    # The tower with every parameter -1: -1 is a unit and makes the widest sums.
+    algebras.append(tower(n, *[n - 1] * (rank.bit_length() - 1)))
+    for alg in algebras:
+        p, q, t = _exact_products(alg.structure.tolist(), n)
+        got_p, got_q = product_tensors(alg)
+        assert (_as_dict(got_p), _as_dict(got_q)) == (p, q)
+        assert _as_dict(associator_tensor(alg)) == t

@@ -24,7 +24,7 @@ from cdrings.analysis import (
     skew_span,
     symmetric_center,
 )
-from cdrings.doubling import double, tower
+from cdrings.doubling import TowerSpec, build_tower, double, tower
 from cdrings.errors import StageMismatch
 from cdrings.residue import Submodule, all_vectors, intersect, kernel
 from cdrings.suites import sweep_towers
@@ -305,6 +305,16 @@ def test_predicted_center_z3_octonion_is_scalars():
     predicted = predicted_center(data, R)
     assert predicted == Submodule.span(3, [[1] + [0] * 7])
     assert center(R).Z == predicted
+
+
+def test_closed_forms_match_the_direct_kernels_at_rank_64():
+    # Each rank-64 associator block has 262,144 columns, 126 of them distinct.
+    stage, doubled = build_tower(TowerSpec(3, (1,) * 6))[-2:]
+    assert doubled.rank == 64
+    data = essentiality_data(stage)
+    report = center(doubled)
+    assert report.N == predicted_associative_center(data, doubled)
+    assert report.Z == predicted_center(data, doubled)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5, 6])

@@ -100,6 +100,15 @@ def test_analyze_rejects_a_malformed_document(tmp_path, capsys, doc):
     assert stderr.startswith("cannot load document:")
 
 
+def test_analyze_rejects_labels_that_are_not_strings(tmp_path, capsys):
+    # A label string "x" was split into its characters and analyzed with exit 0.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(_Z2, structure=[1], labels="x")))
+    code, _, stderr = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert stderr.startswith("cannot load document: labels")
+
+
 def test_analyze_reports_witness_for_false_verdict(tmp_path, capsys):
     out = tmp_path / "z3quat.json"
     run_cli(capsys, "build", "--base", "3", "--params", "1,1", "--out", str(out))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cdrings.algebra import scalar_ring
 from cdrings.document import (
     algebra_to_document,
     document_to_algebra,
@@ -106,6 +107,50 @@ def test_load_rejects_malformed_documents(doc):
     # be truncated to 1 and analyzed.
     with pytest.raises(ValueError):
         document_to_algebra(doc)
+
+
+def _z2_with(**changes):
+    """The rank-1 Z2 document with keys replaced."""
+    return dict(algebra_to_document(scalar_ring(2)), **changes)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _z2_with(labels=5),
+        _z2_with(labels="x"),
+        _z2_with(labels=[3]),
+        _malformed(labels=["1", "i", "j"]),
+        _z2_with(provenance={"name": 7}),
+        _z2_with(provenance={"kind": 7}),
+        _z2_with(provenance={"kind": "tower", "params": 5}),
+        _z2_with(provenance={"kind": "tower", "base": 2, "params": [1, "1"]}),
+        _z2_with(provenance={"kind": "tower", "name": "Z2", "params": [True]}),
+    ],
+    ids=[
+        "labels-int",
+        "labels-string",
+        "labels-not-strings",
+        "labels-too-many",
+        "name-int",
+        "kind-int",
+        "params-int",
+        "params-string-entry",
+        "params-bool-entry",
+    ],
+)
+def test_load_rejects_bad_labels_and_provenance(doc):
+    # The int labels and int params used to raise TypeError; "x", [3] and
+    # a name of 7 were accepted, the last printing its header as "7:".
+    with pytest.raises(ValueError):
+        document_to_algebra(doc)
+
+
+def test_load_accepts_absent_labels_and_a_tower_provenance():
+    doc = _z2_with(provenance={"kind": "tower", "base": 2, "params": []})
+    del doc["labels"]
+    alg = document_to_algebra(doc)
+    assert alg.labels == ["e0"] and alg.name == "tower(Z2;)"
 
 
 def test_structure_is_row_major_triple_index():

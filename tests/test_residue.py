@@ -423,3 +423,46 @@ def test_kernel_generators_and_solutions_are_exact(moduli, max_rows, max_cols, d
     rhs = _left_product(c, m, n)
     v = solve_left(ResidueMatrix(n, m), rhs)
     assert v is not None and _left_product(v, m, n) == rhs
+
+
+# Moduli on both sides of each key-width edge of the column dedupe in
+# `kernel`: n - 1 fits uint8 up to n = 256, uint16 up to 65536, then uint32.
+_KEY_WIDTH_MODULI = (2, 255, 256, 257, 65536, 65537, 2**31)
+
+
+@st.composite
+def _matrices_with_repeated_columns(draw):
+    """(n, m0, m): m holds every column of m0, some repeated, plus zero
+    columns, in a random order."""
+    n = draw(st.sampled_from(_KEY_WIDTH_MODULI))
+    most = 2 if n == 2**31 else 4  # the int64 bound admits rank 2 at 2^31
+    rows, cols = draw(st.integers(0, most)), draw(st.integers(0, most))
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n - 1, n // 2, 256 % n]))
+    cells = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    m0 = np.array(cells, dtype=np.int64).reshape(rows, cols)
+    repeats = draw(st.lists(st.integers(0, cols - 1), max_size=6)) if cols else []
+    zeros = draw(st.integers(0, 3))
+    order = draw(st.permutations(list(range(cols)) + repeats + [cols] * zeros))
+    m = np.hstack([m0, np.zeros((rows, 1), dtype=np.int64)])[:, order]
+    return n, m0, m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_matrices_with_repeated_columns())
+def test_kernel_ignores_repeated_permuted_and_zero_columns(case):
+    n, m0, m = case
+    got = kernel(ResidueMatrix(n, m))
+    assert got == kernel(ResidueMatrix(n, m0))
+    # `span` does no dedupe. At 2^31 the int64 bound admits it only on the
+    # narrower m0, whose row span has the order of m's.
+    spanned = m if n < 2**31 else m0
+    assert got.order() * Submodule.span(n, spanned, spanned.shape[1]).order() == n ** m.shape[0]
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 5), (0, 0)], ids=["3x0", "0x5", "0x0"])
+@pytest.mark.parametrize("n", [2, 257, 65537])
+def test_kernel_of_matrices_without_rows_or_columns(n, shape):
+    rows = shape[0]
+    got = kernel(ResidueMatrix(n, np.zeros(shape, dtype=np.int64)))
+    assert got == Submodule.span(n, np.eye(rows, dtype=np.int64), rows)
+    assert got.order() == n**rows
