@@ -6,8 +6,9 @@ target T outside 0. Centrally essential and left/right N-essential take
 S = T = Z(R) or N(R) and U = R (right N-essential multiplies u s); an
 essential ideal I of a ring C takes S = U = C and T = I. The products are
 batched (for each fixed s the map u -> s u is one matrix product over U),
-but the quantifier structure is exactly the definition; nothing is replaced
-by algebraic shortcuts.
+and a product p lies in T iff p @ W = 0 for a matrix W whose columns span
+the dual of T, but the quantifier structure is exactly the definition;
+nothing is replaced by algebraic shortcuts.
 
 The criteria route computes the same verdicts from stage data of the
 undoubled algebra:
@@ -38,10 +39,11 @@ from .analysis import annihilator, associative_center, center, essentiality_data
 from .presentations import require_units
 from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
+    ResidueMatrix,
     Submodule,
     all_vectors,
     intersect,
-    vector_codes,
+    kernel,
 )
 
 
@@ -92,7 +94,7 @@ def _reduce_f32(x: np.ndarray, n: int) -> np.ndarray:
 def _scan(
     algebra: FiniteAlgebra,
     multipliers: np.ndarray,
-    target: np.ndarray,
+    target: Submodule,
     universe: np.ndarray,
     *,
     side: str,
@@ -103,9 +105,9 @@ def _scan(
     multipliers give a product s u (side='left') or u s (side='right') in
     target\\{0}?
 
-    All three arrays hold element rows; universe lists zero first. Multipliers
-    are tried in code order (0, the unit and its scalar multiples first). A
-    witness pre-pass first tries a few fixed candidates u (universe indices
+    Both arrays hold element rows; universe lists zero first. Multipliers are
+    tried in all_vectors order (0, the unit and its scalar multiples first).
+    A witness pre-pass first tries a few fixed candidates u (universe indices
     1..32 and the powers n**k); each walks the multipliers in chunks of 64,
     256, 1024, ... and stops at the first chunk with a hit, so a candidate is
     refuted only after all of S. Then the sweep runs s-outer, each step one
@@ -113,34 +115,37 @@ def _scan(
     witness of a False verdict is the first refuted candidate, otherwise the
     first unmet universe element. `cost` counts the products evaluated.
 
-    Products, residues and codes are float32 whenever that is exact (BLAS
-    carries the whole scan for every in-budget instance), int64 otherwise.
+    Membership in the target is read off its dual: the dot product is a
+    perfect pairing on (Z/nZ)^d, so T = {p : p @ W = 0} where the columns of
+    W generate T^perp = {w : t . w = 0 for all t in T}. Products and residues
+    are float32 whenever that is exact (BLAS carries the whole scan for every
+    in-budget instance), int64 otherwise.
     """
     n, d = algebra.modulus, algebra.rank
     total = len(universe)
     # The order is kept as indices because a sorted copy of the multipliers
-    # would sit in memory next to the caller's array.
-    order = np.argsort(vector_codes(multipliers, n, d))
-    target_codes = np.sort(vector_codes(target, n, d))
-    # Products of reduced rows stay within the range of `_reduce_f32`, and
-    # codes below n**d are sums of integers below 2**24.
-    use_float = (n - 1) * (n - 1) * d + n <= 2**22 and n**d < 2**24
+    # would sit in memory next to the caller's array. Sorting on the last
+    # coordinate first is the all_vectors order.
+    order = np.lexsort(multipliers.T)
+    # Products of reduced rows, and their pairings with W, are sums of d
+    # terms below n**2, which stay within the range of `_reduce_f32`.
+    use_float = (n - 1) * (n - 1) * d + n <= 2**22
     dtype = np.float32 if use_float else np.int64
-    powers = (n ** np.arange(d, dtype=np.int64)).astype(dtype)
+    dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T.astype(dtype)
+    ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
     cost = 0
+
+    def reduce(x: np.ndarray) -> np.ndarray:
+        return _reduce_f32(x, n) if use_float else np.remainder(x, n, out=x)
 
     def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Which products rows @ mat (rows already of `dtype`) lie in
         target\\{0}."""
         nonlocal cost
         cost += len(rows)
-        prods = rows @ mat.astype(dtype)
-        if use_float:
-            _reduce_f32(prods, n)
-        else:
-            prods %= n
-        codes = (prods @ powers).astype(np.int64, copy=False)
-        return (codes != 0) & np.isin(codes, target_codes)
+        prods = reduce(rows @ mat.astype(dtype))
+        # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
+        return (prods @ ones > 0) & (reduce(prods @ dual) @ ones_dual == 0)
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -199,11 +204,11 @@ def _scan_ambient(
     over-budget check raises before paying for the center it would scan.
     """
     ambient = all_vectors(algebra.modulus, algebra.rank, budget)
-    elems = members().elements(budget)
+    sub = members()
     return _scan(
         algebra,
-        elems,
-        elems,
+        sub.elements(budget),
+        sub,
         ambient,
         side=side,
         property_name=property_name,
@@ -233,9 +238,8 @@ def is_essential_ideal(
     """True iff for every nonzero c in ring, {s c : s in ring} meets ideal\\{0}.
 
     ideal must sit inside ring; the scan enumerates the ring, not the whole
-    algebra, so desk-scale centers stay cheap even in big ambient modules, as
-    long as n^d < 2^63 (products are coded as integers below n^d; a larger
-    ambient raises ModulusTooLarge).
+    algebra or the ideal, so desk-scale centers stay cheap even in big
+    ambient modules.
     """
     for g in ideal.generators:
         if not ring.contains(g):
@@ -244,7 +248,7 @@ def is_essential_ideal(
     return _scan(
         algebra,
         ring_elems,
-        ideal.elements(budget),
+        ideal,
         ring_elems,
         side="left",
         property_name=property_name,

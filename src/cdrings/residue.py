@@ -189,7 +189,7 @@ class Submodule:
 
     @classmethod
     def full(cls, modulus: int, ambient_rank: int) -> "Submodule":
-        return cls.span(modulus, np.eye(ambient_rank, dtype=np.int64))
+        return cls.span(modulus, np.eye(ambient_rank, dtype=np.int64), ambient_rank)
 
     @property
     def num_generators(self) -> int:
@@ -362,11 +362,3 @@ def all_vectors(modulus: int, rank: int, budget: int = DEFAULT_ENUMERATION_BUDGE
     if total > budget:
         raise EnumerationBudgetExceeded(total, budget)
     return _all_vectors_cached(modulus, rank)
-
-
-def vector_codes(vectors: np.ndarray, modulus: int, rank: int) -> np.ndarray:
-    """Mixed-radix integer code of each row; inverse of `all_vectors` order."""
-    if modulus**rank >= 2**63:  # the largest code, modulus^rank - 1, must fit int64
-        raise ModulusTooLarge(modulus, rank, "modulus^rank")
-    powers = modulus ** np.arange(rank, dtype=np.int64)
-    return vectors @ powers

@@ -32,7 +32,7 @@ from cdrings.analysis import (
     predicted_associative_center,
     predicted_center,
 )
-from cdrings.doubling import TowerSpec, build_tower, tower
+from cdrings.doubling import TowerSpec, build_tower, embed, nu, tower
 from cdrings.errors import DimensionMismatch, InvalidAlgebra, ModulusTooLarge, NotCentral
 from cdrings.residue import all_vectors
 from cdrings.suites import sweep_towers
@@ -404,6 +404,14 @@ def test_products_are_exact_at_and_below_the_modulus_bound(depth, below, data):
         stage_data = essentiality_data(stages[-2])
         assert predicted_associative_center(stage_data, alg) == associative_center(alg)
         assert predicted_center(stage_data, alg) == center(alg).Z
+        # The pair laws with alpha = n - 1: nu^2 = alpha, nu (a, 0) = (0, a)
+        # and (a, 0) nu = (0, a*), a* from the involution in Python ints.
+        parent, v, a = stages[-2], nu(alg), x[: d // 2]
+        inv, zeros = parent.involution.tolist(), [0] * (d // 2)
+        a_star = [sum(a[i] * inv[i][k] for i in range(d // 2)) % n for k in range(d // 2)]
+        assert alg.mul(v, v).tolist() == parent.scalar(n - 1).tolist() + zeros
+        assert alg.mul(v, embed(alg, a)).tolist() == zeros + a
+        assert alg.mul(embed(alg, a), v).tolist() == zeros + a_star
 
 
 def _exact_products(c, n):

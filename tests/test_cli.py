@@ -422,3 +422,25 @@ def test_python_m_cdrings_returns_the_cli_exit_code(argv, expected):
         [sys.executable, "-m", "cdrings", *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == expected, proc.stderr
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir()))
+def test_reports_match_the_golden_files(capsys, monkeypatch, golden):
+    # The files hold `verify <suite> --json` without `elapsed`, and the rows of
+    # `search --bases 2..4 --depth 4`, at the default budget. Every verdict,
+    # cost, witness and skip must stay byte-identical; regenerate a file only
+    # for an output change that is meant and stated.
+    monkeypatch.delenv("CDRINGS_ENUM_BUDGET", raising=False)
+    if golden.startswith("verify-"):
+        suite = golden.removeprefix("verify-").removesuffix(".json")
+        code, stdout, _ = run_cli(capsys, "verify", suite, "--json")
+        report = json.loads(stdout)
+        del report["elapsed"]
+        stdout = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    else:
+        code, stdout, _ = run_cli(capsys, "search", "--bases", "2..4", "--depth", "4")
+    assert code == 0
+    assert stdout == (GOLDEN / golden).read_text()

@@ -6,7 +6,7 @@ import pytest
 from cdrings.algebra import FiniteAlgebra, scalar_ring
 from cdrings.analysis import center, essentiality_data
 from cdrings.doubling import double, tower
-from cdrings.errors import EnumerationBudgetExceeded, ModulusTooLarge, NotInvertible
+from cdrings.errors import EnumerationBudgetExceeded, NotInvertible
 from cdrings.essentiality import (
     _reduce_f32,
     centrally_essential_criterion,
@@ -104,17 +104,19 @@ def test_essential_ideal_trivial_cases():
     assert v.witness == (1,)
 
 
-def test_essential_ideal_in_an_ambient_past_the_code_bound_is_a_typed_error():
-    # The scalars of Z5 decide at rank 16 (5^16 < 2^63) but not at rank 32,
-    # where products can no longer be coded as int64 integers.
-    def scalars(algebra):
-        return Submodule.span(5, [[1] + [0] * (algebra.rank - 1)], algebra.rank)
-
-    rank16 = tower(5, 1, 1, 1, 1)
-    assert is_essential_ideal(scalars(rank16), scalars(rank16), rank16).verdict
+def test_essential_ideal_of_a_small_ring_in_a_large_ambient():
+    # The scalars of Z5 in the rank-32 tower: 5^32 > 2^63, so a product
+    # cannot be keyed by an int64 integer below n^d.
     rank32 = tower(5, 1, 1, 1, 1, 1)
-    with pytest.raises(ModulusTooLarge):
-        is_essential_ideal(scalars(rank32), scalars(rank32), rank32)
+    scalars = Submodule.span(5, [[1] + [0] * 31], 32)
+    got = is_essential_ideal(scalars, scalars, rank32)
+    assert (got.verdict, got.method, got.cost) == (True, "definitional", 25)
+    # 3^16 >= 2^24, so these scans take the float32 route.
+    rank16 = tower(3, 1, 1, 1, 1)
+    data, Z = essentiality_data(rank16), center(rank16).Z
+    for ideal, ring in ((data.I, data.C), (Z, Z)):
+        got = is_essential_ideal(ideal, ring, rank16)
+        assert got.verdict == naive_essential_ideal(rank16, ideal, ring)
 
 
 def test_essential_ideal_requires_containment(z4_quaternion):

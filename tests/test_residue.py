@@ -14,7 +14,6 @@ from cdrings.residue import (
     intersect,
     kernel,
     solve_left,
-    vector_codes,
 )
 
 from conftest import brute_kernel, brute_span, random_matrix, submodule_set
@@ -288,19 +287,11 @@ def test_solve_left_and_coefficients_match_enumeration():
                         assert v is None and coeffs is None, (n, m, key)
 
 
-def test_all_vectors_and_codes_roundtrip():
+def test_all_vectors_is_in_mixed_radix_order():
     vs = all_vectors(3, 4)
     assert vs.shape == (81, 4)
-    codes = vector_codes(vs, 3, 4)
-    assert codes.tolist() == list(range(81))
-
-
-def test_vector_codes_are_exact_up_to_the_int64_bound():
-    # 2^62 < 5^27 < 2^63: the largest code 5^27 - 1 still fits int64.
-    assert vector_codes(np.full((1, 27), 4, dtype=np.int64), 5, 27).tolist() == [5**27 - 1]
-    for modulus, rank in ((5, 28), (2, 63), (5, 32)):
-        with pytest.raises(ModulusTooLarge):
-            vector_codes(np.zeros((1, rank), dtype=np.int64), modulus, rank)
+    # The first coordinate varies fastest, as in the digits of 0, 1, ..., 80.
+    assert vs.tolist() == [[c // 3**i % 3 for i in range(4)] for c in range(81)]
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -464,5 +455,30 @@ def test_kernel_ignores_repeated_permuted_and_zero_columns(case):
 def test_kernel_of_matrices_without_rows_or_columns(n, shape):
     rows = shape[0]
     got = kernel(ResidueMatrix(n, np.zeros(shape, dtype=np.int64)))
-    assert got == Submodule.span(n, np.eye(rows, dtype=np.int64), rows)
+    assert got == Submodule.full(n, rows)
     assert got.order() == n**rows
+
+
+def _dual(t: Submodule) -> Submodule:
+    """T^perp = {w : t . w = 0 for all t in T}, the dual `_scan` tests against."""
+    return kernel(ResidueMatrix(t.modulus, t.generators.T))
+
+
+@pytest.mark.parametrize(
+    "moduli, max_rank",
+    [((2**31,), 2), ((4, 6, 8, 9, 12, 30), 4)],
+    ids=["int64-bound", "small-composites"],
+)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_the_dual_of_a_span_is_a_perfect_pairing(moduli, max_rank, data):
+    n, m, _, _ = data.draw(_linear_systems(moduli, max_rank, max_rank))
+    d = m.shape[1]
+    t = Submodule.span(n, m, d)
+    dual = _dual(t)
+    assert t.order() * dual.order() == n**d
+    assert _dual(dual) == t
+    if n**d <= 4096:
+        vs = all_vectors(n, d, 4096)
+        inside = ~(vs @ dual.generators.T % n).any(axis=1)
+        assert inside.tolist() == [t.contains(v) for v in vs]
