@@ -74,13 +74,13 @@ def _parse_params(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _parse_range(text: str) -> list[int]:
-    """Accept '2..9' or a comma list '2,3,4' of moduli."""
+def _parse_range(text: str) -> range | list[int]:
+    """Accept '2..9' (kept a lazy range) or a comma list '2,3,4' of moduli."""
     if ".." in text:
         lo, hi = (_modulus(p) for p in text.split("..", 1))
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     return [_modulus(p) for p in text.split(",")]
 
 
@@ -122,8 +122,12 @@ def cmd_build(args) -> int:
             path = args.out
             if args.all_stages:
                 path = f"{args.out}.stage{idx}" if len(wanted) > 1 else args.out
-            with open(path, "w") as fh:
-                fh.write(dumps_document(algebra_to_document(alg, provenance)))
+            try:
+                with open(path, "w") as fh:
+                    fh.write(dumps_document(algebra_to_document(alg, provenance)))
+            except OSError as exc:
+                print(f"cannot write document: {exc}", file=sys.stderr)
+                return 2
             print(f"  wrote {path}")
     return 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ def _require_exact(modulus: int, rank: int) -> None:
     """The package's one modulus rule. Raise ValueError unless the modulus is
     an int >= 2, and ModulusTooLarge unless int64 holds the widest unreduced
     sums on rank-`rank` rows: `_howell`'s s*wr + t*wi (up to 2 (n-1)^2) and a
-    combination of at most `rank` rows (`Submodule.elements`, `solve_left`,
-    and every `algebra` product, formed pairwise and reduced), rank (n-1)^2."""
+    combination of at most `rank` rows (`solve_left`, and every `algebra`
+    product, formed pairwise and reduced), rank (n-1)^2."""
     if not isinstance(modulus, int) or modulus < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
     if max(2, rank) * (modulus - 1) ** 2 >= 2**63:
@@ -225,19 +226,18 @@ class Submodule:
         )
 
     def elements(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-        """All elements of the span as an (order, d) array, zero first.
+        """All elements of the span as an (order, d) array: the sums
+        c_1 g_1 + ... + c_k g_k mod n over the canonical generators g_i, with
+        0 <= c_i < n / p_i for pivot value p_i, in `itertools.product` order
+        of the coefficients (c_1 slowest, c_k fastest), so zero comes first.
 
         Raises EnumerationBudgetExceeded instead of silently truncating.
         """
         size = self.order()
         if size > budget:
             raise EnumerationBudgetExceeded(size, budget)
-        if self.is_zero:
-            return np.zeros((1, self.ambient_rank), dtype=np.int64)
         radices = [self.modulus // p for _, p in self.pivots]
-        grids = np.meshgrid(*[np.arange(r, dtype=np.int64) for r in radices], indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        return (coeffs @ self.generators) % self.modulus
+        return _combinations(self.generators[::-1], radices[::-1], self.modulus)
 
     def __eq__(self, other) -> bool:
         return (
@@ -341,14 +341,28 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
     return None if coeffs is None else (coeffs @ gens[:head, m.cols :]) % m.modulus
 
 
+def _combinations(generators: np.ndarray, radices, n: int) -> np.ndarray:
+    """Every sum c_1 g_1 + c_2 g_2 + ... mod n with 0 <= c_i < radices[i], c_1
+    varying fastest, so zero comes first. One additive walk in place: once the
+    first `size` rows hold the sums of the generators so far, the next
+    generator's multiples g, 2g, ..., (r-1)g are added to them into the rows
+    that follow. No entry exceeds (n - 1)^2 before it is reduced, so int64 is exact
+    at every modulus `_require_exact` admits."""
+    d = generators.shape[1]
+    out = np.empty((math.prod(radices), d), dtype=np.int64)
+    out[0] = 0
+    size = 1
+    for g, r in zip(generators, radices):
+        block = out[size : size * r].reshape(r - 1, size, d)
+        np.add(np.arange(1, r, dtype=np.int64)[:, None, None] * g % n, out[:size], out=block)
+        block %= n
+        size *= r
+    return out
+
+
 @functools.lru_cache(maxsize=8)
 def _all_vectors_cached(modulus: int, rank: int) -> np.ndarray:
-    total = modulus**rank
-    codes = np.arange(total, dtype=np.int64)
-    out = np.empty((total, rank), dtype=np.int64)
-    for i in range(rank):
-        out[:, i] = codes % modulus
-        codes //= modulus
+    out = _combinations(np.eye(rank, dtype=np.int64), [modulus] * rank, modulus)
     out.setflags(write=False)
     return out
 

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from cdrings.cli import main
-from cdrings.suites import SUITES
+from cdrings.cli import build_parser, main
+from cdrings.errors import EnumerationBudgetExceeded
+from cdrings.essentiality import centrally_essential_criterion, n_essential_criterion
+from cdrings.suites import SUITES, sweep_towers
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +333,29 @@ def test_unwritable_search_output_exits_2(tmp_path, capsys):
     assert "cannot write" in stderr
 
 
+def test_unwritable_build_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "oct.json"
+    code, stderr = exit_code(capsys, "build", "--base", "4", "--params", "1", "--out", str(out))
+    assert code == 2
+    assert "cannot write document" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, attr",
+    [
+        (["verify", "lemma-5.1", "--n-range", "2..1000000000000"], "n_range"),
+        (["verify", "remark-2.5", "--bases", "2..1000000000000"], "bases"),
+        (["search", "--bases", "2..1000000000000"], "bases"),
+    ],
+    ids=["n-range", "verify-bases", "search-bases"],
+)
+def test_huge_ranges_are_parsed_lazily(argv, attr):
+    parsed = getattr(build_parser().parse_args(argv), attr)
+    # A range object: its length is known without holding 10^12 moduli.
+    assert isinstance(parsed, range)
+    assert len(parsed) == 10**12 - 1 and parsed[0] == 2 and parsed[-1] == 10**12
+
+
 def test_zero_budget_is_a_usage_error(capsys):
     code, stderr = exit_code(capsys, "--budget", "0", "build", "--base", "4", "--params", "1,1")
     assert code == 2
@@ -426,21 +451,59 @@ def test_python_m_cdrings_returns_the_cli_exit_code(argv, expected):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# The stages and doubling parameters of `criteria-*.json`: every unit tower
+# over Z2..Z6 of depth 1 to 3, in `sweep_towers` order.
+CRITERIA_SWEEP = {"bases": range(2, 7), "depth": 3}
+
+
+def _criterion_rows() -> str:
+    """(verdict, method, witness, cost, detail) of both criteria for
+    (stages[-2], params[-1]) of each tower in CRITERIA_SWEEP; a criterion
+    over budget is a row with its `skipped` message."""
+    rows = []
+    for base, params, stages in sweep_towers(**CRITERIA_SWEEP):
+        for check in (n_essential_criterion, centrally_essential_criterion):
+            row = {"base": base, "params": list(params), "criterion": check.__name__}
+            try:
+                v = check(stages[-2], params[-1])
+            except EnumerationBudgetExceeded as exc:
+                row["skipped"] = str(exc)
+            else:
+                witness = None if v.witness is None else list(v.witness)
+                row.update(verdict=v.verdict, method=v.method, witness=witness, cost=v.cost,
+                           detail=v.detail)
+            rows.append(row)
+    return json.dumps(rows, sort_keys=True, indent=1) + "\n"
+
 
 @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.iterdir()))
-def test_reports_match_the_golden_files(capsys, monkeypatch, golden):
-    # The files hold `verify <suite> --json` without `elapsed`, and the rows of
-    # `search --bases 2..4 --depth 4`, at the default budget. Every verdict,
-    # cost, witness and skip must stay byte-identical; regenerate a file only
-    # for an output change that is meant and stated.
+def test_reports_match_the_golden_files(capsys, monkeypatch, tmp_path, golden):
+    # The files hold, at the default budget:
+    # - verify-<suite>.json: `verify <suite> --json` without `elapsed`;
+    # - search-*.jsonl: the rows of `search --bases 2..4 --depth 4`;
+    # - analyze-<base>-<params>.txt: `analyze` of the document that
+    #   `build --base <base> --params <params> --out` writes;
+    # - criteria-*.json: `_criterion_rows()`, whose ideal scans take
+    #   `Submodule.elements` of a ring as their universe.
+    # Every verdict, cost, witness and skip must stay byte-identical;
+    # regenerate a file only for an output change that is meant and stated.
     monkeypatch.delenv("CDRINGS_ENUM_BUDGET", raising=False)
+    code = 0
     if golden.startswith("verify-"):
         suite = golden.removeprefix("verify-").removesuffix(".json")
         code, stdout, _ = run_cli(capsys, "verify", suite, "--json")
         report = json.loads(stdout)
         del report["elapsed"]
         stdout = json.dumps(report, sort_keys=True, indent=1) + "\n"
-    else:
+    elif golden.startswith("search-"):
         code, stdout, _ = run_cli(capsys, "search", "--bases", "2..4", "--depth", "4")
+    elif golden.startswith("analyze-"):
+        base, params = golden.removeprefix("analyze-").removesuffix(".txt").split("-")
+        doc = tmp_path / "doc.json"
+        assert run_cli(capsys, "build", "--base", base, "--params", params, "--out", str(doc))[0] == 0
+        code, stdout, _ = run_cli(capsys, "analyze", str(doc))
+    else:
+        assert golden.startswith("criteria-")
+        stdout = _criterion_rows()
     assert code == 0
     assert stdout == (GOLDEN / golden).read_text()

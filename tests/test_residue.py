@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -287,13 +288,6 @@ def test_solve_left_and_coefficients_match_enumeration():
                         assert v is None and coeffs is None, (n, m, key)
 
 
-def test_all_vectors_is_in_mixed_radix_order():
-    vs = all_vectors(3, 4)
-    assert vs.shape == (81, 4)
-    # The first coordinate varies fastest, as in the digits of 0, 1, ..., 80.
-    assert vs.tolist() == [[c // 3**i % 3 for i in range(4)] for c in range(81)]
-
-
 @pytest.mark.parametrize("n", [4, 6])
 def test_kernel_of_wide_stacked_matrices(n):
     # The shape used by center computations: few rows, many columns.
@@ -482,3 +476,52 @@ def test_the_dual_of_a_span_is_a_perfect_pairing(moduli, max_rank, data):
         vs = all_vectors(n, d, 4096)
         inside = ~(vs @ dual.generators.T % n).any(axis=1)
         assert inside.tolist() == [t.contains(v) for v in vs]
+
+
+@st.composite
+def _enumerable_spans(draw, moduli, max_rank):
+    """(n, rows) with at most `max_rank` rows and columns. At n = 2^31 every
+    entry is a multiple of n / 32, so the span has at most 32^2 elements."""
+    n = draw(st.sampled_from(moduli))
+    d, k = draw(st.integers(0, max_rank)), draw(st.integers(0, max_rank))
+    if n == 2**31:
+        entry = st.integers(0, 31).map(lambda v: v * (n // 32))
+    else:
+        entry = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n - 1, n // 2, n // 3]))
+    cells = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=k, max_size=k))
+    return n, np.array(cells, dtype=np.int64).reshape(k, d)
+
+
+def _assert_coefficient_order(t: Submodule):
+    """`elements()` is the sums of the canonical generators in
+    `itertools.product` order of the coefficients, in Python ints."""
+    n, gens = t.modulus, t.generators.tolist()
+    radices = [n // p for _, p in t.pivots]
+    expected = [
+        [sum(c * g[j] for c, g in zip(cs, gens)) % n for j in range(t.ambient_rank)]
+        for cs in itertools.product(*map(range, radices))
+    ]
+    got = t.elements()
+    assert got.dtype == np.int64 and got.shape == (t.order(), t.ambient_rank)
+    assert got.tolist() == expected
+    assert len({tuple(row) for row in expected}) == t.order()
+    assert not got[0].any()
+
+
+@pytest.mark.parametrize(
+    "moduli, max_rank",
+    [((2**31,), 2), ((4, 6, 8, 9, 12, 30), 3)],
+    ids=["int64-bound", "small-composites"],
+)
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_elements_and_all_vectors_are_in_coefficient_order(moduli, max_rank, data):
+    # The witnesses and costs of ideal scans follow this order.
+    n, m = data.draw(_enumerable_spans(moduli, max_rank))
+    d = m.shape[1]
+    for t in (Submodule.span(n, m, d), Submodule.zero(n, d), Submodule.full(n, 0)):
+        _assert_coefficient_order(t)
+    if n**d <= 4096:
+        # The first coordinate varies fastest, as in the digits of 0, 1, ...
+        table = [[c // n**i % n for i in range(d)] for c in range(n**d)]
+        assert all_vectors(n, d).tolist() == table
