@@ -7,7 +7,8 @@ vector, and an involution given as a d x d matrix acting on row vectors
 per-element operations live on the algebra object, which owns the modulus.
 Every product of residues is formed one pair at a time and reduced mod n, so
 int64 is exact for every modulus `residue._require_exact` admits; the product
-tensors use float64 BLAS where that is exact too (`product_tensors`).
+tensors contract in the narrowest dtype `residue._exact_dtype` finds exact
+(`product_tensors`).
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -30,7 +31,7 @@ from .errors import (
     NotInvertible,
     NotSymmetric,
 )
-from .residue import ResidueMatrix, _require_exact, solve_left
+from .residue import ResidueMatrix, _exact_dtype, _reduce, _require_exact, solve_left
 
 
 class FiniteAlgebra:
@@ -229,24 +230,16 @@ def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
 
     Both are matmuls of the reshaped structure tensor: P = c(d^2 x d) @
     c(d x d^2), and Q = c(d^2 x d) @ s(d x d^2) with s[q, i, m] = c[i, q, m],
-    its axes moved back to (i, j, k, m). Each partial sum is an integer at most
-    d (n-1)^2, so while that is below 2^53 float64 BLAS is exact in any
-    summation order; above it the contractions are int64 einsums.
+    its axes moved back to (i, j, k, m). Each entry is a sum of d products of
+    residues, so the matmuls run in `residue._exact_dtype(n, d)` (float32 or
+    float64 BLAS at desk scale) and are reduced there before the int64 cast.
     """
     n, d = algebra.modulus, algebra.rank
-    c = algebra.structure
-    if d * (n - 1) ** 2 < 2**53:
-        f = c.astype(np.float64)
-        pairs = f.reshape(d * d, d)
-        left = (pairs @ f.reshape(d, d * d)).astype(np.int64).reshape(d, d, d, d)
-        right = (pairs @ f.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d, d)
-        right = right.transpose(2, 0, 1, 3).astype(np.int64, order="C")  # from [j, k, i, m]
-    else:
-        left = np.einsum("ijq,qkm->ijkm", c, c)
-        right = np.einsum("jkq,iqm->ijkm", c, c)
-    left %= n
-    right %= n
-    return left, right
+    c = algebra.structure.astype(_exact_dtype(n, d))
+    pairs = c.reshape(d * d, d)
+    left = _reduce(pairs @ c.reshape(d, d * d), n).astype(np.int64).reshape(d, d, d, d)
+    right = _reduce(pairs @ c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d, d, d)
+    return left, right.transpose(2, 0, 1, 3).astype(np.int64, order="C")  # from [j, k, i, m]
 
 
 def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:

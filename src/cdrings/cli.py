@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import inspect
 import json
 import os
@@ -102,33 +103,33 @@ def cmd_build(args) -> int:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 2
     wanted = stages if args.all_stages else [stages[-1]]
-    for idx, alg in enumerate(wanted):
-        provenance = {
-            "kind": "tower",
-            "base": args.base,
-            "params": list(args.params)[: alg.rank.bit_length() - 1],
-            "name": alg.name,
-        }
-        flags = identity_flags(alg)
-        size = alg.modulus**alg.rank
-        flag_text = ", ".join(k for k, v in flags.items() if v) or "none"
-        print(f"{alg.name}: rank {alg.rank}, |R| = {size}, flags: {flag_text}")
-        try:
-            ce = is_centrally_essential(alg, budget=budget)
-            print(f"  centrally essential: {ce.verdict} (definitional)")
-        except EnumerationBudgetExceeded:
-            print("  centrally essential: skipped (over enumeration budget)")
-        if args.out:
-            path = args.out
-            if args.all_stages:
-                path = f"{args.out}.stage{idx}" if len(wanted) > 1 else args.out
-            try:
-                with open(path, "w") as fh:
-                    fh.write(dumps_document(algebra_to_document(alg, provenance)))
-            except OSError as exc:
-                print(f"cannot write document: {exc}", file=sys.stderr)
-                return 2
-            print(f"  wrote {path}")
+    paths = [args.out] if len(wanted) == 1 else [f"{args.out}.stage{i}" for i in range(len(wanted))]
+    try:
+        with contextlib.ExitStack() as files:
+            # Every output is opened before any scan, so a bad path costs nothing.
+            outs = [args.out and files.enter_context(open(p, "w")) for p in paths]
+            for alg, out in zip(wanted, outs):
+                flags = identity_flags(alg)
+                size = alg.modulus**alg.rank
+                flag_text = ", ".join(k for k, v in flags.items() if v) or "none"
+                print(f"{alg.name}: rank {alg.rank}, |R| = {size}, flags: {flag_text}")
+                try:
+                    ce = is_centrally_essential(alg, budget=budget)
+                    print(f"  centrally essential: {ce.verdict} (definitional)")
+                except EnumerationBudgetExceeded:
+                    print("  centrally essential: skipped (over enumeration budget)")
+                if out:
+                    provenance = {
+                        "kind": "tower",
+                        "base": args.base,
+                        "params": list(args.params)[: alg.rank.bit_length() - 1],
+                        "name": alg.name,
+                    }
+                    out.write(dumps_document(algebra_to_document(alg, provenance)))
+                    print(f"  wrote {out.name}")
+    except OSError as exc:
+        print(f"cannot write document: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -41,6 +41,8 @@ from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
     ResidueMatrix,
     Submodule,
+    _exact_dtype,
+    _reduce,
     all_vectors,
     intersect,
     kernel,
@@ -73,24 +75,6 @@ class EssentialityVerdict:
         return self.verdict
 
 
-def _reduce_f32(x: np.ndarray, n: int) -> np.ndarray:
-    """x mod n in place, for a float32 array of integers 0 <= x <= 2**22 - n.
-
-    With inv the least float32 >= 1/n, floor(x * inv) is exactly x // n in
-    that range: x * inv >= x / n never rounds below x // n, and because
-    n * (x // n + 1) <= 2**22 the product stays more than half an ulp below
-    x // n + 1. Every other step is exact integer arithmetic below 2**24.
-    """
-    inv = np.float32(1 / n)
-    if float(inv) * n < 1:  # exact in float64: 24 bits times at most 22
-        inv = np.nextafter(inv, np.float32(np.inf))
-    q = x * inv
-    np.floor(q, out=q)
-    q *= np.float32(n)
-    x -= q
-    return x
-
-
 def _scan(
     algebra: FiniteAlgebra,
     multipliers: np.ndarray,
@@ -117,9 +101,10 @@ def _scan(
 
     Membership in the target is read off its dual: the dot product is a
     perfect pairing on (Z/nZ)^d, so T = {p : p @ W = 0} where the columns of
-    W generate T^perp = {w : t . w = 0 for all t in T}. Products and residues
-    are float32 whenever that is exact (BLAS carries the whole scan for every
-    in-budget instance), int64 otherwise.
+    W generate T^perp = {w : t . w = 0 for all t in T}. Every contraction is a
+    sum of at most d products of residues, so products and residues are kept
+    in `_exact_dtype(n, d)`: float32 BLAS up to about n = 4096 / sqrt(d),
+    float64 BLAS up to about n = 9.5e7 / sqrt(d), int64 beyond.
     """
     n, d = algebra.modulus, algebra.rank
     total = len(universe)
@@ -127,25 +112,19 @@ def _scan(
     # would sit in memory next to the caller's array. Sorting on the last
     # coordinate first is the all_vectors order.
     order = np.lexsort(multipliers.T)
-    # Products of reduced rows, and their pairings with W, are sums of d
-    # terms below n**2, which stay within the range of `_reduce_f32`.
-    use_float = (n - 1) * (n - 1) * d + n <= 2**22
-    dtype = np.float32 if use_float else np.int64
+    dtype = _exact_dtype(n, d)
     dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T.astype(dtype)
     ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
     cost = 0
-
-    def reduce(x: np.ndarray) -> np.ndarray:
-        return _reduce_f32(x, n) if use_float else np.remainder(x, n, out=x)
 
     def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Which products rows @ mat (rows already of `dtype`) lie in
         target\\{0}."""
         nonlocal cost
         cost += len(rows)
-        prods = reduce(rows @ mat.astype(dtype))
+        prods = _reduce(rows @ mat.astype(dtype), n)
         # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
-        return (prods @ ones > 0) & (reduce(prods @ dual) @ ones_dual == 0)
+        return (prods @ ones > 0) & (_reduce(prods @ dual, n) @ ones_dual == 0)
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -370,10 +349,10 @@ def _scalar_criterion(name: str, n: int, params) -> EssentialityVerdict:
     ann2, ring, base = ann2_ideal(n)
     if ann2 == ring:
         why = "the annihilator of 2 is the whole ring (not proper)"
-        return EssentialityVerdict(name, False, "criterion", None, n * n, why)
+        return EssentialityVerdict(name, False, "criterion", None, 0, why)
     ess = is_essential_ideal(ann2, ring, base)
     why = "" if ess else f"multiples of {ess.witness[0]} miss the annihilator of 2 (not essential)"
-    return EssentialityVerdict(name, ess.verdict, "criterion", ess.witness, n * n, why)
+    return EssentialityVerdict(name, ess.verdict, "criterion", ess.witness, ess.cost, why)
 
 
 def quaternion_criterion(n: int, a: int, b: int) -> EssentialityVerdict:

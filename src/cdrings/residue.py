@@ -43,6 +43,32 @@ def _require_exact(modulus: int, rank: int) -> None:
         raise ModulusTooLarge(modulus, rank, "max(2, rank) * (modulus - 1)^2")
 
 
+def _exact_dtype(modulus: int, terms: int) -> type:
+    """The package's one exactness rule for contractions: the narrowest of
+    float32, float64 and int64 in which a sum of `terms` products of residues,
+    plus n, is exact: float32 while terms (n-1)^2 + n <= 2^24, float64 while it
+    is <= 2^53, else int64 (exact wherever `_require_exact` admits the rank)."""
+    widest = terms * (modulus - 1) ** 2 + modulus
+    if widest <= 2**24:
+        return np.float32
+    return np.float64 if widest <= 2**53 else np.int64
+
+
+def _reduce(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place, for integers 0 <= x with x + n exact in x's dtype
+    (`_exact_dtype`). Floats take q = floor(x / n), x -= q n: with x = qn + r
+    and x + n <= 2^p, (q + 1) n <= 2^p keeps x / n more than half an ulp
+    below q + 1, so the correctly rounded quotient floors to q and q n and
+    x - q n are exact. Integers take `np.remainder`."""
+    if x.dtype.kind != "f":
+        return np.remainder(x, n, out=x)
+    q = x / n
+    np.floor(q, out=q)
+    q *= n
+    x -= q
+    return x
+
+
 class ResidueMatrix:
     """Dense matrix over Z/nZ; entries are kept reduced to [0, n)."""
 

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 import random
 
 import numpy as np
@@ -34,7 +33,7 @@ from cdrings.analysis import (
 )
 from cdrings.doubling import TowerSpec, build_tower, embed, nu, tower
 from cdrings.errors import DimensionMismatch, InvalidAlgebra, ModulusTooLarge, NotCentral
-from cdrings.residue import all_vectors
+from cdrings.residue import _exact_dtype, all_vectors
 from cdrings.suites import sweep_towers
 
 
@@ -404,14 +403,29 @@ def test_products_are_exact_at_and_below_the_modulus_bound(depth, below, data):
         stage_data = essentiality_data(stages[-2])
         assert predicted_associative_center(stage_data, alg) == associative_center(alg)
         assert predicted_center(stage_data, alg) == center(alg).Z
-        # The pair laws with alpha = n - 1: nu^2 = alpha, nu (a, 0) = (0, a)
-        # and (a, 0) nu = (0, a*), a* from the involution in Python ints.
-        parent, v, a = stages[-2], nu(alg), x[: d // 2]
-        inv, zeros = parent.involution.tolist(), [0] * (d // 2)
-        a_star = [sum(a[i] * inv[i][k] for i in range(d // 2)) % n for k in range(d // 2)]
-        assert alg.mul(v, v).tolist() == parent.scalar(n - 1).tolist() + zeros
+        # The pair laws with alpha = n - 1: nu^2 = alpha, nu (a, 0) = (0, a),
+        # (a, 0) nu = (0, a*) and the full product
+        # (a, b)(c, e) = (ac + alpha (e b*), a* e + c b), each side in Python
+        # ints from the parent's structure tensor and involution.
+        parent, v, h = stages[-2], nu(alg), d // 2
+        inv, cp, zeros = parent.involution.tolist(), parent.structure.tolist(), [0] * h
+        alpha = parent.scalar(n - 1).tolist()
+
+        def star(u):
+            return [sum(u[i] * inv[i][k] for i in range(h)) % n for k in range(h)]
+
+        def pmul(u, w):
+            return _exact_mul(cp, u, w, n)
+
+        def add(u, w):
+            return [(p + q) % n for p, q in zip(u, w)]
+
+        (a, b), (c_, e) = (x[:h], x[h:]), (y[:h], y[h:])
+        assert alg.mul(v, v).tolist() == alpha + zeros
         assert alg.mul(v, embed(alg, a)).tolist() == zeros + a
-        assert alg.mul(embed(alg, a), v).tolist() == zeros + a_star
+        assert alg.mul(embed(alg, a), v).tolist() == zeros + star(a)
+        pair = add(pmul(a, c_), pmul(alpha, pmul(e, star(b)))) + add(pmul(star(a), e), pmul(c_, b))
+        assert alg.mul(x, y).tolist() == pair
 
 
 def _exact_products(c, n):
@@ -428,22 +442,32 @@ def _as_dict(tensor):
     return {t: tensor[t].tolist() for t in itertools.product(range(tensor.shape[0]), repeat=3)}
 
 
-def _float64_edge(rank):
-    """The largest n with rank (n - 1)^2 < 2^53, where `product_tensors`
-    contracts in float64; from n + 1 on it contracts in int64."""
-    n = math.isqrt((2**53 - 1) // rank) + 1
-    assert rank * (n - 1) ** 2 < 2**53 <= rank * n**2
-    return n
+def _edge(rank, dtype):
+    """The largest n that `_exact_dtype` contracts in `dtype` or a narrower
+    dtype at this rank; from n + 1 on it takes a wider one."""
+    widths = [np.float32, np.float64, np.int64]
+    lo, hi = 2, 2**32  # the rule holds at lo and fails at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if widths.index(_exact_dtype(mid, rank)) <= widths.index(dtype):
+            lo = mid
+        else:
+            hi = mid
+    assert _exact_dtype(lo, rank) is dtype and _exact_dtype(lo + 1, rank) is not dtype
+    return lo
 
 
-@pytest.mark.parametrize("route", ["float64", "int64", "int64-bound"])
+@pytest.mark.parametrize("route", ["float32", "float32+1", "float64", "int64", "int64-bound"])
 @pytest.mark.parametrize("rank", [1, 2, 4, 8])
 def test_product_tensors_are_exact_at_the_float64_bound(rank, route):
-    # Just past the float64 edge most sums still fit 53 bits, so the largest
-    # modulus of the int64 rule is checked as well.
+    # Both edges of the rule: the largest modulus of each float dtype and the
+    # one after it. Just past the float64 edge most sums still fit 53 bits, so
+    # the largest modulus of the int64 rule is checked as well.
     n = {
-        "float64": _float64_edge(rank),
-        "int64": _float64_edge(rank) + 1,
+        "float32": _edge(rank, np.float32),
+        "float32+1": _edge(rank, np.float32) + 1,
+        "float64": _edge(rank, np.float64),
+        "int64": _edge(rank, np.float64) + 1,
         "int64-bound": largest_exact_modulus(rank),
     }[route]
     rng = random.Random(rank)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cdrings import cli
 from cdrings.cli import build_parser, main
 from cdrings.errors import EnumerationBudgetExceeded
 from cdrings.essentiality import centrally_essential_criterion, n_essential_criterion
@@ -338,6 +339,25 @@ def test_unwritable_build_output_exits_2(tmp_path, capsys):
     code, stderr = exit_code(capsys, "build", "--base", "4", "--params", "1", "--out", str(out))
     assert code == 2
     assert "cannot write document" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("all_stages", [False, True], ids=["last-stage", "all-stages"])
+def test_build_opens_every_output_before_any_scan(tmp_path, capsys, monkeypatch, all_stages):
+    def never(*args, **kwargs):
+        raise AssertionError("scanned before the output was opened")
+
+    monkeypatch.setattr(cli, "is_centrally_essential", never)
+    monkeypatch.setattr(cli, "identity_flags", never)
+    out = tmp_path / "missing" / "oct.json"
+    argv = ["build", "--base", "4", "--params", "1", "--out", str(out)]
+    if all_stages:
+        # Stage 0 can be written; stage 1 is a directory, found before stage 0 is scanned.
+        out = tmp_path / "oct.json"
+        (tmp_path / "oct.json.stage1").mkdir()
+        argv = ["build", "--base", "4", "--params", "1", "--all-stages", "--out", str(out)]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert "cannot write document" in stderr
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from cdrings.algebra import FiniteAlgebra, scalar_ring
+from cdrings import algebra, essentiality
+from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
 from cdrings.analysis import center, essentiality_data
-from cdrings.doubling import double, tower
-from cdrings.errors import EnumerationBudgetExceeded, NotInvertible
+from cdrings.doubling import double, tower, unit_towers
+from cdrings.errors import AlgebraError, EnumerationBudgetExceeded, NotInvertible
 from cdrings.essentiality import (
-    _reduce_f32,
+    ann2_ideal,
     centrally_essential_criterion,
     is_centrally_essential,
     is_essential_ideal,
@@ -20,7 +22,7 @@ from cdrings.essentiality import (
     octonion_criterion,
     quaternion_criterion,
 )
-from cdrings.residue import Submodule, all_vectors, intersect
+from cdrings.residue import Submodule, _exact_dtype, _reduce, all_vectors, intersect
 from cdrings.suites import sweep_towers
 
 from conftest import (
@@ -240,13 +242,91 @@ def test_witness_pre_pass_stops_each_candidate_at_its_first_hit(check):
     assert v.cost < 2 * 65_536
 
 
-@pytest.mark.parametrize("n", [*range(2, 13), 41, 47, 97, 1000, 2047, 2048])
+_REDUCTION_MODULI = [*range(2, 13), 41, 47, 97, 1000, 2047, 2048]
+
+
+@pytest.mark.parametrize("n", _REDUCTION_MODULI)
 def test_float32_reduction_is_exact_up_to_its_bound(n):
-    # 41, 47 and 97 need the reciprocal rounded up: with the nearest float32
-    # reciprocal, floor(x * inv) misses some multiples of n below 2^22.
-    top = 2**22 - n
-    x = np.arange(top + 1, dtype=np.float32)
-    assert np.array_equal(_reduce_f32(x, n), np.arange(top + 1) % n)
+    # Every x = qn + r with x + n <= 2^24. Rounding is monotone, so the rounded
+    # x / n lies between those of qn and qn + n - 1: checking both ends for
+    # every q checks every x in range, at a fraction of the cost of all of them.
+    top = 2**24 - n
+    for r in (0, n - 1):
+        x = np.arange(r, top + 1, n, dtype=np.int32).astype(np.float32)
+        assert (_reduce(x, n) == r).all()
+    window = np.arange(top - 4096, top + 1)
+    assert np.array_equal(_reduce(window.astype(np.float32), n), window % n)
+
+
+@pytest.mark.parametrize("n", [*_REDUCTION_MODULI, 8194, 94_906_265])
+def test_float64_reduction_is_exact_near_its_bound(n):
+    # Sampled below x + n <= 2^53: both ends of the top 2048 quotients, the
+    # top 2048 values and 2048 random ones, against Python ints; int64 too.
+    top = 2**53 - n
+    rng = random.Random(n)
+    xs = [q * n + r for q in range(top // n - 2047, top // n + 1) for r in (0, n - 1)]
+    xs = [x for x in xs if x <= top] + list(range(top - 2047, top + 1))
+    xs += [rng.randrange(top + 1) for _ in range(2048)]
+    expected = [x % n for x in xs]
+    for dtype in (np.float64, np.int64):
+        assert _reduce(np.array(xs, dtype=dtype), n).tolist() == expected
+
+
+def _verdicts_and_tensors(base):
+    """The three ambient checks on every unit tower over Z/base of depth <= 2,
+    both criteria for its last doubling, and its product tensors, built anew
+    so no memoized center carries over between routes."""
+    out = []
+    for params, stages in unit_towers(base, 2):
+        if isinstance(stages, AlgebraError):
+            continue
+        alg = stages[-1]
+        for check in (is_centrally_essential, is_left_n_essential, is_right_n_essential):
+            out.append(check(alg))
+        for criterion in (n_essential_criterion, centrally_essential_criterion):
+            if params:
+                out.append(criterion(stages[-2], params[-1]))
+        out += [t.tolist() for t in product_tensors(alg)]
+    return out
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5, 6])
+def test_every_route_of_the_exactness_rule_agrees(base, monkeypatch):
+    # Every dtype is exact at these moduli, so forcing each one in turn on the
+    # scans and the product tensors must leave every verdict, witness and
+    # cost, and every tensor, as it is.
+    results = {}
+    for dtype in (np.float32, np.float64, np.int64):
+        callers = set()
+        for module in (essentiality, algebra):
+
+            def forced(n, terms, name=module.__name__, dtype=dtype):
+                callers.add(name)
+                return dtype
+
+            monkeypatch.setattr(module, "_exact_dtype", forced)
+        results[dtype] = _verdicts_and_tensors(base)
+        assert callers == {"cdrings.essentiality", "cdrings.algebra"}
+    assert results[np.float32] == results[np.float64] == results[np.int64]
+
+
+def test_float64_route_scan():
+    # 8193^2 + 8194 > 2^24, so this scan runs in float64.
+    assert _exact_dtype(8194, 1) is np.float64
+    v = quaternion_criterion(8194, 1, 1)
+    assert (v.verdict, v.witness, v.cost) == (False, (2,), 13_634)
+
+
+@pytest.mark.parametrize(
+    "criterion, params", [(quaternion_criterion, (1, 1)), (octonion_criterion, (1, 1, 1))]
+)
+def test_scalar_criteria_report_the_products_they_evaluate(criterion, params):
+    for n in [*range(2, 13), 8194]:
+        v = criterion(n, *params)
+        ann2, ring, base = ann2_ideal(n)
+        # Z2 is its own annihilator of 2: not proper, and nothing is scanned.
+        expected = 0 if ann2 == ring else is_essential_ideal(ann2, ring, base).cost
+        assert v.cost == expected, n
 
 
 def test_left_and_right_n_essential_on_octonion():

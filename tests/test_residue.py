@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdrings
 from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded, ModulusTooLarge
 from cdrings.residue import (
     ResidueMatrix,
@@ -525,3 +528,18 @@ def test_elements_and_all_vectors_are_in_coefficient_order(moduli, max_rank, dat
         # The first coordinate varies fastest, as in the digits of 0, 1, ...
         table = [[c // n**i % n for i in range(d)] for c in range(n**d)]
         assert all_vectors(n, d).tolist() == table
+
+
+def test_exactness_rule_lives_in_residue():
+    # `residue._exact_dtype` alone decides when a contraction may run in
+    # floats; a float dtype or a float bound named in any other module would
+    # split that rule again.
+    named = re.compile(r"np\.float(32|64)\b|\b2\s*\*\*\s*(22|24|53)\b|\b1\s*<<\s*(22|24|53)\b")
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(cdrings.__file__).parent.glob("*.py"))
+        if path.name != "residue.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if named.search(line)
+    ]
+    assert offenders == []
