@@ -48,6 +48,8 @@ class FiniteAlgebra:
         "parent",
         "alpha",
         "memo",
+        "valid",
+        "certified",
     )
 
     def __init__(
@@ -89,6 +91,8 @@ class FiniteAlgebra:
         self.parent = parent
         self.alpha = alpha
         self.memo = {}  # invariants computed on first use, see `analysis._memoized`
+        self.valid = False  # set by `ensure_valid` once the invariants hold
+        self.certified = {}  # value bytes -> inverse, see `certify_central_scalar`
 
     # -- elements ----------------------------------------------------------
 
@@ -215,10 +219,15 @@ def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
 
 
 def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
-    """Raise InvalidAlgebra unless all invariants hold; used at boundaries."""
-    violations = validate_algebra(algebra)
-    if violations:
-        raise InvalidAlgebra(violations)
+    """Raise InvalidAlgebra unless all invariants hold; used at boundaries.
+
+    A pass is recorded on the instance, whose arrays are read-only, so each
+    algebra is validated once however many boundaries it crosses."""
+    if not algebra.valid:
+        violations = validate_algebra(algebra)
+        if violations:
+            raise InvalidAlgebra(violations)
+        algebra.valid = True
     return algebra
 
 
@@ -349,25 +358,35 @@ class CentralScalar:
 
 
 def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:
-    """Certify value as central, symmetric, and invertible, or raise."""
+    """Certify value as central, symmetric, and invertible, or raise.
+
+    The algebra remembers the values it has certified (value bytes ->
+    inverse), so a value is checked once per algebra; each call still returns
+    a fresh CentralScalar, since keeping one on the algebra would tie the
+    algebra into a reference cycle with its own certificate.
+    """
     if isinstance(value, CentralScalar):
         value = value.value
     if isinstance(value, (int, np.integer)):
         value = algebra.scalar(int(value))
     value = algebra.element(value)
-    if not is_central(algebra, value):
-        raise NotCentral(
-            f"doubling parameter {algebra.format_element(value)} is not central in {algebra.name}"
-        )
-    if not is_symmetric(algebra, value):
-        raise NotSymmetric(
-            f"doubling parameter {algebra.format_element(value)} is not fixed by the involution"
-        )
-    ok, inverse = is_invertible(algebra, value)
-    if not ok:
-        raise NotInvertible(
-            f"doubling parameter {algebra.format_element(value)} has no two-sided inverse"
-        )
+    key = value.tobytes()
+    inverse = algebra.certified.get(key)
+    if inverse is None:
+        if not is_central(algebra, value):
+            raise NotCentral(
+                f"doubling parameter {algebra.format_element(value)} is not central in {algebra.name}"
+            )
+        if not is_symmetric(algebra, value):
+            raise NotSymmetric(
+                f"doubling parameter {algebra.format_element(value)} is not fixed by the involution"
+            )
+        ok, inverse = is_invertible(algebra, value)
+        if not ok:
+            raise NotInvertible(
+                f"doubling parameter {algebra.format_element(value)} has no two-sided inverse"
+            )
+        inverse.setflags(write=False)
+        algebra.certified[key] = inverse
     value.setflags(write=False)
-    inverse.setflags(write=False)
     return CentralScalar(algebra, value, inverse)

@@ -262,12 +262,14 @@ def _condition_matrix(
 ) -> ResidueMatrix:
     """d x (len(identities) * d^3) matrix whose left kernel is the solution
     set of the identity system: one block per (identity, e_i, e_j), each the
-    map lhs - rhs of the variable."""
-    blocks = np.stack(
-        [_term_map(products, lhs, var) - _term_map(products, rhs, var) for lhs, rhs in identities],
-        axis=1,
-    )
-    return ResidueMatrix(stage.modulus, blocks.reshape(stage.rank, -1))
+    map lhs - rhs of the variable. The blocks are written and reduced in
+    place in the one array the matrix keeps."""
+    n, d = stage.modulus, stage.rank
+    out = np.empty((d, len(identities), d, d, d), dtype=np.int64)
+    for idx, (lhs, rhs) in enumerate(identities):
+        np.subtract(_term_map(products, lhs, var), _term_map(products, rhs, var), out=out[:, idx])
+    out %= n
+    return ResidueMatrix._from_reduced(n, out.reshape(d, -1))
 
 
 @_memoized

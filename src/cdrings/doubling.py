@@ -64,8 +64,9 @@ def double(
     """The double (A, alpha) of rank 2d over the same modulus.
 
     alpha may be an int, a coordinate vector, or an already certified
-    CentralScalar; the certificates (central, symmetric, invertible) are
-    recomputed here rather than trusted.
+    CentralScalar; a CentralScalar is never trusted, its value is certified
+    (central, symmetric, invertible) against `algebra` here, and only
+    `algebra`'s own record of the values it has certified spares the checks.
     """
     ensure_valid(algebra)
     cert = certify_central_scalar(algebra, alpha)

@@ -60,8 +60,9 @@ class EssentialityVerdict:
     universe (see `_scan`). Criterion verdicts propagate the witness of the
     failing clause when one exists (a failure like "not a proper ideal" has
     no element witness and carries only detail text). `cost` counts the
-    products actually evaluated; a pre-pass candidate stops at its first
-    hit, so a scan's cost is usually far below |S| times |U|.
+    products the scan's walk evaluates (see `_scan`); a pre-pass candidate
+    stops at its first hit, so a scan's cost is usually far below |S| times
+    |U|.
     """
 
     property_name: str
@@ -73,6 +74,22 @@ class EssentialityVerdict:
 
     def __bool__(self) -> bool:
         return self.verdict
+
+
+def _code_order(rows: np.ndarray, n: int) -> np.ndarray:
+    """The order of residue rows by their last coordinate first, equal to
+    `np.lexsort(rows.T)` (all_vectors order), sorted on ceil(d / p) packed
+    int64 keys instead of d: key g holds coordinates gp .. gp + p - 1 as the
+    base-n number they spell (the last the most significant), and p is the
+    largest power with n^p < 2^62, so every key is exact and two rows tie
+    exactly when they are equal."""
+    d = rows.shape[1]
+    p = 1
+    while n ** (p + 1) < 2**62:
+        p += 1
+    weights = np.zeros((d, -(-d // p)), dtype=np.int64)
+    weights[np.arange(d), np.arange(d) // p] = [n ** (j % p) for j in range(d)]
+    return np.lexsort((rows @ weights).T)
 
 
 def _scan(
@@ -90,14 +107,22 @@ def _scan(
     target\\{0}?
 
     Both arrays hold element rows; universe lists zero first. Multipliers are
-    tried in all_vectors order (0, the unit and its scalar multiples first).
-    A witness pre-pass first tries a few fixed candidates u (universe indices
-    1..32 and the powers n**k); each walks the multipliers in chunks of 64,
-    256, 1024, ... and stops at the first chunk with a hit, so a candidate is
-    refuted only after all of S. Then the sweep runs s-outer, each step one
-    batched matrix product over the universe elements still unmet. The
-    witness of a False verdict is the first refuted candidate, otherwise the
-    first unmet universe element. `cost` counts the products evaluated.
+    tried in all_vectors order (0, the unit and its scalar multiples first),
+    found by `_code_order`. A witness pre-pass first tries a few fixed
+    candidates u (universe indices 1..32 and the powers n**k); each walks the
+    multipliers in chunks of 64, 256, 1024, ... and stops at the first chunk
+    with a hit, so a candidate is refuted only after all of S. The first
+    chunk is tried against every candidate at once: one contraction of the
+    candidates with the structure tensor gives all their multiplication
+    matrices side by side, and one matrix product gives every product of the
+    chunk. A candidate it leaves unmet walks the later chunks alone, in
+    candidate order. Then the sweep runs s-outer, each step one batched
+    matrix product over the universe elements still unmet. The witness of a
+    False verdict is the first refuted candidate, otherwise the first unmet
+    universe element. `cost` counts the products a candidate-by-candidate
+    walk evaluates: each candidate up to the first refuted one adds its
+    chunks, and the products of the shared first chunk that belong to later
+    candidates are never counted.
 
     Membership in the target is read off its dual: the dot product is a
     perfect pairing on (Z/nZ)^d, so T = {p : p @ W = 0} where the columns of
@@ -109,22 +134,24 @@ def _scan(
     n, d = algebra.modulus, algebra.rank
     total = len(universe)
     # The order is kept as indices because a sorted copy of the multipliers
-    # would sit in memory next to the caller's array. Sorting on the last
-    # coordinate first is the all_vectors order.
-    order = np.lexsort(multipliers.T)
+    # would sit in memory next to the caller's array.
+    order = _code_order(multipliers, n)
     dtype = _exact_dtype(n, d)
     dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T.astype(dtype)
     ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
     cost = 0
+
+    def in_target(prods: np.ndarray) -> np.ndarray:
+        """Which rows of prods (reduced, of `dtype`) lie in target\\{0}."""
+        # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
+        return (prods @ ones > 0) & (_reduce(prods @ dual, n) @ ones_dual == 0)
 
     def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Which products rows @ mat (rows already of `dtype`) lie in
         target\\{0}."""
         nonlocal cost
         cost += len(rows)
-        prods = _reduce(rows @ mat.astype(dtype), n)
-        # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
-        return (prods @ ones > 0) & (_reduce(prods @ dual, n) @ ones_dual == 0)
+        return in_target(_reduce(rows @ mat.astype(dtype), n))
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -135,17 +162,24 @@ def _scan(
     candidate_ids = sorted(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
-    for uid in candidate_ids:
-        u = universe[uid]
-        mat = algebra.right_mul_matrix(u) if side == "left" else algebra.left_mul_matrix(u)
-        start, size = 0, 64
+    # mats[:, c] is the matrix of candidate c: s @ mats[:, c] = s u (left) or u s.
+    spec = "uj,ijk->iuk" if side == "left" else "ui,ijk->juk"
+    mats = (np.einsum(spec, universe[candidate_ids], algebra.structure) % n).astype(dtype)
+    first = multipliers[order[:64]].astype(dtype, copy=False)
+    prods = _reduce(first @ mats.reshape(d, -1), n).reshape(-1, d)
+    met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
+    for c, uid in enumerate(candidate_ids):
+        cost += len(first)
+        if met_first[c]:
+            continue
+        start, size = len(first), 256
         while start < len(order):
             chunk = multipliers[order[start : start + size]].astype(dtype, copy=False)
-            if hits(chunk, mat).any():
+            if hits(chunk, mats[:, c]).any():
                 break
             start, size = start + size, 4 * size
         else:
-            return refuted(u)
+            return refuted(universe[uid])
 
     satisfied = np.zeros(total, dtype=bool)
     satisfied[0] = True  # u = 0 is outside the quantifier

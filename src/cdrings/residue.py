@@ -86,6 +86,15 @@ class ResidueMatrix:
         self.array = arr
 
     @classmethod
+    def _from_reduced(cls, modulus: int, arr: np.ndarray) -> "ResidueMatrix":
+        """Freeze an int64 2-D array whose entries already lie in [0, modulus),
+        without the copy `__init__` makes: the caller hands the array over."""
+        matrix = cls.__new__(cls)
+        arr.setflags(write=False)
+        matrix.modulus, matrix.array = modulus, arr
+        return matrix
+
+    @classmethod
     def zeros(cls, modulus: int, rows: int, cols: int) -> "ResidueMatrix":
         return cls(modulus, np.zeros((rows, cols), dtype=np.int64))
 

@@ -3,10 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from cdrings.algebra import is_associative, is_commutative, scalar_ring, validate_algebra
+from cdrings import algebra as algebra_module
 from cdrings import doubling
+from cdrings.algebra import (
+    FiniteAlgebra,
+    certify_central_scalar,
+    ensure_valid,
+    is_associative,
+    is_commutative,
+    scalar_ring,
+    validate_algebra,
+)
 from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, split, tower, unit_towers
 from cdrings.errors import (
+    InvalidAlgebra,
     NotCentral,
     NotInvertible,
     NotSymmetric,
@@ -112,6 +122,49 @@ def test_double_accepts_nonscalar_certified_parameter():
     assert validate_algebra(R) == []
     v = nu(R)
     assert np.array_equal(R.mul(v, v), embed(R, [1, 2]))
+
+
+def _counting(monkeypatch, name):
+    """Record the first argument of every call to `cdrings.algebra.<name>`."""
+    calls, real = [], getattr(algebra_module, name)
+
+    def counted(alg, *args):
+        calls.append(alg)
+        return real(alg, *args)
+
+    monkeypatch.setattr(algebra_module, name, counted)
+    return calls
+
+
+def test_each_stage_is_validated_once(monkeypatch):
+    calls = _counting(monkeypatch, "validate_algebra")
+    stages = build_tower(TowerSpec(3, (1,) * 7), max_rank=128)
+    assert len(calls) == 8 and {id(a) for a in calls} == {id(s) for s in stages}
+    # A failed validation is not recorded: it fails again on every call.
+    bad = FiniteAlgebra(4, [[[1]]], [1], [[2]])
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebra):
+            ensure_valid(bad)
+    assert len(calls) == 10
+
+
+def test_each_doubling_parameter_is_certified_once_per_algebra(monkeypatch):
+    calls = _counting(monkeypatch, "is_invertible")
+    stage, doubled = build_tower(TowerSpec(4, (1, 3)))[-2:]
+    assert calls == [stage.parent, stage]
+    cert = certify_central_scalar(stage, [3, 0])
+    assert len(calls) == 2 and cert is not doubled.alpha
+    assert np.array_equal(cert.inverse, doubled.alpha.inverse)
+    # Only the inverse is kept: a certificate would refer back to its algebra.
+    assert all(isinstance(v, np.ndarray) for v in stage.certified.values())
+    # Equal algebras built apart, and values that fail, are checked anew.
+    twin = FiniteAlgebra(stage.modulus, stage.structure, stage.unit, stage.involution)
+    certify_central_scalar(twin, doubled.alpha)
+    assert calls[2:] == [twin]
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            certify_central_scalar(stage, 2)
+    assert calls[3:] == [stage, stage]
 
 
 def test_build_tower_stages():

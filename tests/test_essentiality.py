@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -240,6 +241,130 @@ def test_witness_pre_pass_stops_each_candidate_at_its_first_hit(check):
     v = check(tower(2, 1, 1, 1, 1))
     assert v.verdict
     assert v.cost < 2 * 65_536
+
+
+def sequential_scan(algebra, multipliers, target, universe, side):
+    """`_scan` with its witness pre-pass walked literally, one candidate at a
+    time, each with its own products of every chunk of 64, 256, 1024, ...
+    multipliers in `np.lexsort` order; the sweep is the same s-outer loop.
+    Products come from the structure tensor (`batch_mul`), membership in
+    target \\ {0} from a table indexed by mixed-radix codes. Returns the
+    verdict, witness and cost, and per walked candidate the pair (chunks
+    walked, refuted)."""
+    n, d = algebra.modulus, algebra.rank
+    weights = n ** np.arange(d)
+    member = np.zeros(n**d, dtype=bool)
+    member[target.elements() @ weights] = True
+    member[0] = False
+    order = np.lexsort(multipliers.T)
+    total = len(universe)
+    cost, walks = 0, []
+
+    def hits(prods):
+        nonlocal cost
+        cost += len(prods)
+        return member[prods @ weights]
+
+    def times_candidate(rows, u):
+        return batch_mul(algebra, rows, u) if side == "left" else batch_mul_right(algebra, u, rows)
+
+    def times_multiplier(s, rows):
+        return batch_mul_right(algebra, s, rows) if side == "left" else batch_mul(algebra, rows, s)
+
+    candidates = sorted(set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total})
+    for uid in candidates:
+        u = universe[uid]
+        start, size, chunks = 0, 64, 0
+        while start < len(order):
+            chunks += 1
+            if hits(times_candidate(multipliers[order[start : start + size]], u)).any():
+                walks.append((chunks, False))
+                break
+            start, size = start + size, 4 * size
+        else:
+            walks.append((chunks, True))
+            return False, tuple(int(t) for t in u), cost, walks
+    satisfied = np.zeros(total, dtype=bool)
+    satisfied[0] = True
+    for i in order:
+        s = multipliers[i]
+        if not s.any():
+            continue
+        remaining = np.flatnonzero(~satisfied)
+        if len(remaining) == 0:
+            break
+        if len(remaining) > total // 4:
+            satisfied |= hits(times_multiplier(s, universe))
+        else:
+            satisfied[remaining[hits(times_multiplier(s, universe[remaining]))]] = True
+    if satisfied.all():
+        return True, None, cost, walks
+    return False, tuple(int(t) for t in universe[np.flatnonzero(~satisfied)[0]]), cost, walks
+
+
+def _random_submodule(rng, n, d):
+    rows = [[rng.randrange(n) for _ in range(d)] for _ in range(rng.randint(1, d + 1))]
+    return Submodule.span(n, rows, d)
+
+
+def test_batched_pre_pass_matches_the_sequential_reference():
+    # Random submodules S and T of unit towers over Z2..Z9 (at most 6,561
+    # elements), scanned on both sides: verdict, witness and cost must be
+    # those of the candidate-by-candidate walk.
+    rng = random.Random(14)
+    cases = {"refuted in chunk 1", "hit past chunk 1", "refuted past chunk 1", "later refuted"}
+    seen = set()
+    for base in range(2, 10):
+        units = [u for u in range(1, base) if math.gcd(u, base) == 1]
+        max_depth = 3 if base <= 3 else 2
+        for _ in range(8):
+            params = [rng.choice(units) for _ in range(rng.randint(1, max_depth))]
+            alg = tower(base, *params)
+            n, d = alg.modulus, alg.rank
+            S = _random_submodule(rng, n, d)
+            T = S if rng.random() < 0.5 else _random_submodule(rng, n, d)
+            universe = all_vectors(n, d)
+            for side in ("left", "right"):
+                got = essentiality._scan(
+                    alg, S.elements(), T, universe, side=side, property_name="p", detail=""
+                )
+                verdict, witness, cost, walks = sequential_scan(
+                    alg, S.elements(), T, universe, side
+                )
+                assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), (
+                    base, params, side
+                )
+                refuted = walks and walks[-1][1]
+                seen |= {
+                    label
+                    for label, happened in (
+                        ("refuted in chunk 1", refuted and walks[-1][0] == 1),
+                        ("hit past chunk 1", any(c > 1 and not r for c, r in walks)),
+                        ("refuted past chunk 1", refuted and walks[-1][0] > 1),
+                        ("later refuted", refuted and len(walks) > 1),
+                    )
+                    if happened
+                }
+    assert seen == cases
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(2**31 - 1, 4), (2**31 - 1, 5), (2**31, 3), (2, 61), (2, 62), (3, 39), (3, 40), (7, 9)],
+)
+def test_packed_keys_give_the_lexsort_order(n, d):
+    # (2^31 - 1)^2 < 2^62 <= (2^31)^2, 2^61 < 2^62 and 3^39 < 2^62 < 3^40:
+    # each pair sits on both sides of a key boundary. Ties and the extreme
+    # residues 0 and n - 1 are drawn often.
+    rng = np.random.default_rng(d)
+    picks = np.array([0, 1, n - 2, n - 1], dtype=np.int64)
+    rows = np.where(
+        rng.random((500, d)) < 0.5,
+        picks[rng.integers(0, 4, (500, d))],
+        rng.integers(0, n, (500, d), dtype=np.int64),
+    )
+    rows = np.vstack([rows, rows[:100]])
+    assert np.array_equal(essentiality._code_order(rows, n), np.lexsort(rows.T))
 
 
 _REDUCTION_MODULI = [*range(2, 13), 41, 47, 97, 1000, 2047, 2048]
