@@ -1,9 +1,17 @@
 """Centers, commutator ideals, annihilators, and their closed forms.
 
-Every center is computed as the left kernel of a stacked basis-indexed
-linear system, never by element enumeration, so rank-16 algebras over Z4
-stay analyzable. Enumeration is reserved for the desk-scale oracles in the
-test suite.
+No center is found by element enumeration; that is reserved for the
+desk-scale oracles in the test suite. Every Cayley-Dickson tower with scalar
+parameters is a twisted group algebra over (Z/2)^k, e_i e_j = f(i, j)
+e_{i xor j}, which one vectorized test of the structure tensor detects
+(`_twist`). There each associator and commutator condition touches one
+coordinate of x, so N, K and Z are direct sums of coordinate annihilators
+(n / g_l) e_l with g_l a gcd of values of f, read off int64 arrays of size
+d^3 and d^2. Every other algebra (a rank that is not a power of two, a
+loaded document or a double by a non-scalar alpha off the pattern) takes the
+kernel route: the left kernel of a stacked basis-indexed linear system
+(`_associative_center_kernel`, `_commutative_center_kernel`), which is also
+the oracle the closed forms are tested against (`_kernel_center`).
 
 For a doubled algebra R = (A, alpha) the same data admits closed forms built
 from stage-A invariants:
@@ -13,8 +21,9 @@ from stage-A invariants:
                                              J = Ann_B({a - a* : a in A})
 
 `predicted_associative_center` / `predicted_center` assemble those and are
-required to coincide exactly (as canonical submodules) with the direct
-kernel computations; the verification suites sweep that equality.
+required to coincide exactly (as canonical submodules) with the kernel
+route; the verification suites sweep that equality, and that of the default
+route.
 """
 
 from __future__ import annotations
@@ -78,9 +87,63 @@ def _memoized(fn):
     return memoized
 
 
+def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
+    """The twist f of a twisted group algebra over (Z/2)^k, where
+    e_i e_j = f(i, j) e_{i xor j}, or None for any other algebra: one whose
+    rank is not a power of two, or with a nonzero c[i, j, k] at k != i xor j.
+    f may take zero and non-unit values. f holds entries of c at distinct
+    places, so the pattern holds exactly when it holds every nonzero entry."""
+    d = algebra.rank
+    if d.bit_count() != 1:
+        return None
+    c = algebra.structure
+    i = np.arange(d)
+    f = c[i[:, None], i, i[:, None] ^ i]
+    return f if np.count_nonzero(f) == np.count_nonzero(c) else None
+
+
+def _coordinate_sum(n: int, g: np.ndarray) -> Submodule:
+    """The direct sum of the (n / g_l) e_l, for divisors g_l of n. Its nonzero
+    rows, pivot n / g_l in column l, are already in Howell form."""
+    cols = np.flatnonzero(g > 1)
+    rows = np.zeros((len(cols), len(g)), dtype=np.int64)
+    rows[np.arange(len(cols)), cols] = n // g[cols]
+    return Submodule._from_howell(n, rows, cols.tolist())
+
+
+def _coordinate_gcds(s: Submodule) -> np.ndarray:
+    """The g of a coordinate sum s (`_coordinate_sum(n, g) == s`)."""
+    g = np.ones(s.ambient_rank, dtype=np.int64)
+    for col, p in s.pivots:
+        g[col] = s.modulus // p
+    return g
+
+
 @_memoized
 def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
+
+    On a twisted group algebra (`_twist`), (e_i, e_j, e_k) = a(i, j, k)
+    e_{i xor j xor k} with a(i, j, k) = f(i, j) f(i xor j, k) - f(j, k)
+    f(i, j xor k). With x in one slot and basis elements in the other two,
+    each coordinate x_l lands on its own coordinate, so x is in N iff every
+    x_l is annihilated by every a with l in any slot: N is the sum of the
+    (n / g_l) e_l, g_l = gcd(n, those a). Each a is a difference of two
+    products below (n - 1)^2, exact in int64. Any other algebra takes the
+    kernel route (`_associative_center_kernel`).
+    """
+    f = _twist(algebra)
+    if f is None:
+        return _associative_center_kernel(algebra)
+    n, d = algebra.modulus, algebra.rank
+    i, j, k = np.ix_(*3 * [np.arange(d)])
+    a = (f[i, j] * f[i ^ j, k] - f[j, k] * f[i, j ^ k]) % n
+    slots = [np.gcd.reduce(a, axis=axes) for axes in ((1, 2), (0, 2), (0, 1))]
+    return _coordinate_sum(n, np.gcd(n, np.gcd.reduce(slots)))
+
+
+def _associative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
+    """N of any algebra, and the oracle of the closed form.
 
     Each condition is linear in x once a, b range over basis pairs, so N is
     the left kernel of the associator tensor with x moved to each of its
@@ -95,7 +158,21 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
 
 
 def commutative_center(algebra: FiniteAlgebra) -> Submodule:
-    """K = {x : [x, a] = 0 for all a}."""
+    """K = {x : [x, a] = 0 for all a}.
+
+    On a twisted group algebra [e_l, e_j] = (f(l, j) - f(j, l)) e_{l xor j},
+    so K is the sum of the (n / h_l) e_l, h_l = gcd(n, f(l, j) - f(j, l)
+    over all j). Any other algebra takes `_commutative_center_kernel`.
+    """
+    f = _twist(algebra)
+    if f is None:
+        return _commutative_center_kernel(algebra)
+    n = algebra.modulus
+    return _coordinate_sum(n, np.gcd(n, np.gcd.reduce(f - f.T, axis=1)))
+
+
+def _commutative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
+    """K of any algebra, and the oracle of the closed form."""
     n, d = algebra.modulus, algebra.rank
     c = algebra.structure
     # block[p, i, k] = (R_i - L_i)[p, k], so x @ block stacks all [x, e_i]
@@ -105,8 +182,21 @@ def commutative_center(algebra: FiniteAlgebra) -> Submodule:
 
 @_memoized
 def center(algebra: FiniteAlgebra) -> CenterReport:
+    """N, K and Z = N ∩ K. On a twisted group algebra N and K are coordinate
+    sums, and (n/g) Z/n ∩ (n/h) Z/n = (n / gcd(g, h)) Z/n in each coordinate."""
     N = associative_center(algebra)
     K = commutative_center(algebra)
+    if _twist(algebra) is None:
+        return CenterReport(algebra.name, N, K, intersect(N, K))
+    g = np.gcd(_coordinate_gcds(N), _coordinate_gcds(K))
+    return CenterReport(algebra.name, N, K, _coordinate_sum(algebra.modulus, g))
+
+
+def _kernel_center(algebra: FiniteAlgebra) -> CenterReport:
+    """N, K and Z by the kernel route alone, never memoized: the oracle the
+    suites and tests hold the closed forms to."""
+    N = _associative_center_kernel(algebra)
+    K = _commutative_center_kernel(algebra)
     return CenterReport(algebra.name, N, K, intersect(N, K))
 
 

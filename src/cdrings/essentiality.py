@@ -309,6 +309,20 @@ def _conjunction(name: str, clauses) -> EssentialityVerdict:
     return EssentialityVerdict(name, True, "criterion", None, cost)
 
 
+def _stage_criterion(
+    name: str, algebra: FiniteAlgebra, alpha, budget: int, clauses
+) -> EssentialityVerdict:
+    """Certify alpha, then decide `clauses(essentiality_data(algebra))` once
+    per (name, budget): no clause depends on alpha, so every certified alpha
+    shares one verdict, kept in `algebra.memo`. An over-budget scan raises
+    and leaves nothing there."""
+    certify_central_scalar(algebra, alpha)
+    key = (name, budget)
+    if key not in algebra.memo:
+        algebra.memo[key] = _conjunction(name, clauses(essentiality_data(algebra)))
+    return algebra.memo[key]
+
+
 def n_essential_criterion(
     algebra: FiniteAlgebra,
     alpha=1,
@@ -321,10 +335,8 @@ def n_essential_criterion(
     of C. Must match the definitional verdict on the double whenever that
     one is computable.
     """
-    certify_central_scalar(algebra, alpha)
-    data = essentiality_data(algebra)
 
-    def clauses():
+    def clauses(data):
         yield (
             is_centrally_essential(algebra, budget=budget),
             "stage algebra is not centrally essential",
@@ -334,7 +346,7 @@ def n_essential_criterion(
             "I is not an essential ideal of the center",
         )
 
-    return _conjunction("N-essential (criterion)", clauses())
+    return _stage_criterion("N-essential (criterion)", algebra, alpha, budget, clauses)
 
 
 def centrally_essential_criterion(
@@ -349,10 +361,8 @@ def centrally_essential_criterion(
     ideal of B. (The submodule condition is quantified over the stage
     algebra, which is what the pair decomposition of the double reduces to.)
     """
-    certify_central_scalar(algebra, alpha)
-    data = essentiality_data(algebra)
 
-    def clauses():
+    def clauses(data):
         yield (
             is_essential_submodule(
                 data.B, algebra, property_name="B essential in stage algebra", budget=budget
@@ -364,7 +374,7 @@ def centrally_essential_criterion(
             "J' = J cap I is not an essential ideal of B",
         )
 
-    return _conjunction("centrally essential (criterion)", clauses())
+    return _stage_criterion("centrally essential (criterion)", algebra, alpha, budget, clauses)
 
 
 # -- scalar-ring criteria for the rank-4 and rank-8 presentations -------------

@@ -209,6 +209,10 @@ class Submodule:
                 f"generators have width {arr.shape[1]}, ambient rank is {ambient_rank}"
             )
         _require_exact(modulus, arr.shape[1])
+        if arr.shape[0] > arr.shape[1]:
+            # The Howell form is canonical, so repeated and zero rows can go
+            # first: closure steps such as `commutator_ideal` span mostly repeats.
+            arr = _distinct_columns(arr.T % modulus, modulus).T
         return cls._from_howell(modulus, *_howell(arr, modulus))
 
     @classmethod

@@ -11,10 +11,12 @@ runs the generator and returns the timed `VerificationReport`.
 
 Suite names are stable CLI keys:
 
-    thm-1.3     pair closed form of the associative center + N-essential
-                criterion vs. definitional scans
-    thm-1.4     pair closed form of the center + centrally essential
-                criterion vs. definitional scans
+    thm-1.3     pair closed form and default route of the associative
+                center vs. its kernel + N-essential criterion vs.
+                definitional scans
+    thm-1.4     pair closed form and default route of the center vs. its
+                kernel + centrally essential criterion vs. definitional
+                scans
     thm-1.5     the flagship rank-8 tower over Z4: alternative,
                 non-associative, non-commutative, centrally essential; its
                 double is not right-alternative
@@ -35,6 +37,8 @@ from typing import Callable
 
 from .algebra import is_alternative, is_associative, is_commutative, is_right_alternative
 from .analysis import (
+    _associative_center_kernel,
+    _kernel_center,
     associative_center,
     center,
     essentiality_data,
@@ -175,11 +179,13 @@ def _suite(name: str):
 
 
 def _formula_and_criterion_rows(
-    label: str, predicted, direct, criterion_check, definitional_check, bases, depth, budget: int
+    label: str, predicted, direct, default, criterion_check, definitional_check,
+    bases, depth, budget: int,
 ):
-    """Per tower: the closed form `predicted(data, doubled)` against the
-    kernel `direct(doubled)` (a submodule named `label`), then the stage
-    criterion against the definitional check on the double."""
+    """Per tower: the paper's closed form `predicted(data, doubled)` and the
+    library's default route `default(doubled)` against the kernel
+    `direct(doubled)` (a submodule named `label`), then the stage criterion
+    against the definitional check on the double."""
     for base, params, stages in sweep_towers(bases, depth):
         stage, doubled = stages[-2], stages[-1]
         data = essentiality_data(stage)
@@ -188,7 +194,7 @@ def _formula_and_criterion_rows(
         computed = direct(doubled)
         yield InstanceResult(
             f"{tid} formula",
-            closed_form == computed,
+            closed_form == computed and default(doubled) == computed,
             kind="formula",
             detail=f"|{label}| = {computed.order()}",
         )
@@ -230,7 +236,7 @@ def suite_thm_1_3(bases=DEFAULT_SWEEP_BASES, depth=None, budget: int = DEFAULT_E
     depth bounds every base, Z2 included.
     """
     return _formula_and_criterion_rows(
-        "N", predicted_associative_center, associative_center,
+        "N", predicted_associative_center, _associative_center_kernel, associative_center,
         n_essential_criterion, is_left_n_essential, bases, depth, budget,
     )
 
@@ -240,7 +246,8 @@ def suite_thm_1_4(bases=DEFAULT_SWEEP_BASES, depth=None, budget: int = DEFAULT_E
     """Center closed form and the centrally essential criterion, over the
     same sweep as `suite_thm_1_3`."""
     return _formula_and_criterion_rows(
-        "Z", predicted_center, lambda doubled: center(doubled).Z,
+        "Z", predicted_center, lambda doubled: _kernel_center(doubled).Z,
+        lambda doubled: center(doubled).Z,
         centrally_essential_criterion, is_centrally_essential, bases, depth, budget,
     )
 

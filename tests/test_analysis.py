@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdrings import analysis, doubling
 from cdrings.algebra import FiniteAlgebra, certify_central_scalar, scalar_ring
 from cdrings.analysis import (
     FIRST_COMPONENT_IDENTITIES,
@@ -24,6 +25,7 @@ from cdrings.analysis import (
     skew_span,
     symmetric_center,
 )
+from cdrings.analysis import _kernel_center, _twist
 from cdrings.doubling import TowerSpec, build_tower, double, tower
 from cdrings.errors import StageMismatch
 from cdrings.residue import Submodule, all_vectors, intersect, kernel
@@ -309,12 +311,16 @@ def test_predicted_center_z3_octonion_is_scalars():
 
 def test_closed_forms_match_the_direct_kernels_at_rank_64():
     # Each rank-64 associator block has 262,144 columns, 126 of them distinct.
+    # `center` takes the twisted closed form here, so the kernel route is
+    # called explicitly as the oracle of both.
     stage, doubled = build_tower(TowerSpec(3, (1,) * 6))[-2:]
     assert doubled.rank == 64
     data = essentiality_data(stage)
+    oracle = _kernel_center(doubled)
     report = center(doubled)
-    assert report.N == predicted_associative_center(data, doubled)
-    assert report.Z == predicted_center(data, doubled)
+    assert report.N == oracle.N == predicted_associative_center(data, doubled)
+    assert report.Z == oracle.Z == predicted_center(data, doubled)
+    assert report.K == oracle.K
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5, 6])
@@ -334,6 +340,103 @@ def test_closed_forms_never_seed_the_direct_kernels(base):
         )
         assert associative_center(doubled) == associative_center(fresh) == closed_n
         assert center(doubled).Z == center(fresh).Z == closed_z
+
+
+# -- the twisted closed form against the kernel route --------------------------
+
+
+def _assert_routes_agree(algebra):
+    oracle = _kernel_center(algebra)
+    report = center(algebra)
+    assert associative_center(algebra) == report.N == oracle.N
+    assert commutative_center(algebra) == report.K == oracle.K
+    assert report.Z == oracle.Z
+
+
+@pytest.fixture
+def kernel_routes(monkeypatch):
+    """The names of the kernel routes called while the fixture is live."""
+    calls = []
+    for name in ("_associative_center_kernel", "_commutative_center_kernel"):
+        real = getattr(analysis, name)
+
+        def spy(algebra, real=real, name=name):
+            calls.append(name)
+            return real(algebra)
+
+        monkeypatch.setattr(analysis, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "base,depth",
+    [(2, 4), (3, 4), (4, 4), (5, 3), (6, 3), (8, 3), (9, 3), (12, 3)],
+)
+def test_closed_forms_equal_the_kernel_route_on_unit_towers(base, depth):
+    # 596 towers in all, the base rings (depth 0) included.
+    for params, stages in doubling.unit_towers(base, depth):
+        algebra = stages[-1]
+        assert _twist(algebra) is not None, params
+        _assert_routes_agree(algebra)
+
+
+def _twisted_algebra(n, f):
+    """e_i e_j = f[i][j] e_{i xor j}, with e_0 as the unit."""
+    d = len(f)
+    i = np.arange(d)
+    structure = np.zeros((d, d, d), dtype=np.int64)
+    structure[i[:, None], i, i[:, None] ^ i] = f
+    return FiniteAlgebra(n, structure, np.eye(d, dtype=np.int64)[0], np.eye(d, dtype=np.int64))
+
+
+@st.composite
+def _twists(draw):
+    n = draw(st.sampled_from((4, 6, 8, 9, 12, 30, 2**31 - 1)))
+    d = draw(st.sampled_from((1, 2) if n == 2**31 - 1 else (1, 2, 4, 8)))
+    entry = st.one_of(st.sampled_from((0, 1, n - 1, n // 2, n // 3)), st.integers(0, n - 1))
+    f = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)), dtype=np.int64)
+    f = f.reshape(d, d)
+    f[0, :] = f[:, 0] = 1
+    return n, f
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_twists())
+# N needs the gcds of all three slots here: those of the first two alone
+# leave 2 e_1 and 2 e_2 in it, which the third slot takes out.
+@example((4, np.array([[1, 1, 1, 1], [1, 2, 2, 3], [1, 0, 0, 1], [1, 0, 0, 3]])))
+def test_closed_forms_equal_the_kernel_route_on_random_twists(case):
+    n, f = case
+    algebra = _twisted_algebra(n, f)
+    assert np.array_equal(_twist(algebra), f % n)
+    _assert_routes_agree(algebra)
+
+
+def test_twisted_algebras_skip_the_kernel(kernel_routes):
+    center(tower(4, 1, 3, 1))
+    assert kernel_routes == []
+
+
+def test_algebras_off_the_pattern_take_the_kernel_route(kernel_routes):
+    stage = tower(3, 1, 1)
+    structure = stage.structure.copy()
+    structure[1, 1, 1] = 1  # e_1 e_1 gains an e_1 term, off the e_0 slot
+    off_pattern = FiniteAlgebra(3, structure, stage.unit, stage.involution)
+    # Z4[t]/(t^3): rank 3 is not a power of two
+    truncated = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3 - i):
+            truncated[i, j, i + j] = 1
+    rank_3 = FiniteAlgebra(4, truncated, [1, 0, 0], np.eye(3, dtype=np.int64))
+    nonscalar_double = double(tower(4, 1), [1, 2])
+    for algebra in (off_pattern, rank_3, nonscalar_double):
+        assert _twist(algebra) is None
+        kernel_routes.clear()
+        report = center(algebra)
+        assert kernel_routes == ["_associative_center_kernel", "_commutative_center_kernel"]
+        assert submodule_set(report.N) == brute_associative_center(algebra)
+        assert submodule_set(report.K) == brute_commutative_center(algebra)
+        assert report.Z == intersect(report.N, report.K)
 
 
 def test_predicted_center_stage_mismatch(z4_octonion):

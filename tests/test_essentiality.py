@@ -556,6 +556,36 @@ def test_criterion_agreement_extended_bases():
                 ), (base, params)
 
 
+@pytest.mark.parametrize("criterion", [n_essential_criterion, centrally_essential_criterion])
+def test_criteria_decide_their_stage_once_for_every_alpha(criterion, monkeypatch):
+    scans = []
+    real = essentiality._scan
+    monkeypatch.setattr(
+        essentiality, "_scan", lambda *args, **kw: scans.append(kw) or real(*args, **kw)
+    )
+    stage = tower(5, 1)
+    first = criterion(stage, 1)
+    assert scans
+    fresh = criterion(tower(5, 1), 1)
+    assert (fresh.verdict, fresh.witness, fresh.cost) == (first.verdict, first.witness, first.cost)
+    scanned = len(scans)
+    assert all(criterion(stage, alpha) is first for alpha in (2, 3, 4))
+    assert len(scans) == scanned
+    with pytest.raises(NotInvertible):
+        criterion(stage, 5)  # alpha is still certified on every call
+    assert criterion(stage, 1, budget=2**12) is not first
+    assert len(scans) > scanned
+
+
+@pytest.mark.parametrize("criterion", [n_essential_criterion, centrally_essential_criterion])
+def test_over_budget_criteria_raise_every_time(criterion):
+    stage = tower(6, 1, 1, 1)  # 6^8 stage elements
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetExceeded):
+            criterion(stage, 1)
+    assert all(isinstance(key, str) for key in stage.memo)
+
+
 def test_criterion_agreement_for_nonscalar_parameter():
     stage = tower(4, 1, 1)
     alpha = [1, 2, 0, 0]

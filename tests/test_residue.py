@@ -13,6 +13,7 @@ from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded, Modulus
 from cdrings.residue import (
     ResidueMatrix,
     Submodule,
+    _howell,
     all_vectors,
     canonicalize,
     intersect,
@@ -441,10 +442,24 @@ def test_kernel_ignores_repeated_permuted_and_zero_columns(case):
     n, m0, m = case
     got = kernel(ResidueMatrix(n, m))
     assert got == kernel(ResidueMatrix(n, m0))
-    # `span` does no dedupe. At 2^31 the int64 bound admits it only on the
-    # narrower m0, whose row span has the order of m's.
+    # `span` keeps every column (it drops repeated rows only). At 2^31 the
+    # int64 bound admits it only on the narrower m0, whose row span has the
+    # order of m's.
     spanned = m if n < 2**31 else m0
     assert got.order() * Submodule.span(n, spanned, spanned.shape[1]).order() == n ** m.shape[0]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=_matrices_with_repeated_columns())
+def test_span_ignores_repeated_permuted_and_zero_rows(case):
+    # The columns of the strategy's matrices are the rows here. `span` drops
+    # repeated and zero rows when it has more rows than columns; unreduced
+    # entries must still compare equal after that.
+    n, m0, m = case
+    width = m.shape[0]
+    got = Submodule.span(n, m.T - n, width)
+    assert got == Submodule.span(n, m0.T, width)
+    assert got == Submodule._from_howell(n, *_howell(m.T, n))
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (0, 0)], ids=["3x0", "0x5", "0x0"])
