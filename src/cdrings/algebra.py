@@ -20,6 +20,7 @@ identity holding for all elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,8 +271,10 @@ def is_commutative(algebra: FiniteAlgebra) -> bool:
 
 
 def _alternates(t: np.ndarray, n: int, a: int, b: int) -> bool:
-    """Does the associator tensor t alternate in slots a and b? Slots (0, 1)
-    give (x, x, y) = 0 and slots (1, 2) give (x, y, y) = 0 for all elements."""
+    """Does the associator tensor t (or the twisted associators of
+    `_twisted_associators`, whose slots are the same) alternate in slots a
+    and b? Slots (0, 1) give (x, x, y) = 0 and slots (1, 2) give
+    (x, y, y) = 0 for all elements."""
     diag = np.diagonal(t, axis1=a, axis2=b)
     return not diag.any() and not ((t + np.swapaxes(t, a, b)) % n).any()
 
@@ -289,15 +292,45 @@ def is_alternative(algebra: FiniteAlgebra) -> bool:
     return _alternates(t, algebra.modulus, 0, 1) and _alternates(t, algebra.modulus, 1, 2)
 
 
+def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
+    """The twist f of a twisted group algebra over (Z/2)^k, where
+    e_i e_j = f(i, j) e_{i xor j}, or None for any other algebra: one whose
+    rank is not a power of two, or with a nonzero c[i, j, k] at k != i xor j.
+    f may take zero and non-unit values. f holds entries of c at distinct
+    places, so the pattern holds exactly when it holds every nonzero entry."""
+    d = algebra.rank
+    if d.bit_count() != 1:
+        return None
+    c = algebra.structure
+    i = np.arange(d)
+    f = c[i[:, None], i, i[:, None] ^ i]
+    return f if np.count_nonzero(f) == np.count_nonzero(c) else None
+
+
+def _twisted_associators(f: np.ndarray, n: int) -> np.ndarray:
+    """a with (e_i, e_j, e_k) = a(i, j, k) e_{i xor j xor k} on the twisted
+    group algebra of f: a(i, j, k) = f(i, j) f(i xor j, k) - f(j, k)
+    f(i, j xor k) mod n, each product below (n - 1)^2, exact in int64."""
+    i, j, k = np.ix_(*3 * [np.arange(len(f))])
+    return (f[i, j] * f[i ^ j, k] - f[j, k] * f[i, j ^ k]) % n
+
+
 def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:
     """The associative, commutative, alternative and right-alternative
-    flags, the three associator laws read off one associator tensor."""
+    flags, the three associator laws read off one associator tensor.
+
+    On a twisted group algebra (`_twist`) the associator of basis elements
+    is a(i, j, k) times one basis element, so the d^3 array a
+    (`_twisted_associators`) stands in for the d^4 tensor, and commutativity
+    is f = f^T. `associator_tensor` serves every other algebra and is the
+    oracle of this route (the `is_*` predicates)."""
     n = algebra.modulus
-    t = associator_tensor(algebra)
+    f = _twist(algebra)
+    t = associator_tensor(algebra) if f is None else _twisted_associators(f, n)
     right = _alternates(t, n, 1, 2)
     return {
         "associative": not t.any(),
-        "commutative": is_commutative(algebra),
+        "commutative": is_commutative(algebra) if f is None else bool(np.array_equal(f, f.T)),
         "alternative": _alternates(t, n, 0, 1) and right,
         "right_alternative": right,
     }
@@ -367,13 +400,17 @@ def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:
     """
     if isinstance(value, CentralScalar):
         value = value.value
+    scalar = None
     if isinstance(value, (int, np.integer)):
-        value = algebra.scalar(int(value))
+        scalar = int(value) % algebra.modulus
+        value = algebra.scalar(scalar)
     value = algebra.element(value)
     key = value.tobytes()
     inverse = algebra.certified.get(key)
     if inverse is None:
-        if not is_central(algebra, value):
+        # c 1 is central by bilinearity, and invertible iff c is a unit mod n,
+        # with inverse c^-1 1; any other value takes the general route.
+        if scalar is None and not is_central(algebra, value):
             raise NotCentral(
                 f"doubling parameter {algebra.format_element(value)} is not central in {algebra.name}"
             )
@@ -381,7 +418,11 @@ def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:
             raise NotSymmetric(
                 f"doubling parameter {algebra.format_element(value)} is not fixed by the involution"
             )
-        ok, inverse = is_invertible(algebra, value)
+        if scalar is None:
+            ok, inverse = is_invertible(algebra, value)
+        else:
+            ok = math.gcd(scalar, algebra.modulus) == 1
+            inverse = algebra.scalar(pow(scalar, -1, algebra.modulus)) if ok else None
         if not ok:
             raise NotInvertible(
                 f"doubling parameter {algebra.format_element(value)} has no two-sided inverse"

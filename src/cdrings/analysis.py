@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, associator_tensor, product_tensors
+from .algebra import (
+    FiniteAlgebra,
+    _twist,
+    _twisted_associators,
+    associator_tensor,
+    product_tensors,
+)
 from .doubling import _require_doubled
 from .errors import StageMismatch
 from .residue import ResidueMatrix, Submodule, _distinct_columns, intersect, kernel
@@ -87,21 +93,6 @@ def _memoized(fn):
     return memoized
 
 
-def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
-    """The twist f of a twisted group algebra over (Z/2)^k, where
-    e_i e_j = f(i, j) e_{i xor j}, or None for any other algebra: one whose
-    rank is not a power of two, or with a nonzero c[i, j, k] at k != i xor j.
-    f may take zero and non-unit values. f holds entries of c at distinct
-    places, so the pattern holds exactly when it holds every nonzero entry."""
-    d = algebra.rank
-    if d.bit_count() != 1:
-        return None
-    c = algebra.structure
-    i = np.arange(d)
-    f = c[i[:, None], i, i[:, None] ^ i]
-    return f if np.count_nonzero(f) == np.count_nonzero(c) else None
-
-
 def _coordinate_sum(n: int, g: np.ndarray) -> Submodule:
     """The direct sum of the (n / g_l) e_l, for divisors g_l of n. Its nonzero
     rows, pivot n / g_l in column l, are already in Howell form."""
@@ -124,20 +115,17 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
 
     On a twisted group algebra (`_twist`), (e_i, e_j, e_k) = a(i, j, k)
-    e_{i xor j xor k} with a(i, j, k) = f(i, j) f(i xor j, k) - f(j, k)
-    f(i, j xor k). With x in one slot and basis elements in the other two,
-    each coordinate x_l lands on its own coordinate, so x is in N iff every
-    x_l is annihilated by every a with l in any slot: N is the sum of the
-    (n / g_l) e_l, g_l = gcd(n, those a). Each a is a difference of two
-    products below (n - 1)^2, exact in int64. Any other algebra takes the
-    kernel route (`_associative_center_kernel`).
+    e_{i xor j xor k} (`_twisted_associators`). With x in one slot and basis
+    elements in the other two, each coordinate x_l lands on its own
+    coordinate, so x is in N iff every x_l is annihilated by every a with l
+    in any slot: N is the sum of the (n / g_l) e_l, g_l = gcd(n, those a).
+    Any other algebra takes the kernel route (`_associative_center_kernel`).
     """
     f = _twist(algebra)
     if f is None:
         return _associative_center_kernel(algebra)
-    n, d = algebra.modulus, algebra.rank
-    i, j, k = np.ix_(*3 * [np.arange(d)])
-    a = (f[i, j] * f[i ^ j, k] - f[j, k] * f[i, j ^ k]) % n
+    n = algebra.modulus
+    a = _twisted_associators(f, n)
     slots = [np.gcd.reduce(a, axis=axes) for axes in ((1, 2), (0, 2), (0, 1))]
     return _coordinate_sum(n, np.gcd(n, np.gcd.reduce(slots)))
 

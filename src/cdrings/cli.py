@@ -86,7 +86,7 @@ def _parse_range(text: str) -> range | list[int]:
 
 
 def _essentiality_checks():
-    """(search flag, label, check) of the three definitional checks, looked
+    """(search flag, label, check) of the three essentiality checks, looked
     up in this module's namespace at each call rather than held in a table."""
     return (
         ("centrally_essential", "centrally essential", is_centrally_essential),
@@ -115,7 +115,7 @@ def cmd_build(args) -> int:
                 print(f"{alg.name}: rank {alg.rank}, |R| = {size}, flags: {flag_text}")
                 try:
                     ce = is_centrally_essential(alg, budget=budget)
-                    print(f"  centrally essential: {ce.verdict} (definitional)")
+                    print(f"  centrally essential: {ce.verdict} ({ce.method})")
                 except EnumerationBudgetExceeded:
                     print("  centrally essential: skipped (over enumeration budget)")
                 if out:
@@ -250,7 +250,7 @@ def cmd_search(args) -> int:
                     row["reason"] = (
                         "filter needs "
                         + ",".join(sorted(blocked))
-                        + " but the definitional scan exceeds the budget"
+                        + " but deciding it exceeds the enumeration budget"
                     )
                 elif skipped:
                     row["flags_skipped"] = skipped

@@ -10,6 +10,15 @@ and a product p lies in T iff p @ W = 0 for a matrix W whose columns span
 the dual of T, but the quantifier structure is exactly the definition;
 nothing is replaced by algebraic shortcuts.
 
+While the universe fits the enumeration budget the scan is the route, so
+every such verdict, cost and witness is the scan's. Beyond the budget
+`_socle` decides the same quantifier by linear algebra (method "socle"):
+T is essential in the S-module M iff it contains the socle of M, which lies
+in the small, explicit U = {m in M : rad(n) m = 0}. It raises
+EnumerationBudgetExceeded, an explicit skip, when S is not a unital subring
+of N(R) acting on M and T, or when its last step would scan a U beyond the
+budget.
+
 The criteria route computes the same verdicts from stage data of the
 undoubled algebra:
 
@@ -29,13 +38,22 @@ choice is flagged in the docs and the search tool treats it as searchable.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative, scalar_ring
-from .analysis import annihilator, associative_center, center, essentiality_data
+from .algebra import FiniteAlgebra, _twist, certify_central_scalar, is_commutative, scalar_ring
+from .analysis import (
+    _coordinate_gcds,
+    _coordinate_sum,
+    annihilator,
+    associative_center,
+    center,
+    essentiality_data,
+)
+from .errors import EnumerationBudgetExceeded
+from .modn import prime_powers
 from .presentations import require_units
 from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -53,13 +71,15 @@ from .residue import (
 class EssentialityVerdict:
     """Outcome of one essentiality decision.
 
-    `method` records whether the verdict came from the definitional scan or
-    from a closed-form criterion. False scan verdicts always carry a witness
-    element that violates the defining condition: the first refuted
-    pre-pass candidate, otherwise the first unmet element of the scanned
-    universe (see `_scan`). Criterion verdicts propagate the witness of the
-    failing clause when one exists (a failure like "not a proper ideal" has
-    no element witness and carries only detail text). `cost` counts the
+    `method` records the route: "definitional" (the scan), "socle" (the
+    over-budget decision of `_socle`, whose detail names its step and gives
+    |U| and |S|) or "criterion" (a closed-form criterion). False scan and
+    socle verdicts always carry a witness element that violates the
+    defining condition: for a scan the first refuted pre-pass candidate,
+    otherwise the first unmet element of the scanned universe (see
+    `_scan`). Criterion verdicts propagate the witness of the failing
+    clause when one exists (a failure like "not a proper ideal" has no
+    element witness and carries only detail text). `cost` counts the
     products the scan's walk evaluates (see `_scan`); a pre-pass candidate
     stops at its first hit, so a scan's cost is usually far below |S| times
     |U|.
@@ -203,21 +223,197 @@ def _scan(
     return refuted(universe[int(np.flatnonzero(~satisfied)[0])])
 
 
+def _products(algebra: FiniteAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product a b, a a row of left and b a row of right, as rows,
+    each contraction reduced before the next so int64 stays exact."""
+    n = algebra.modulus
+    mats = np.einsum("ai,ijk->ajk", left, algebra.structure) % n
+    return (np.einsum("bj,ajk->abk", right, mats) % n).reshape(-1, algebra.rank)
+
+
+def _inside(rows: np.ndarray, sub: Submodule) -> bool:
+    """Every row lies in sub: spanned with its generators, they give sub back."""
+    return Submodule.span(sub.modulus, np.vstack([sub.generators, rows]), sub.ambient_rank) == sub
+
+
+def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
+    """The steps of `_socle` for any algebra, by spans and intersections;
+    None when the precondition fails, else (U, step, witness)."""
+    n, d = algebra.modulus, algebra.rank
+    s = ring.generators
+
+    def times_ring(rows):
+        return _products(algebra, s, rows) if side == "left" else _products(algebra, rows, s)
+
+    sound = (
+        ring.contains(algebra.unit)
+        and _inside(s, associative_center(algebra))
+        and _inside(_products(algebra, s, s), ring)
+        and _inside(times_ring(target.generators), target)
+        and _inside(times_ring(module.generators), module)
+    )
+    if not sound:
+        return None
+    U = module if rad == n else intersect(module, _coordinate_sum(n, np.full(d, rad)))
+    if _inside(U.generators, target):
+        return U, "a", None
+    for u in U.generators:
+        for e in idempotents:
+            w = e * u % n
+            if w.any() and intersect(Submodule.span(n, times_ring(w[None]), d), target).is_zero:
+                return U, "b", w
+    return U, "c", None
+
+
+def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
+    """The steps of `_socle` when the algebra is twisted by f (`_twist`) and
+    S, T, M and N(R) are coordinate sums with coordinate orders `orders`
+    (`_coordinate_sum(n, g)`): every span, product and meet is then read off
+    coordinate by coordinate, as gcds of int64 arrays."""
+    n, d = algebra.modulus, algebra.rank
+    g_s, g_t, g_m, g_n = orders
+    # A generator (n/g_k) e_k of S times e_l lands on e_{k xor l}, scaled by F[k, l].
+    F = f if side == "left" else f.T
+    xor = np.arange(d)[:, None] ^ np.arange(d)
+
+    def closed(g):
+        """Every generator of S times every generator of the coordinate sum
+        of orders g lies in that sum."""
+        v = (n // g_s)[:, None] * (n // g) % n * F % n
+        return not (v % (n // g)[xor]).any()
+
+    sound = (
+        not (algebra.unit % (n // g_s)).any()
+        and not (g_n % g_s).any()
+        and closed(g_s)
+        and closed(g_t)
+        and closed(g_m)
+    )
+    if not sound:
+        return None
+    g_u = np.gcd(g_m, rad)
+    U = _coordinate_sum(n, g_u)
+    if not (g_t % g_u).any():
+        return U, "a", None
+    # Candidate (e, l) is e (n / g_u[l]) e_l; S times it is the sum of the
+    # cyclic groups <v[e, k, l]> on coordinates k xor l, and it misses T iff
+    # each has order prime to T's order there.
+    w = np.array(idempotents, dtype=np.int64)[:, None] * (n // g_u) % n
+    v = ((n // g_s)[:, None] * F % n)[None] * w[:, None, :] % n
+    meets = np.gcd(n // np.gcd(v, n), g_t[xor]) > 1
+    misses = (w > 0) & ~meets.any(axis=1)
+    hits = np.flatnonzero(misses.any(axis=0))
+    if len(hits) == 0:
+        return U, "c", None
+    l = hits[0]
+    witness = np.zeros(d, dtype=np.int64)
+    witness[l] = w[np.flatnonzero(misses[:, l])[0], l]
+    return U, "b", witness
+
+
+def _coordinate_orders(sub: Submodule) -> np.ndarray | None:
+    """The g of sub = `_coordinate_sum(n, g)`, or None when some Howell row
+    of sub has more than its pivot."""
+    if np.count_nonzero(sub.generators) != sub.num_generators:
+        return None
+    return _coordinate_gcds(sub)
+
+
+_SOCLE_STEPS = {
+    "a": "U = ann_M(rad(n)) lies in the target",
+    "b": "the multiples of the witness by S miss the target",
+    "c": "scan of U",
+}
+
+
+def _socle(
+    algebra: FiniteAlgebra,
+    ring: Submodule,
+    target: Submodule,
+    module: Submodule,
+    *,
+    side: str,
+    property_name: str,
+    budget: int,
+    required: int,
+) -> EssentialityVerdict:
+    """Is target essential in module as a left (or right) module over ring,
+    decided on the socle-bounded universe instead of the whole module.
+
+    With S = ring, T = target and M = module: when S is a unital subring of
+    N(R) and S M in M, S T in T, M is an S-module, T a submodule of it, and
+    the scan's quantifier (S u meets T\\{0} for every nonzero u in M) says
+    T is essential in M. For a finite ring S, T is essential iff
+    soc_S(M) = ann_M(J(S)) lies in T (Anderson-Fuller, sections 9 and 15).
+    J' = rad(n) S is a nilpotent ideal, so J' lies in J(S), and, 1 being in
+    S, U = ann_M(J') = {m in M : rad(n) m = 0} contains the socle. Then:
+      (a) U in T: True;
+      (b) some u = e g, g a generator of U and e an idempotent of the CRT
+          split of Z/nZ, is nonzero with S u meeting T only in 0 (S u is
+          spanned by the products of S's generators with u): False, witness u;
+      (c) otherwise the scan of U alone decides, since every simple
+          submodule of M lies in U; over budget, it raises.
+    The precondition is checked on generators first; when it fails, the
+    check raises EnumerationBudgetExceeded(required, budget), as an
+    over-budget scan would. `cost` counts the products of step (c)'s scan.
+    Twisted algebras whose S, T, M and N(R) are coordinate sums take
+    `_socle_by_coordinates`, every other one `_socle_by_kernels`; the two
+    give the same U, step and witness.
+    """
+    n = algebra.modulus
+    split = prime_powers(n)
+    rad = math.prod(p for p, _ in split)
+    idempotents = [(n // q) * pow(n // q, -1, q) % n for _, q in split]
+    f = _twist(algebra)
+    subs = (ring, target, module, associative_center(algebra))
+    orders = [_coordinate_orders(s) for s in subs] if f is not None else [None]
+    if any(g is None for g in orders):
+        steps = _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents)
+    else:
+        steps = _socle_by_coordinates(algebra, f, orders, side, rad, idempotents)
+    if steps is None:
+        raise EnumerationBudgetExceeded(required, budget)
+    U, step, witness = steps
+    detail = f"socle step ({step}): {_SOCLE_STEPS[step]}; |U| = {U.order()}, |S| = {ring.order()}"
+    if step == "a":
+        return EssentialityVerdict(property_name, True, "socle", None, 0, detail)
+    if step == "b":
+        return EssentialityVerdict(
+            property_name, False, "socle", tuple(int(t) for t in witness), 0, detail
+        )
+    if U.order() > budget:
+        raise EnumerationBudgetExceeded(U.order(), budget)
+    # rad(n) u = 0 makes s u depend on s mod rad(n) only, so S enters the
+    # scan as its image in (Z/rad(n))^d, lifted to residues below rad(n).
+    image = ring if rad == n else Submodule.span(rad, ring.generators % rad, algebra.rank)
+    scan = _scan(
+        algebra, image.elements(budget), target, U.elements(budget),
+        side=side, property_name=property_name, detail=detail,
+    )
+    return replace(scan, method="socle", detail=detail)
+
+
 def _scan_ambient(
     algebra: FiniteAlgebra,
-    members: Callable[[], Submodule],
+    sub: Submodule,
     property_name: str,
     *,
     budget: int,
     side: str = "left",
 ) -> EssentialityVerdict:
-    """Scan every nonzero r of the algebra for sub r (or r sub) meeting sub\\{0}.
-
-    `members()` returns sub. It is called only once R fits the budget, so an
-    over-budget check raises before paying for the center it would scan.
-    """
-    ambient = all_vectors(algebra.modulus, algebra.rank, budget)
-    sub = members()
+    """Is sub essential in R as a module over itself: does sub r (or r sub)
+    meet sub\\{0} for every nonzero r? Scanned while R fits the budget,
+    decided on the socle-bounded universe (`_socle`) beyond it."""
+    n, d = algebra.modulus, algebra.rank
+    if n**d > budget:
+        full = _coordinate_sum(n, np.full(d, n))
+        return _socle(
+            algebra, sub, sub, full,
+            side=side, property_name=property_name, budget=budget, required=n**d,
+        )
+    # Taken before sub's elements, so that a cache miss, which briefly holds
+    # one table more than the cache keeps, never coincides with them.
+    ambient = all_vectors(n, d, budget)
     return _scan(
         algebra,
         sub.elements(budget),
@@ -237,7 +433,7 @@ def is_essential_submodule(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """True iff sub*r meets sub nontrivially for every nonzero r in A."""
-    return _scan_ambient(algebra, lambda: sub, property_name, budget=budget)
+    return _scan_ambient(algebra, sub, property_name, budget=budget)
 
 
 def is_essential_ideal(
@@ -252,11 +448,17 @@ def is_essential_ideal(
 
     ideal must sit inside ring; the scan enumerates the ring, not the whole
     algebra or the ideal, so desk-scale centers stay cheap even in big
-    ambient modules.
+    ambient modules. A ring beyond the budget is decided by `_socle`.
     """
     for g in ideal.generators:
         if not ring.contains(g):
             raise ValueError("ideal is not contained in the ring it should be essential in")
+    size = ring.order()
+    if size > budget:
+        return _socle(
+            algebra, ring, ideal, ring,
+            side="left", property_name=property_name, budget=budget, required=size,
+        )
     ring_elems = ring.elements(budget)
     return _scan(
         algebra,
@@ -273,28 +475,20 @@ def is_centrally_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
     """Definitional check of Z(R) r cap Z(R) != 0 for all nonzero r."""
-    return _scan_ambient(
-        algebra, lambda: center(algebra).Z, "centrally essential", budget=budget
-    )
+    return _scan_ambient(algebra, center(algebra).Z, "centrally essential", budget=budget)
 
 
 def is_left_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
-    return _scan_ambient(
-        algebra, lambda: associative_center(algebra), "left N-essential", budget=budget
-    )
+    return _scan_ambient(algebra, associative_center(algebra), "left N-essential", budget=budget)
 
 
 def is_right_n_essential(
     algebra: FiniteAlgebra, *, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> EssentialityVerdict:
     return _scan_ambient(
-        algebra,
-        lambda: associative_center(algebra),
-        "right N-essential",
-        budget=budget,
-        side="right",
+        algebra, associative_center(algebra), "right N-essential", budget=budget, side="right"
     )
 
 
@@ -425,7 +619,7 @@ def noncommutative_centrally_essential_definitional(
     return EssentialityVerdict(
         "non-commutative centrally essential (definitional)",
         verdict,
-        "definitional",
+        ce.method,
         ce.witness if not ce.verdict else None,
         ce.cost,
         detail,

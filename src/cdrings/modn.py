@@ -6,6 +6,7 @@ are the primitives the Howell-form elimination is built from.
 
 from __future__ import annotations
 
+import functools
 import math
 
 
@@ -66,3 +67,20 @@ def gcd_transform(a: int, b: int, n: int) -> tuple[int, int, int, int, int]:
     u = -((b % n) // g)
     v = (a % n) // g
     return g % n, s % n, t % n, u % n, v % n
+
+
+@functools.lru_cache(maxsize=64)
+def prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, q) for every prime p dividing n >= 2, q the power of p that
+    exactly divides n, by increasing p (trial division)."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            out.append((p, q))
+        p += 1
+    if n > 1:
+        out.append((n, n))
+    return tuple(out)

@@ -1,9 +1,12 @@
 """Named verification suites: the library's claims, re-checked end to end.
 
 Each suite sweeps a family of instances and cross-checks two independent
-routes (closed form vs. linear solve, criterion vs. definitional scan,
-presentation vs. tower). Suites are deterministic: instance order is fixed
-and nothing is sampled, so repeated runs produce identical reports.
+routes (closed form vs. linear solve, criterion vs. definitional check,
+presentation vs. tower). A definitional check scans its module while it
+fits the budget and is decided on the socle-bounded universe beyond it
+(`essentiality._socle`); a check that raises is a skipped row. Suites are
+deterministic: instance order is fixed and nothing is sampled, so repeated
+runs produce identical reports.
 
 A suite is a generator of `InstanceResult` rows registered under its name
 with `@_suite(name)`; the registered function (also the `SUITES` entry)
@@ -13,10 +16,10 @@ Suite names are stable CLI keys:
 
     thm-1.3     pair closed form and default route of the associative
                 center vs. its kernel + N-essential criterion vs.
-                definitional scans
+                definitional checks
     thm-1.4     pair closed form and default route of the center vs. its
                 kernel + centrally essential criterion vs. definitional
-                scans
+                checks
     thm-1.5     the flagship rank-8 tower over Z4: alternative,
                 non-associative, non-commutative, centrally essential; its
                 double is not right-alternative
@@ -206,18 +209,17 @@ def _formula_and_criterion_rows(
                 detail=f"criterion skipped: {exc}", skipped=True,
             )
             continue
-        ambient = doubled.modulus**doubled.rank
-        if ambient > budget:
+        try:
+            defn = definitional_check(doubled, budget=budget)
+        except EnumerationBudgetExceeded as exc:
             yield InstanceResult(
                 f"{tid} criterion-agreement",
                 True,
                 kind="criterion-agreement",
-                detail=f"definitional check skipped: |R| = {ambient} exceeds budget"
-                f" {budget}; criterion verdict = {crit.verdict}",
+                detail=f"definitional check skipped: {exc}; criterion verdict = {crit.verdict}",
                 skipped=True,
             )
             continue
-        defn = definitional_check(doubled, budget=budget)
         agree = crit.verdict == defn.verdict
         yield InstanceResult(
             f"{tid} criterion-agreement",
@@ -282,21 +284,21 @@ def suite_thm_1_5(budget: int = DEFAULT_ENUMERATION_BUDGET):
     )
 
 
-def _scalar_criterion_rows(n_range, budget: int, rank: int, criterion, definitional):
+def _scalar_criterion_rows(n_range, criterion, definitional):
     """Per modulus n: a scalar criterion verdict vs. a definitional
-    (verdict, witness) on the rank-`rank` algebra over Z/nZ."""
+    (verdict, witness) on an algebra over Z/nZ."""
     for n in n_range:
         crit = criterion(n)
-        ambient = n**rank
-        if ambient > budget:
+        try:
+            defn, witness = definitional(n)
+        except EnumerationBudgetExceeded as exc:
             yield InstanceResult(
                 f"n={n}",
                 True,
-                detail=f"definitional skipped (|A| = {ambient}); criterion = {crit.verdict}",
+                detail=f"definitional skipped ({exc}); criterion = {crit.verdict}",
                 skipped=True,
             )
             continue
-        defn, witness = definitional(n)
         yield InstanceResult(
             f"n={n}",
             crit.verdict == defn,
@@ -315,7 +317,7 @@ def suite_prop_5_2(n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGE
         return defn.verdict, defn.witness
 
     return _scalar_criterion_rows(
-        n_range, budget, 4, lambda n: quaternion_criterion(n, 1, 1), definitional
+        n_range, lambda n: quaternion_criterion(n, 1, 1), definitional
     )
 
 
@@ -329,7 +331,7 @@ def suite_prop_5_3(n_range=range(2, 10), budget: int = DEFAULT_ENUMERATION_BUDGE
         return ce.verdict and not is_associative(alg), ce.witness
 
     return _scalar_criterion_rows(
-        n_range, budget, 8, lambda n: octonion_criterion(n, 1, 1, 1), definitional
+        n_range, lambda n: octonion_criterion(n, 1, 1, 1), definitional
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cdrings import cli
+from cdrings import cli, suites
 from cdrings.cli import build_parser, main
 from cdrings.errors import EnumerationBudgetExceeded
 from cdrings.essentiality import centrally_essential_criterion, n_essential_criterion
@@ -43,7 +43,18 @@ def test_build_rank16_not_right_alternative(tmp_path, capsys):
     assert "rank 16" in stdout
     flag_line = stdout.split("flags:")[1].split("\n")[0]
     assert "right_alternative" not in flag_line
-    assert "skipped (over enumeration budget)" in stdout
+    # 4^16 is over the budget: the verdict comes from the socle route.
+    assert "centrally essential: True (socle)" in stdout
+
+
+def test_build_reports_a_check_it_cannot_decide(capsys, monkeypatch):
+    def over_budget(algebra, budget):
+        raise EnumerationBudgetExceeded(4**16, budget)
+
+    monkeypatch.setattr(cli, "is_centrally_essential", over_budget)
+    code, stdout, _ = run_cli(capsys, "build", "--base", "4", "--params", "1,1,1,1")
+    assert code == 0
+    assert "centrally essential: skipped (over enumeration budget)" in stdout
 
 
 def test_build_reports_construction_error_with_stage(capsys):
@@ -153,15 +164,42 @@ def test_verify_formula_suites_scoped(capsys):
         assert code == 0
         assert "FAIL" not in stdout
         assert "formula" in stdout and "criterion-agreement" in stdout
-        # A criterion over budget becomes a skipped row; the rows before it
-        # and the other towers are still reported.
+        # Under a budget of 8 every stage and double is over budget; the
+        # socle route decides each check as the scans do at the default.
+        scanned = run_cli(capsys, "verify", suite, "--bases", "3", "--depth", "2")[1]
         code, stdout, _ = run_cli(
             capsys, "--budget", "8", "verify", suite, "--bases", "3", "--depth", "2"
         )
         assert code == 0
-        assert "FAIL" not in stdout and "formula" in stdout
-        assert "[SKIP] Z3;1,1 criterion-agreement -- criterion skipped:" in stdout
-        assert "Z3;2,2 formula" in stdout
+        assert "SKIP" not in stdout and stdout.splitlines()[:-1] == scanned.splitlines()[:-1]
+
+
+@pytest.mark.parametrize("suite", ["thm-1.3", "thm-1.4"])
+@pytest.mark.parametrize("route", ["criterion", "definitional"])
+def test_verify_formula_suites_report_checks_over_budget_as_skips(capsys, monkeypatch, suite, route):
+    # A check that raises becomes a skipped row; the rows before it and the
+    # other towers are still reported.
+    def over_budget(algebra, *args, budget):
+        raise EnumerationBudgetExceeded(algebra.modulus**algebra.rank, budget)
+
+    names = {
+        ("thm-1.3", "criterion"): "n_essential_criterion",
+        ("thm-1.3", "definitional"): "is_left_n_essential",
+        ("thm-1.4", "criterion"): "centrally_essential_criterion",
+        ("thm-1.4", "definitional"): "is_centrally_essential",
+    }
+    monkeypatch.setattr(suites, names[suite, route], over_budget)
+    code, stdout, _ = run_cli(capsys, "verify", suite, "--bases", "3", "--depth", "2")
+    assert code == 0
+    assert "FAIL" not in stdout and "Z3;2,2 formula" in stdout
+    if route == "criterion":
+        expected = "[SKIP] Z3;1,1 criterion-agreement -- criterion skipped: enumeration needs 9"
+    else:
+        expected = (
+            "[SKIP] Z3;1,1 criterion-agreement -- definitional check skipped: enumeration needs"
+            " 81 elements, budget is 1048576; criterion verdict = "
+        )
+    assert expected in stdout
 
 
 def test_verify_unknown_suite(capsys):
@@ -244,25 +282,34 @@ def test_search_left_vs_right_n_essential_empty(capsys):
     assert [r for r in rows if not r.get("skipped")] == []
 
 
-def test_search_marks_budget_skips(tmp_path, capsys):
+def test_search_decides_rows_over_budget_as_the_scans_do(capsys):
+    argv = ["search", "--bases", "4", "--depth", "3", "--filter", "centrally_essential"]
+    scanned = run_cli(capsys, *argv)[1]
+    # Under a budget of 4000 the rank-8 rows (4^8 elements) take the socle route.
+    code, stdout, _ = run_cli(capsys, "--budget", "4000", *argv)
+    assert code == 0
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert any(r["rank"] == 8 for r in rows) and not any(r.get("skipped") for r in rows)
+    assert stdout == scanned
+
+
+def test_search_marks_budget_skips(capsys, monkeypatch):
+    def over_budget(algebra, budget):
+        raise EnumerationBudgetExceeded(algebra.modulus**algebra.rank, budget)
+
+    monkeypatch.setattr(cli, "is_centrally_essential", over_budget)
     code, stdout, _ = run_cli(
-        capsys,
-        "--budget",
-        "4000",
-        "search",
-        "--bases",
-        "4",
-        "--depth",
-        "3",
-        "--filter",
-        "centrally_essential",
+        capsys, "search", "--bases", "4", "--depth", "1", "--filter", "centrally_essential"
     )
     assert code == 0
     rows = [json.loads(line) for line in stdout.splitlines()]
-    skipped = [r for r in rows if r.get("skipped")]
-    assert skipped, "rank-8 rows must be marked skipped under a tiny budget"
-    for r in skipped:
-        assert "budget" in r["reason"]
+    assert len(rows) == 3 and all(r["skipped"] for r in rows)
+    assert rows[0]["reason"] == (
+        "filter needs centrally_essential but deciding it exceeds the enumeration budget"
+    )
+    code, stdout, _ = run_cli(capsys, "search", "--bases", "4", "--depth", "1")
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert all(r["flags_skipped"] == ["centrally_essential"] for r in rows)
 
 
 def test_search_reports_a_base_that_cannot_be_built(capsys):
@@ -289,7 +336,8 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     run_cli(capsys, "build", "--base", "4", "--params", "1,1", "--out", str(out))
     code, stdout, _ = run_cli(capsys, "analyze", str(out))
     assert code == 0
-    assert "skipped" in stdout
+    # 4^4 > 10, so every check is decided on the socle, not scanned.
+    assert stdout.count("[socle]") == 3 and "[definitional]" not in stdout
 
 
 def exit_code(capsys, *argv):

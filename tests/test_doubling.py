@@ -149,7 +149,9 @@ def test_each_stage_is_validated_once(monkeypatch):
 
 
 def test_each_doubling_parameter_is_certified_once_per_algebra(monkeypatch):
-    calls = _counting(monkeypatch, "is_invertible")
+    # Every certification, by the gcd (integer values) or the general route
+    # (vectors), checks the symmetry once.
+    calls = _counting(monkeypatch, "is_symmetric")
     stage, doubled = build_tower(TowerSpec(4, (1, 3)))[-2:]
     assert calls == [stage.parent, stage]
     cert = certify_central_scalar(stage, [3, 0])

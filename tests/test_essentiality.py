@@ -1,13 +1,17 @@
+import collections
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrings import algebra, essentiality
 from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
-from cdrings.analysis import center, essentiality_data
+from cdrings.analysis import associative_center, center, essentiality_data
 from cdrings.doubling import double, tower, unit_towers
 from cdrings.errors import AlgebraError, EnumerationBudgetExceeded, NotInvertible
 from cdrings.essentiality import (
@@ -468,9 +472,34 @@ def test_left_n_essential_false_for_z3_octonion():
 
 
 def test_budget_error():
-    R = tower(6, 1, 1, 1)  # 6^8 ambient elements
+    # The enumerations refuse the 6^8 elements of R; the checks on R are
+    # decided on the socle instead, and raise only where that route does
+    # (see `test_socle_step_c_raises_beyond_the_budget`).
+    R = tower(6, 1, 1, 1)
     with pytest.raises(EnumerationBudgetExceeded):
-        is_centrally_essential(R)
+        all_vectors(6, 8)
+    with pytest.raises(EnumerationBudgetExceeded):
+        Submodule.full(6, 8).elements()
+    assert is_centrally_essential(R).method == "socle"
+
+
+def test_over_budget_checks_are_decided_on_the_socle():
+    # 6^8 > 2^20 and Z6 is squarefree, so U = R; step (b) finds a u = e e_l
+    # (e an idempotent of Z6) whose Z-multiples meet Z only in 0.
+    R = tower(6, 1, 1, 1)
+    v = is_centrally_essential(R)
+    assert (v.verdict, v.method, v.cost) == (False, "socle", 0)
+    assert v.detail.startswith("socle step (b):") and "|U| = 1679616" in v.detail
+    # The witness is checked by linear algebra alone.
+    Z, u = center(R).Z, np.array(v.witness)
+    multiples = Submodule.span(6, [R.mul(z, u) for z in Z.generators], 8)
+    assert u.any() and intersect(multiples, Z).is_zero
+    # 4^16 > 2^20: U = 2R lies in Z, step (a).
+    v = is_centrally_essential(tower(4, 1, 1, 1, 1))
+    assert (v.verdict, v.method, v.witness) == (True, "socle", None)
+    assert v.detail == (
+        "socle step (a): U = ann_M(rad(n)) lies in the target; |U| = 65536, |S| = 131072"
+    )
 
 
 def test_monotonicity_of_essential_submodules(z4_quaternion):
@@ -578,8 +607,18 @@ def test_criteria_decide_their_stage_once_for_every_alpha(criterion, monkeypatch
 
 
 @pytest.mark.parametrize("criterion", [n_essential_criterion, centrally_essential_criterion])
-def test_over_budget_criteria_raise_every_time(criterion):
+def test_over_budget_criteria_raise_every_time(criterion, monkeypatch):
+    # Stages over the budget are decided on the socle, and kept in the memo.
     stage = tower(6, 1, 1, 1)  # 6^8 stage elements
+    first = criterion(stage, 1)
+    assert first.verdict is False and criterion(stage, 5) is first
+    # A check that still raises (see `test_socle_step_c_raises_beyond_the_budget`)
+    # leaves nothing there.
+    def over_budget(*args, **kwargs):
+        raise EnumerationBudgetExceeded(6**8, 2**20)
+
+    monkeypatch.setattr(essentiality, "_scan_ambient", over_budget)
+    stage = tower(6, 1, 1, 1)
     for _ in range(2):
         with pytest.raises(EnumerationBudgetExceeded):
             criterion(stage, 1)
@@ -670,3 +709,142 @@ def test_witness_validity_for_false_scans():
 def test_verdict_cost_is_reported(z4_quaternion):
     v = is_centrally_essential(z4_quaternion)
     assert v.cost > 0
+
+
+# -- the socle route beyond the budget ------------------------------------------
+
+SOCLE_SWEEP = [(2, 4), (3, 3), (4, 3), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (10, 1), (12, 1)]
+
+
+def _socle_cases(algebra):
+    """(S, T, M, side, in-budget check) for each essentiality check on the
+    algebra: the three ambient checks and the criteria's three clauses."""
+    n, d = algebra.modulus, algebra.rank
+    R, Z, N = Submodule.full(n, d), center(algebra).Z, associative_center(algebra)
+    data = essentiality_data(algebra)
+    J1 = intersect(data.J, data.I)
+    return [
+        (Z, Z, R, "left", lambda: is_centrally_essential(algebra)),
+        (N, N, R, "left", lambda: is_left_n_essential(algebra)),
+        (N, N, R, "right", lambda: is_right_n_essential(algebra)),
+        (data.B, data.B, R, "left", lambda: is_essential_submodule(data.B, algebra)),
+        (data.C, data.I, data.C, "left", lambda: is_essential_ideal(data.I, data.C, algebra)),
+        (data.B, J1, data.B, "left", lambda: is_essential_ideal(J1, data.B, algebra)),
+    ]
+
+
+def _socle_routes(algebra, S, T, M, side, budget=2**20):
+    """The socle verdict by the default route and by `_socle_by_kernels`
+    (the coordinate route switched off), asserted equal."""
+    def decide():
+        return essentiality._socle(
+            algebra, S, T, M, side=side, property_name="p", budget=budget, required=0
+        )
+
+    got = decide()
+    with mock.patch.object(essentiality, "_twist", lambda algebra: None):
+        assert decide() == got
+    return got
+
+
+def test_socle_equals_the_scan_on_every_in_budget_check_of_the_unit_towers():
+    steps = collections.Counter()
+    for base, depth in SOCLE_SWEEP:
+        for params, stages in unit_towers(base, depth):
+            for S, T, M, side, check in _socle_cases(stages[-1]):
+                scan = check()
+                assert scan.method == "definitional"
+                got = _socle_routes(stages[-1], S, T, M, side)
+                assert (got.method, got.verdict) == ("socle", scan.verdict), (base, params)
+                steps[got.detail[:14]] += 1
+    # 1,080 checks: none of them needs step (c).
+    assert steps == {"socle step (a)": 592, "socle step (b)": 488}
+
+
+def _dual_numbers(n):
+    """Z/n[x]/(x^2) on the basis 1, x, with the identity involution."""
+    structure = np.zeros((2, 2, 2), dtype=np.int64)
+    structure[0, 0, 0] = structure[0, 1, 1] = structure[1, 0, 1] = 1
+    return FiniteAlgebra(n, structure, [1, 0], np.eye(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("route", ["coordinates", "kernels"])
+def test_socle_step_c_raises_beyond_the_budget(route, monkeypatch):
+    # In A = Z9[x]/(x^2), U = 3A (9 elements) is not inside T = xA, yet the
+    # multiples of both generators 3 and 3x of U meet T, so step (c) scans U.
+    # T contains the socle 3xA, so it is essential.
+    if route == "kernels":
+        monkeypatch.setattr(essentiality, "_twist", lambda algebra: None)
+    A = _dual_numbers(9)
+    ring, ideal = Submodule.full(9, 2), Submodule.span(9, [[0, 1]], 2)
+    scan = is_essential_ideal(ideal, ring, A)  # 81 elements, in budget
+    assert (scan.verdict, scan.method) == (True, "definitional")
+    got = is_essential_ideal(ideal, ring, A, budget=20)
+    assert (got.verdict, got.method) == (True, "socle") and got.cost > 0
+    assert got.detail == "socle step (c): scan of U; |U| = 9, |S| = 81"
+    with pytest.raises(EnumerationBudgetExceeded) as raised:
+        is_essential_ideal(ideal, ring, A, budget=8)
+    assert (raised.value.required, raised.value.budget) == (9, 8)
+
+
+@pytest.mark.parametrize("route", ["coordinates", "kernels"])
+def test_socle_refuses_rings_outside_its_precondition(route, monkeypatch):
+    if route == "kernels":
+        monkeypatch.setattr(essentiality, "_twist", lambda algebra: None)
+    # xA lacks the unit: the scan decides it, the socle route refuses it.
+    A = _dual_numbers(9)
+    x = Submodule.span(9, [[0, 1]], 2)
+    assert is_essential_submodule(x, A).method == "definitional"
+    with pytest.raises(EnumerationBudgetExceeded) as raised:
+        is_essential_submodule(x, A, budget=80)
+    assert (raised.value.required, raised.value.budget) == (81, 80)
+    # span(1, e1) in the Z3 octonions is a unital subring outside N(R).
+    O = tower(3, 1, 1, 1)
+    S = Submodule.span(3, np.eye(8, dtype=np.int64)[:2], 8)
+    assert not associative_center(O).contains(S.generators[1])
+    with pytest.raises(EnumerationBudgetExceeded):
+        is_essential_submodule(S, O, budget=100)
+    # The ring Z68 x Z68 is not twisted, so it always takes the kernel route.
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[1, 1, 1] = 1
+    ring = FiniteAlgebra(68, c, [1, 1], np.eye(2, dtype=np.int64))
+    got = is_essential_submodule(Submodule.full(68, 2), ring, budget=100)
+    assert (got.verdict, got.method) == (True, "socle")
+    with pytest.raises(EnumerationBudgetExceeded):
+        is_essential_submodule(Submodule.span(68, [[1, 0]], 2), ring, budget=100)
+
+
+@st.composite
+def _twisted_cases(draw):
+    n = draw(st.sampled_from((4, 6, 8, 9, 12, 16, 18, 27)))
+    d = draw(st.sampled_from([k for k in (1, 2, 4) if n**k <= 2**16]))
+    entry = st.one_of(st.sampled_from((0, 1, n - 1, n // 2, n // 3)), st.integers(0, n - 1))
+    f = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d)), dtype=np.int64)
+    f = f.reshape(d, d)
+    f[0, :] = f[:, 0] = 1
+    return n, f
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_twisted_cases(), st.integers(0, 2**16))
+def test_socle_gcd_certificates_and_twist_flags_equal_their_oracles(case, c):
+    n, f = case
+    d = len(f)
+    i = np.arange(d)
+    structure = np.zeros((d, d, d), dtype=np.int64)
+    structure[i[:, None], i, i[:, None] ^ i] = f
+    A = FiniteAlgebra(n, structure, np.eye(d, dtype=np.int64)[0], np.eye(d, dtype=np.int64))
+    for S, T, M, side, check in _socle_cases(A)[:3]:
+        assert _socle_routes(A, S, T, M, side).verdict == check().verdict
+    assert algebra.identity_flags(A) == {
+        "associative": algebra.is_associative(A),
+        "commutative": algebra.is_commutative(A),
+        "alternative": algebra.is_alternative(A),
+        "right_alternative": algebra.is_right_alternative(A),
+    }
+    ok, inverse = algebra.is_invertible(A, A.scalar(c))
+    try:
+        got = algebra.certify_central_scalar(A, c).inverse.tolist()
+    except NotInvertible:
+        got = None
+    assert got == (inverse.tolist() if ok else None)
