@@ -137,6 +137,20 @@ def test_verify_thm_1_5(capsys):
     assert "PASS" in stdout and "FAIL" not in stdout
 
 
+def test_verify_thm_1_5_under_a_small_budget_skips_the_definitional_row(capsys):
+    # 4^8 is over the budget: the socle verdict is reported, not passed off
+    # as the definitional scan the row names.
+    code, stdout, _ = run_cli(capsys, "--budget", "1000", "verify", "thm-1.5")
+    assert code == 0
+    assert "FAIL" not in stdout and "scanned all" not in stdout
+    assert (
+        "[SKIP] rank-8 Z4 tower centrally essential (definitional) -- definitional scan"
+        " skipped: enumeration needs 65536 elements, budget is 1000; socle verdict = True"
+        " (socle step (a)"
+    ) in stdout
+    assert "4 passed, 0 failed, 1 skipped" in stdout
+
+
 def test_verify_prop_5_2_json(capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", "prop-5.2", "--n-range", "2..9", "--json"
