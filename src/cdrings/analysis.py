@@ -93,23 +93,6 @@ def _memoized(fn):
     return memoized
 
 
-def _coordinate_sum(n: int, g: np.ndarray) -> Submodule:
-    """The direct sum of the (n / g_l) e_l, for divisors g_l of n. Its nonzero
-    rows, pivot n / g_l in column l, are already in Howell form."""
-    cols = np.flatnonzero(g > 1)
-    rows = np.zeros((len(cols), len(g)), dtype=np.int64)
-    rows[np.arange(len(cols)), cols] = n // g[cols]
-    return Submodule._from_howell(n, rows, cols.tolist())
-
-
-def _coordinate_gcds(s: Submodule) -> np.ndarray:
-    """The g of a coordinate sum s (`_coordinate_sum(n, g) == s`)."""
-    g = np.ones(s.ambient_rank, dtype=np.int64)
-    for col, p in s.pivots:
-        g[col] = s.modulus // p
-    return g
-
-
 @_memoized
 def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
@@ -127,7 +110,7 @@ def associative_center(algebra: FiniteAlgebra) -> Submodule:
     n = algebra.modulus
     a = _twisted_associators(f, n)
     slots = [np.gcd.reduce(a, axis=axes) for axes in ((1, 2), (0, 2), (0, 1))]
-    return _coordinate_sum(n, np.gcd(n, np.gcd.reduce(slots)))
+    return Submodule.coordinate_sum(n, np.gcd(n, np.gcd.reduce(slots)))
 
 
 def _associative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
@@ -156,7 +139,7 @@ def commutative_center(algebra: FiniteAlgebra) -> Submodule:
     if f is None:
         return _commutative_center_kernel(algebra)
     n = algebra.modulus
-    return _coordinate_sum(n, np.gcd(n, np.gcd.reduce(f - f.T, axis=1)))
+    return Submodule.coordinate_sum(n, np.gcd(n, np.gcd.reduce(f - f.T, axis=1)))
 
 
 def _commutative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
@@ -171,13 +154,10 @@ def _commutative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
 @_memoized
 def center(algebra: FiniteAlgebra) -> CenterReport:
     """N, K and Z = N ∩ K. On a twisted group algebra N and K are coordinate
-    sums, and (n/g) Z/n ∩ (n/h) Z/n = (n / gcd(g, h)) Z/n in each coordinate."""
+    sums, which `intersect` meets coordinate by coordinate."""
     N = associative_center(algebra)
     K = commutative_center(algebra)
-    if _twist(algebra) is None:
-        return CenterReport(algebra.name, N, K, intersect(N, K))
-    g = np.gcd(_coordinate_gcds(N), _coordinate_gcds(K))
-    return CenterReport(algebra.name, N, K, _coordinate_sum(algebra.modulus, g))
+    return CenterReport(algebra.name, N, K, intersect(N, K))
 
 
 def _kernel_center(algebra: FiniteAlgebra) -> CenterReport:

@@ -44,14 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import FiniteAlgebra, _twist, certify_central_scalar, is_commutative, scalar_ring
-from .analysis import (
-    _coordinate_gcds,
-    _coordinate_sum,
-    annihilator,
-    associative_center,
-    center,
-    essentiality_data,
-)
+from .analysis import annihilator, associative_center, center, essentiality_data
 from .errors import EnumerationBudgetExceeded
 from .modn import prime_powers
 from .presentations import require_units
@@ -254,7 +247,7 @@ def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
     )
     if not sound:
         return None
-    U = module if rad == n else intersect(module, _coordinate_sum(n, np.full(d, rad)))
+    U = module if rad == n else intersect(module, Submodule.coordinate_sum(n, np.full(d, rad)))
     if _inside(U.generators, target):
         return U, "a", None
     for u in U.generators:
@@ -268,8 +261,8 @@ def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
 def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
     """The steps of `_socle` when the algebra is twisted by f (`_twist`) and
     S, T, M and N(R) are coordinate sums with coordinate orders `orders`
-    (`_coordinate_sum(n, g)`): every span, product and meet is then read off
-    coordinate by coordinate, as gcds of int64 arrays."""
+    (`Submodule.coordinate_orders`): every span, product and meet is then
+    read off coordinate by coordinate, as gcds of int64 arrays."""
     n, d = algebra.modulus, algebra.rank
     g_s, g_t, g_m, g_n = orders
     # A generator (n/g_k) e_k of S times e_l lands on e_{k xor l}, scaled by F[k, l].
@@ -292,7 +285,7 @@ def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
     if not sound:
         return None
     g_u = np.gcd(g_m, rad)
-    U = _coordinate_sum(n, g_u)
+    U = Submodule.coordinate_sum(n, g_u)
     if not (g_t % g_u).any():
         return U, "a", None
     # Candidate (e, l) is e (n / g_u[l]) e_l; S times it is the sum of the
@@ -309,14 +302,6 @@ def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
     witness = np.zeros(d, dtype=np.int64)
     witness[l] = w[np.flatnonzero(misses[:, l])[0], l]
     return U, "b", witness
-
-
-def _coordinate_orders(sub: Submodule) -> np.ndarray | None:
-    """The g of sub = `_coordinate_sum(n, g)`, or None when some Howell row
-    of sub has more than its pivot."""
-    if np.count_nonzero(sub.generators) != sub.num_generators:
-        return None
-    return _coordinate_gcds(sub)
 
 
 _SOCLE_STEPS = {
@@ -366,7 +351,7 @@ def _socle(
     idempotents = [(n // q) * pow(n // q, -1, q) % n for _, q in split]
     f = _twist(algebra)
     subs = (ring, target, module, associative_center(algebra))
-    orders = [_coordinate_orders(s) for s in subs] if f is not None else [None]
+    orders = [s.coordinate_orders() for s in subs] if f is not None else [None]
     if any(g is None for g in orders):
         steps = _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents)
     else:
@@ -406,9 +391,8 @@ def _scan_ambient(
     decided on the socle-bounded universe (`_socle`) beyond it."""
     n, d = algebra.modulus, algebra.rank
     if n**d > budget:
-        full = _coordinate_sum(n, np.full(d, n))
         return _socle(
-            algebra, sub, sub, full,
+            algebra, sub, sub, Submodule.full(n, d),
             side=side, property_name=property_name, budget=budget, required=n**d,
         )
     # Taken before sub's elements, so that a cache miss, which briefly holds

@@ -25,10 +25,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def is_unit(a: int, n: int) -> bool:
-    return math.gcd(a, n) == 1
-
-
 def annihilator_generator(a: int, n: int) -> int:
     """Smallest positive generator of {x : x*a = 0 mod n}, reduced mod n.
 

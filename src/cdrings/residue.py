@@ -12,6 +12,11 @@ augmented block such as [A | I], split by pivot column, with no second pass.
 `kernel` eliminates each distinct nonzero column once, found by exact byte
 keys (`_distinct_columns`).
 
+A coordinate sum ⊕ (n / g_l) e_l, g_l dividing n (every center of a tower
+with scalar parameters is one), is its own Howell form: `span` of rows with at
+most one nonzero entry each and `intersect` of two coordinate sums take gcds
+instead (`Submodule.coordinate_sum`, read back by `coordinate_orders`).
+
 All vectors are rows; the kernel convention throughout the package is the
 left kernel {v : v @ m = 0}.
 """
@@ -188,8 +193,8 @@ class Submodule:
 
     Instances compare equal exactly when they have the same element set, so
     submodule identities (center formulas, ideal equalities) are plain `==`
-    checks. Construct via `span`, `canonicalize`, or `kernel`; the generator
-    matrix is read-only.
+    checks. Construct via `span`, `coordinate_sum`, `canonicalize`, or
+    `kernel`; the generator matrix is read-only.
     """
 
     modulus: int
@@ -209,11 +214,30 @@ class Submodule:
                 f"generators have width {arr.shape[1]}, ambient rank is {ambient_rank}"
             )
         _require_exact(modulus, arr.shape[1])
+        arr = arr % modulus
+        if (np.count_nonzero(arr, axis=1) <= 1).all():
+            # Rows with at most one nonzero entry span a coordinate sum:
+            # column l contributes the cyclic group of gcd(n, its entries).
+            return cls.coordinate_sum(modulus, modulus // np.gcd(np.gcd.reduce(arr), modulus))
         if arr.shape[0] > arr.shape[1]:
             # The Howell form is canonical, so repeated and zero rows can go
             # first: closure steps such as `commutator_ideal` span mostly repeats.
-            arr = _distinct_columns(arr.T % modulus, modulus).T
+            arr = _distinct_columns(arr.T, modulus).T
         return cls._from_howell(modulus, *_howell(arr, modulus))
+
+    @classmethod
+    def coordinate_sum(cls, modulus: int, g) -> "Submodule":
+        """The coordinate sum of orders g: the direct sum of the cyclic groups
+        (n / g_l) e_l, for divisors g_l of n. Its nonzero rows, pivot n / g_l in
+        column l, are already in Howell form, so no elimination runs."""
+        g = np.asarray(g, dtype=np.int64)
+        if g.ndim != 1 or (g < 1).any() or (modulus % g).any():
+            raise ValueError(f"coordinate orders must divide {modulus}, got {g.tolist()}")
+        _require_exact(modulus, len(g))
+        cols = np.flatnonzero(g > 1)
+        rows = np.zeros((len(cols), len(g)), dtype=np.int64)
+        rows[np.arange(len(cols)), cols] = modulus // g[cols]
+        return cls._from_howell(modulus, rows, cols.tolist())
 
     @classmethod
     def _from_howell(cls, modulus: int, gens: np.ndarray, pivot_cols) -> "Submodule":
@@ -230,6 +254,16 @@ class Submodule:
     @classmethod
     def full(cls, modulus: int, ambient_rank: int) -> "Submodule":
         return cls.span(modulus, np.eye(ambient_rank, dtype=np.int64), ambient_rank)
+
+    def coordinate_orders(self) -> np.ndarray | None:
+        """The g with `Submodule.coordinate_sum(n, g) == self`, or None when
+        some Howell row has an entry besides its pivot."""
+        if np.count_nonzero(self.generators) != self.num_generators:
+            return None
+        g = np.ones(self.ambient_rank, dtype=np.int64)
+        for col, p in self.pivots:
+            g[col] = self.modulus // p
+        return g
 
     @property
     def num_generators(self) -> int:
@@ -354,9 +388,14 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
 
     Those rows span exactly the pairs (ua + vb, ua); a pair (0, y) therefore
     occurs iff y lies in both spans, so the Howell rows pivoting in the
-    trailing block, cut to it, are the intersection's canonical form.
+    trailing block, cut to it, are the intersection's canonical form. Two
+    coordinate sums of orders g and h meet in the coordinate sum of orders
+    gcd(g, h), with no elimination: (n/g) Z/n ∩ (n/h) Z/n = (n/gcd(g, h)) Z/n.
     """
     _require_compatible(a, b)
+    g, h = a.coordinate_orders(), b.coordinate_orders()
+    if g is not None and h is not None:
+        return Submodule.coordinate_sum(a.modulus, np.gcd(g, h))
     stacked = np.vstack([
         np.hstack([a.generators, a.generators]),
         np.hstack([b.generators, np.zeros_like(b.generators)]),

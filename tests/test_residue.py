@@ -14,6 +14,7 @@ from cdrings.residue import (
     ResidueMatrix,
     Submodule,
     _howell,
+    _tail,
     all_vectors,
     canonicalize,
     intersect,
@@ -558,3 +559,97 @@ def test_exactness_rule_lives_in_residue():
         if named.search(line)
     ]
     assert offenders == []
+
+
+# A prime, prime powers, composites, and the largest odd modulus the int64
+# bound admits at rank 2 (see `test_span_is_exact_at_the_largest_allowed_odd_modulus`).
+_COORDINATE_MODULI = (7, 8, 27, 12, 30, 36, 2**31 - 1)
+
+
+def _divisors(n: int) -> list[int]:
+    return [1, n] if n == 2**31 - 1 else [k for k in range(1, n + 1) if n % k == 0]
+
+
+@st.composite
+def _rows_with_one_entry(draw):
+    """(n, rows): rows with at most one nonzero entry each, with zero rows,
+    unreduced and negative entries, and several rows on one column."""
+    n = draw(st.sampled_from(_COORDINATE_MODULI))
+    d, k = draw(st.integers(0, 2 if n == 2**31 - 1 else 4)), draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.integers(-2 * n, 2 * n), st.sampled_from([0, n, n // 2, -(n // 3), n // 4 - n])
+    )
+    rows = np.zeros((k, d), dtype=np.int64)
+    for i in range(k if d else 0):
+        rows[i, draw(st.integers(0, d - 1))] = draw(entry)
+    return n, rows
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_rows_with_one_entry())
+def test_span_of_rows_with_one_nonzero_entry_equals_the_elimination(case):
+    n, rows = case
+    got = Submodule.span(n, rows, rows.shape[1])
+    want = Submodule._from_howell(n, *_howell(rows, n))
+    assert got == want and got.pivots == want.pivots
+    assert got.coordinate_orders() is not None
+
+
+@st.composite
+def _order_pairs(draw):
+    """(n, g, h): two vectors of divisors of n of one length."""
+    n = draw(st.sampled_from(_COORDINATE_MODULI))
+    d = draw(st.integers(0, 2 if n == 2**31 - 1 else 4))
+    orders = st.lists(st.sampled_from(_divisors(n)), min_size=d, max_size=d)
+    return n, np.array(draw(orders), dtype=np.int64), np.array(draw(orders), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=_order_pairs())
+def test_intersect_of_coordinate_sums_equals_the_elimination(case):
+    n, g, h = case
+    a, b = Submodule.coordinate_sum(n, g), Submodule.coordinate_sum(n, h)
+    stacked = np.vstack([
+        np.hstack([a.generators, a.generators]),
+        np.hstack([b.generators, np.zeros_like(b.generators)]),
+    ])
+    want = _tail(stacked, len(g), n)
+    got = intersect(a, b)
+    assert got == want and got.pivots == want.pivots
+    # Each coordinate sum is its own Howell form.
+    assert a == Submodule._from_howell(n, *_howell(np.diag(n // g), n))
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (12, 3), (30, 2), (36, 2), (2**31 - 1, 2)])
+def test_coordinate_orders_round_trip_every_coordinate_sum(n, d):
+    for g in itertools.product(_divisors(n), repeat=d):
+        assert Submodule.coordinate_sum(n, g).coordinate_orders().tolist() == list(g)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_coordinate_orders_recognise_exactly_the_coordinate_sums(data):
+    # A coordinate sum is a span that holds each coordinate of its elements;
+    # the reader must return its orders then, and None otherwise.
+    n, m, _, _ = data.draw(_linear_systems((4, 6, 8, 9, 12), 3, 3))
+    d = m.shape[1]
+    s = Submodule.span(n, m, d)
+    projections = [v * np.eye(d, dtype=np.int64)[l] for v in s.elements() for l in range(d)]
+    g = s.coordinate_orders()
+    if all(s.contains(w) for w in projections):
+        assert g is not None and Submodule.coordinate_sum(n, g) == s
+    else:
+        assert g is None
+
+
+def test_coordinate_orders_refuse_a_row_with_an_off_pivot_entry():
+    s = Submodule.span(4, [[1, 1], [0, 2]])
+    assert s.generators.tolist() == [[1, 1], [0, 2]]
+    assert s.coordinate_orders() is None
+    assert Submodule.span(4, [[2, 0], [0, 2]]).coordinate_orders().tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("g", [[3, 1], [0, 2], [-2, 1], [[2, 2]]], ids=str)
+def test_coordinate_sum_rejects_orders_that_do_not_divide_n(g):
+    with pytest.raises(ValueError):
+        Submodule.coordinate_sum(4, g)
