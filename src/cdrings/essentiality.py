@@ -4,11 +4,13 @@ Every definitional check is one quantifier, implemented once by `_scan`:
 for every nonzero u of a universe U, the multiples {s u : s in S} meet a
 target T outside 0. Centrally essential and left/right N-essential take
 S = T = Z(R) or N(R) and U = R (right N-essential multiplies u s); an
-essential ideal I of a ring C takes S = U = C and T = I. The products are
-batched (for each fixed s the map u -> s u is one matrix product over U),
-and a product p lies in T iff p @ W = 0 for a matrix W whose columns span
-the dual of T, but the quantifier structure is exactly the definition;
-nothing is replaced by algebraic shortcuts.
+essential ideal I of a ring C takes S = U = C and T = I. U is never listed:
+it is walked from its generators (`residue._combinations`), and for each
+fixed s the linear map u -> s u turns that walk into the walk of the
+images of the generators, so every product s u is formed by additions in a
+narrow unsigned dtype. A product p lies in T iff p @ W = 0 for a matrix W
+whose columns span the dual of T, but the quantifier structure is exactly
+the definition; nothing is replaced by algebraic shortcuts.
 
 While the universe fits the enumeration budget the scan is the route, so
 every such verdict, cost and witness is the scan's. Beyond the budget
@@ -52,9 +54,10 @@ from .residue import (
     DEFAULT_ENUMERATION_BUDGET,
     ResidueMatrix,
     Submodule,
+    _combinations,
     _exact_dtype,
     _reduce,
-    all_vectors,
+    _walk_rows,
     intersect,
     kernel,
 )
@@ -109,7 +112,7 @@ def _scan(
     algebra: FiniteAlgebra,
     multipliers: np.ndarray,
     target: Submodule,
-    universe: np.ndarray,
+    universe: tuple[np.ndarray, list[int]],
     *,
     side: str,
     property_name: str,
@@ -119,19 +122,25 @@ def _scan(
     multipliers give a product s u (side='left') or u s (side='right') in
     target\\{0}?
 
-    Both arrays hold element rows; universe lists zero first. Multipliers are
-    tried in all_vectors order (0, the unit and its scalar multiples first),
-    found by `_code_order`. A witness pre-pass first tries a few fixed
-    candidates u (universe indices 1..32 and the powers n**k); each walks the
-    multipliers in chunks of 64, 256, 1024, ... and stops at the first chunk
-    with a hit, so a candidate is refuted only after all of S. The first
-    chunk is tried against every candidate at once: one contraction of the
-    candidates with the structure tensor gives all their multiplication
-    matrices side by side, and one matrix product gives every product of the
-    chunk. A candidate it leaves unmet walks the later chunks alone, in
-    candidate order. Then the sweep runs s-outer, each step one batched
-    matrix product over the universe elements still unmet. The witness of a
-    False verdict is the first refuted candidate, otherwise the first unmet
+    Multipliers are element rows. The universe is never materialized: it is
+    the walk (generators, radices) of `residue._combinations`, whose index i
+    names the element sum_k c_k g_k mod n for the mixed-radix digits c_k of i
+    (the first generator fastest), zero at index 0: (I_d, [n] * d) for the
+    whole algebra in code order, `Submodule.walk()` for a submodule.
+    Multipliers are tried in all_vectors order (0, the unit and its scalar
+    multiples first), found by `_code_order`. A witness pre-pass first tries
+    a few fixed candidates u (universe indices 1..32 and the powers n**k);
+    each walks the multipliers in chunks of 64, 256, 1024, ... and stops at
+    the first chunk with a hit, so a candidate is refuted only after all of
+    S. The first chunk is tried against every candidate at once: one
+    contraction of the candidates with the structure tensor gives all their
+    multiplication matrices side by side, and one matrix product gives every
+    product of the chunk. A candidate it leaves unmet walks the later chunks
+    alone, in candidate order. Then the sweep runs s-outer over the universe
+    elements still unmet: while more than a quarter are, a dense pass forms
+    the product of s with every element, else a sparse pass forms those of
+    the unmet ones, decoded from their walk indices. The witness of a False
+    verdict is the first refuted candidate, otherwise the first unmet
     universe element. `cost` counts the products a candidate-by-candidate
     walk evaluates: each candidate up to the first refuted one adds its
     chunks, and the products of the shared first chunk that belong to later
@@ -139,25 +148,42 @@ def _scan(
 
     Membership in the target is read off its dual: the dot product is a
     perfect pairing on (Z/nZ)^d, so T = {p : p @ W = 0} where the columns of
-    W generate T^perp = {w : t . w = 0 for all t in T}. Every contraction is a
-    sum of at most d products of residues, so products and residues are kept
-    in `_exact_dtype(n, d)`: float32 BLAS up to about n = 4096 / sqrt(d),
-    float64 BLAS up to about n = 9.5e7 / sqrt(d), int64 beyond.
+    W generate T^perp = {w : t . w = 0 for all t in T}. The map u -> s u is
+    linear, so a dense pass is itself a walk: with G the universe's
+    generators and M the matrix of s, the rows of
+    H = [G M mod n | (G M mod n) W mod n] walked with the universe's radices
+    give (s u, s u W) for every u in walk order, in the narrowest unsigned
+    dtype that holds 2(n - 1) (uint8 up to n = 128). Each part is padded to
+    whole 8-byte words, so a hit is "some product word nonzero and every
+    pairing word zero" on a uint64 view. G M, H W and the rows decoded from
+    walk indices are int64 sums of at most d products of residues, exact
+    wherever `_require_exact` admits the algebra. The
+    pre-pass and sparse passes contract rows in `_exact_dtype(n, d)`:
+    float32 BLAS up to about n = 4096 / sqrt(d), float64 BLAS up to about
+    n = 9.5e7 / sqrt(d), int64 beyond. Every product s u is formed and tested.
     """
     n, d = algebra.modulus, algebra.rank
-    total = len(universe)
+    gens, radices = universe
+    total = math.prod(radices)
+
     # The order is kept as indices because a sorted copy of the multipliers
     # would sit in memory next to the caller's array.
     order = _code_order(multipliers, n)
     dtype = _exact_dtype(n, d)
-    dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T.astype(dtype)
+    dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T
+    dual_t = dual.astype(dtype)
     ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
+    walk_dtype = np.min_scalar_type(2 * (n - 1))
+    per_word = 8 // walk_dtype.itemsize
+    split = -(-d // per_word) * per_word
+    # H, each part padded to whole words; the padding columns stay zero.
+    table = np.zeros((len(gens), split + -(-dual.shape[1] // per_word) * per_word), np.int64)
     cost = 0
 
     def in_target(prods: np.ndarray) -> np.ndarray:
         """Which rows of prods (reduced, of `dtype`) lie in target\\{0}."""
         # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
-        return (prods @ ones > 0) & (_reduce(prods @ dual, n) @ ones_dual == 0)
+        return (prods @ ones > 0) & (_reduce(prods @ dual_t, n) @ ones_dual == 0)
 
     def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Which products rows @ mat (rows already of `dtype`) lie in
@@ -165,6 +191,25 @@ def _scan(
         nonlocal cost
         cost += len(rows)
         return in_target(_reduce(rows @ mat.astype(dtype), n))
+
+    def dense_hits(mat: np.ndarray) -> np.ndarray:
+        """Which products u @ mat, for every u in walk order, lie in
+        target\\{0}: one walk of H (see above)."""
+        nonlocal cost
+        cost += total
+        images = gens @ mat % n
+        table[:, :d] = images
+        table[:, split : split + dual.shape[1]] = images @ dual % n
+        words = _combinations(table, radices, n, walk_dtype).view(np.uint64)
+        cut = split // per_word
+        # Word by word: `any(axis=1)` over a few words per row is several
+        # times slower than these full-length column passes.
+        met = words[:, 0] != 0
+        for word in words[:, 1:cut].T:
+            met |= word != 0
+        for word in words[:, cut:].T:
+            met &= word == 0
+        return met
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -175,13 +220,14 @@ def _scan(
     candidate_ids = sorted(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
+    candidates = _walk_rows(gens, radices, n, candidate_ids)
     # mats[:, c] is the matrix of candidate c: s @ mats[:, c] = s u (left) or u s.
     spec = "uj,ijk->iuk" if side == "left" else "ui,ijk->juk"
-    mats = (np.einsum(spec, universe[candidate_ids], algebra.structure) % n).astype(dtype)
+    mats = (np.einsum(spec, candidates, algebra.structure) % n).astype(dtype)
     first = multipliers[order[:64]].astype(dtype, copy=False)
     prods = _reduce(first @ mats.reshape(d, -1), n).reshape(-1, d)
     met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
-    for c, uid in enumerate(candidate_ids):
+    for c in range(len(candidate_ids)):
         cost += len(first)
         if met_first[c]:
             continue
@@ -192,11 +238,10 @@ def _scan(
                 break
             start, size = start + size, 4 * size
         else:
-            return refuted(universe[uid])
+            return refuted(candidates[c])
 
     satisfied = np.zeros(total, dtype=bool)
     satisfied[0] = True  # u = 0 is outside the quantifier
-    universe_t = universe.astype(dtype, copy=False)
     for i in order:
         s = multipliers[i]
         if not s.any():
@@ -208,12 +253,13 @@ def _scan(
         if len(remaining) > total // 4:
             # Dense pass over the whole universe: recomputing satisfied rows
             # is cheaper than gathering a large subset.
-            satisfied |= hits(universe_t, mat)
+            satisfied |= dense_hits(mat)
         else:
-            satisfied[remaining[hits(universe_t[remaining], mat)]] = True
+            rows = _walk_rows(gens, radices, n, remaining).astype(dtype, copy=False)
+            satisfied[remaining[hits(rows, mat)]] = True
     if satisfied.all():
         return EssentialityVerdict(property_name, True, "definitional", None, cost)
-    return refuted(universe[int(np.flatnonzero(~satisfied)[0])])
+    return refuted(_walk_rows(gens, radices, n, np.flatnonzero(~satisfied)[:1])[0])
 
 
 def _products(algebra: FiniteAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -372,7 +418,7 @@ def _socle(
     # scan as its image in (Z/rad(n))^d, lifted to residues below rad(n).
     image = ring if rad == n else Submodule.span(rad, ring.generators % rad, algebra.rank)
     scan = _scan(
-        algebra, image.elements(budget), target, U.elements(budget),
+        algebra, image.elements(budget), target, U.walk(),
         side=side, property_name=property_name, detail=detail,
     )
     return replace(scan, method="socle", detail=detail)
@@ -395,14 +441,11 @@ def _scan_ambient(
             algebra, sub, sub, Submodule.full(n, d),
             side=side, property_name=property_name, budget=budget, required=n**d,
         )
-    # Taken before sub's elements, so that a cache miss, which briefly holds
-    # one table more than the cache keeps, never coincides with them.
-    ambient = all_vectors(n, d, budget)
     return _scan(
         algebra,
         sub.elements(budget),
         sub,
-        ambient,
+        (np.eye(d, dtype=np.int64), [n] * d),
         side=side,
         property_name=property_name,
         detail=f"{side} multiples of the submodule by the witness miss it",
@@ -443,12 +486,11 @@ def is_essential_ideal(
             algebra, ring, ideal, ring,
             side="left", property_name=property_name, budget=budget, required=size,
         )
-    ring_elems = ring.elements(budget)
     return _scan(
         algebra,
-        ring_elems,
+        ring.elements(budget),
         ideal,
-        ring_elems,
+        ring.walk(),
         side="left",
         property_name=property_name,
         detail="ring multiples of the witness miss the ideal",

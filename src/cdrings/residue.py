@@ -24,7 +24,6 @@ left kernel {v : v @ m = 0}.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -309,8 +308,14 @@ class Submodule:
         size = self.order()
         if size > budget:
             raise EnumerationBudgetExceeded(size, budget)
+        return _combinations(*self.walk(), self.modulus)
+
+    def walk(self) -> tuple[np.ndarray, list[int]]:
+        """The (generators, radices) whose `_combinations` walk lists the
+        elements in `elements` order: the canonical generators g_i, last
+        first, each with its radix n / p_i for pivot value p_i."""
         radices = [self.modulus // p for _, p in self.pivots]
-        return _combinations(self.generators[::-1], radices[::-1], self.modulus)
+        return self.generators[::-1], radices[::-1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -419,38 +424,43 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
     return None if coeffs is None else (coeffs @ gens[:head, m.cols :]) % m.modulus
 
 
-def _combinations(generators: np.ndarray, radices, n: int) -> np.ndarray:
+def _combinations(generators: np.ndarray, radices, n: int, dtype=np.int64) -> np.ndarray:
     """Every sum c_1 g_1 + c_2 g_2 + ... mod n with 0 <= c_i < radices[i], c_1
-    varying fastest, so zero comes first. One additive walk in place: once the
-    first `size` rows hold the sums of the generators so far, the next
-    generator's multiples g, 2g, ..., (r-1)g are added to them into the rows
-    that follow. No entry exceeds (n - 1)^2 before it is reduced, so int64 is exact
-    at every modulus `_require_exact` admits."""
+    varying fastest, so zero comes first, as rows of `dtype`, an integer dtype
+    that holds 2(n - 1). One additive walk in place: once the first `size` rows
+    hold the sums of the generators so far, the next generator's multiples
+    g, 2g, ..., (r-1)g, reduced mod n, are added to them into the rows that
+    follow. A sum of two residues lies below 2n and is reduced as
+    min(x, x - n) in the unsigned view of `dtype`, where x - n wraps above x
+    exactly when x < n. The multiples are formed in int64, each below n^2."""
     d = generators.shape[1]
-    out = np.empty((math.prod(radices), d), dtype=np.int64)
-    out[0] = 0
+    out = np.empty((math.prod(radices), d), dtype=dtype)
+    walk = out.view(np.dtype(f"u{out.itemsize}"))
+    walk[0] = 0
     size = 1
     for g, r in zip(generators, radices):
-        block = out[size : size * r].reshape(r - 1, size, d)
-        np.add(np.arange(1, r, dtype=np.int64)[:, None, None] * g % n, out[:size], out=block)
-        block %= n
+        block = walk[size : size * r].reshape(r - 1, size, d)
+        steps = (np.arange(1, r, dtype=np.int64)[:, None] * g % n).astype(walk.dtype)
+        np.add(steps[:, None, :], walk[:size], out=block)
+        np.minimum(block, block - walk.dtype.type(n), out=block)
         size *= r
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _all_vectors_cached(modulus: int, rank: int) -> np.ndarray:
-    out = _combinations(np.eye(rank, dtype=np.int64), [modulus] * rank, modulus)
-    out.setflags(write=False)
-    return out
+def _walk_rows(generators: np.ndarray, radices, n: int, ids) -> np.ndarray:
+    """The rows at indices ids of the `_combinations` walk, as int64, without
+    the walk: the mixed-radix digits c_i of each index (c_1 fastest) times
+    the generators, mod n, a sum of len(radices) products below n^2."""
+    strides = np.cumprod([1, *radices[:-1]], dtype=np.int64)
+    digits = np.asarray(ids, dtype=np.int64)[:, None] // strides % np.asarray(radices, np.int64)
+    return digits @ generators % n
 
 
 def all_vectors(modulus: int, rank: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-    """Every vector of (Z/nZ)^rank, ordered by mixed-radix code, zero first.
-
-    The table is cached and read-only; copy before mutating.
-    """
+    """Every vector of (Z/nZ)^rank, ordered by mixed-radix code (coordinate 0
+    fastest), zero first: the walk of the unit vectors, built anew on each
+    call."""
     total = modulus**rank
     if total > budget:
         raise EnumerationBudgetExceeded(total, budget)
-    return _all_vectors_cached(modulus, rank)
+    return _combinations(np.eye(rank, dtype=np.int64), [modulus] * rank, modulus)

@@ -49,9 +49,12 @@ def random_matrix(rng, n, rows, cols):
 
 
 def _fast_matmul(X, m, n):
-    # Exact in float32 because d * n^2 stays far below 2**24 here.
-    prod = X.astype(np.float32) @ m.astype(np.float32)
-    return prod.astype(np.int64) % n
+    # Exact in float32 while d * n^2 stays below 2**24, as for the desk-scale
+    # towers; larger moduli take int64, with m reduced first.
+    if m.shape[0] * n**2 < 2**24:
+        prod = X.astype(np.float32) @ m.astype(np.float32)
+        return prod.astype(np.int64) % n
+    return X.astype(np.int64) @ (m % n) % n
 
 
 def batch_mul(algebra, X, y):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrings import algebra, essentiality
+from cdrings import algebra, essentiality, residue
 from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
 from cdrings.analysis import associative_center, center, essentiality_data
 from cdrings.doubling import double, tower, unit_towers
@@ -247,15 +247,17 @@ def test_witness_pre_pass_stops_each_candidate_at_its_first_hit(check):
     assert v.cost < 2 * 65_536
 
 
-def sequential_scan(algebra, multipliers, target, universe, side):
+def sequential_scan(algebra, multipliers, target, universe, side, branches=None):
     """`_scan` with its witness pre-pass walked literally, one candidate at a
     time, each with its own products of every chunk of 64, 256, 1024, ...
-    multipliers in `np.lexsort` order; the sweep is the same s-outer loop.
-    Products come from the structure tensor (`batch_mul`), membership in
-    target \\ {0} from a table indexed by mixed-radix codes. Returns the
-    verdict, witness and cost, and per walked candidate the pair (chunks
-    walked, refuted)."""
+    multipliers in `np.lexsort` order; the sweep is the same s-outer loop
+    over the universe rows. Products come from the structure tensor
+    (`batch_mul`), membership in target \\ {0} from a table indexed by
+    mixed-radix codes. Returns the verdict, witness and cost, and per walked
+    candidate the pair (chunks walked, refuted); the sweep's dense and
+    sparse steps are counted in the Counter `branches` when one is given."""
     n, d = algebra.modulus, algebra.rank
+    branches = collections.Counter() if branches is None else branches
     weights = n ** np.arange(d)
     member = np.zeros(n**d, dtype=bool)
     member[target.elements() @ weights] = True
@@ -298,8 +300,10 @@ def sequential_scan(algebra, multipliers, target, universe, side):
         if len(remaining) == 0:
             break
         if len(remaining) > total // 4:
+            branches["dense"] += 1
             satisfied |= hits(times_multiplier(s, universe))
         else:
+            branches["sparse"] += 1
             satisfied[remaining[hits(times_multiplier(s, universe[remaining]))]] = True
     if satisfied.all():
         return True, None, cost, walks
@@ -330,7 +334,8 @@ def test_batched_pre_pass_matches_the_sequential_reference():
             universe = all_vectors(n, d)
             for side in ("left", "right"):
                 got = essentiality._scan(
-                    alg, S.elements(), T, universe, side=side, property_name="p", detail=""
+                    alg, S.elements(), T, (np.eye(d, dtype=np.int64), [n] * d),
+                    side=side, property_name="p", detail="",
                 )
                 verdict, witness, cost, walks = sequential_scan(
                     alg, S.elements(), T, universe, side
@@ -350,6 +355,106 @@ def test_batched_pre_pass_matches_the_sequential_reference():
                     if happened
                 }
     assert seen == cases
+
+
+def _listed(sub):
+    """The elements of sub in `Submodule.elements` order, listed without the
+    walk: `itertools.product` over the coefficients of the canonical
+    generators, the first one slowest."""
+    radices = [sub.modulus // p for _, p in sub.pivots]
+    coeffs = np.array(list(itertools.product(*map(range, radices))), dtype=np.int64)
+    return coeffs @ sub.generators % sub.modulus
+
+
+def _recording(monkeypatch, module, walks):
+    """Append (dtype, rows) of every array `module._combinations` returns to
+    walks."""
+    real = module._combinations
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        walks.append((out.dtype, len(out)))
+        return out
+
+    monkeypatch.setattr(module, "_combinations", recorded)
+
+
+@pytest.mark.parametrize(
+    "n, rank, walk_dtype",
+    [
+        (4, 4, np.uint8),
+        (8, 2, np.uint8),
+        (9, 4, np.uint8),
+        (12, 2, np.uint8),
+        (128, 1, np.uint8),
+        (128, 2, np.uint8),
+        (129, 1, np.uint16),
+        (129, 2, np.uint16),
+        (40_000, 1, np.uint32),
+    ],
+)
+def test_walk_scan_matches_the_sequential_reference(n, rank, walk_dtype, monkeypatch):
+    # Random S and T scanned over the whole algebra and over random
+    # submodules U with non-unit radices, on both sides: verdict, witness and
+    # cost must be those of the literal scan of the listed universe. 2(n - 1)
+    # fits uint8 up to n = 128 and uint16 up to n = 32,768.
+    alg = scalar_ring(n) if rank == 1 else tower(n, *[1] * (rank.bit_length() - 1))
+    rng = random.Random(n * rank)
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    dense_walks = []
+    _recording(monkeypatch, essentiality, dense_walks)
+    branches, verdicts, radices = collections.Counter(), set(), set()
+    for trial in range(32):
+        # Beyond 4,096 elements S is kept small: scalars or one scaled row.
+        if n**rank <= 4096:
+            S = _random_submodule(rng, n, rank)
+        elif trial % 3 == 0 and n < 1000:
+            S = Submodule.span(n, [[rng.randrange(n)] + [0] * (rank - 1)], rank)
+        else:
+            k = rng.choice([k for k in divisors if k <= 64])
+            S = Submodule.span(n, [[n // k * rng.randrange(n) for _ in range(rank)]], rank)
+        if trial % 2:
+            T = _random_submodule(rng, n, rank)
+        else:
+            k = rng.choice([k for k in divisors if k <= 4])
+            T = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
+                                   for _ in range(rank + 1)], rank)
+        if trial % 4 > 1:
+            k = rng.choice(divisors[:-1])
+            U = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
+                                   for _ in range(rng.randint(1, rank))], rank)
+            universe, rows = U.walk(), _listed(U)
+            radices |= set(universe[1])
+        else:
+            universe, rows = (np.eye(rank, dtype=np.int64), [n] * rank), all_vectors(n, rank)
+        for side in ("left", "right"):
+            got = essentiality._scan(
+                alg, S.elements(), T, universe, side=side, property_name="p", detail=""
+            )
+            verdict, witness, cost, _ = sequential_scan(
+                alg, S.elements(), T, rows, side, branches
+            )
+            assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), (
+                trial, side
+            )
+            verdicts.add(verdict)
+    # Each dense step of the reference is one walk of the scan; with equal
+    # costs, the products of the sparse steps were evaluated too.
+    assert len(dense_walks) == branches["dense"] > 0 and branches["sparse"] > 0
+    assert {dtype for dtype, _ in dense_walks} == {np.dtype(walk_dtype)}
+    assert verdicts == {True, False}
+    assert radices - {n}
+
+
+def test_ambient_scan_builds_no_int64_table_of_the_algebra(monkeypatch):
+    # The rank-8 Z4 tower has 4^8 = 65,536 elements: its scan walks them in
+    # uint8 and never lists them as int64 rows.
+    walks = []
+    for module in (essentiality, residue):
+        _recording(monkeypatch, module, walks)
+    assert is_centrally_essential(tower(4, 1, 1, 1)).verdict
+    assert (np.dtype(np.uint8), 4**8) in walks
+    assert (np.dtype(np.int64), 4**8) not in walks
 
 
 @pytest.mark.parametrize(

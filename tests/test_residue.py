@@ -15,6 +15,7 @@ from cdrings.residue import (
     Submodule,
     _howell,
     _tail,
+    _walk_rows,
     all_vectors,
     canonicalize,
     intersect,
@@ -523,6 +524,8 @@ def _assert_coefficient_order(t: Submodule):
     got = t.elements()
     assert got.dtype == np.int64 and got.shape == (t.order(), t.ambient_rank)
     assert got.tolist() == expected
+    # The scan decodes walk indices instead of listing the walk.
+    assert _walk_rows(*t.walk(), t.modulus, range(t.order())).tolist() == expected
     assert len({tuple(row) for row in expected}) == t.order()
     assert not got[0].any()
 
