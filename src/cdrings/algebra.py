@@ -6,9 +6,9 @@ vector, and an involution given as a d x d matrix acting on row vectors
 (x* = x @ involution). Elements are plain length-d integer vectors; all
 per-element operations live on the algebra object, which owns the modulus.
 Every product of residues is formed one pair at a time and reduced mod n, so
-int64 is exact for every modulus `residue._require_exact` admits; the product
-tensors contract in the narrowest dtype `residue._exact_dtype` finds exact
-(`product_tensors`).
+int64 is exact for every modulus `residue._require_exact` admits; validation,
+doubling and the product tensors contract the structure tensor in the
+narrowest dtype `residue._exact_dtype` finds exact (`residue._matmul_mod`).
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -32,7 +32,7 @@ from .errors import (
     NotInvertible,
     NotSymmetric,
 )
-from .residue import ResidueMatrix, _exact_dtype, _reduce, _require_exact, solve_left
+from .residue import ResidueMatrix, _exact_dtype, _matmul_mod, _require_exact, solve_left
 
 
 class FiniteAlgebra:
@@ -188,31 +188,43 @@ def scalar_ring(n: int, name: str | None = None) -> FiniteAlgebra:
 
 
 def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+
+    Every contraction is a matmul of the reshaped structure tensor through
+    `residue._matmul_mod`, in `_exact_dtype(n, d)`, and each side is compared
+    in that dtype, reduced: with lhs[i, j] = (e_i e_j)* = c(d^2 x d) @ sigma
+    and rhs[i, j] = e_j* e_i* = sigma @ t(d x d^2), t[q, j, k] the
+    coefficient of e_k in e_j* e_q, the first basis pair where they differ
+    is reported."""
     n, d = algebra.modulus, algebra.rank
-    c, unit, sigma = algebra.structure, algebra.unit, algebra.involution
+    unit, sigma = algebra.unit[None], algebra.involution
+    c = algebra.structure.astype(_exact_dtype(n, d))
     violations: list[str] = []
 
-    left_by_unit = np.einsum("i,ijk->jk", unit, c) % n
-    right_by_unit = np.einsum("j,ijk->ik", unit, c) % n
-    eye = np.eye(d, dtype=np.int64)
+    left_by_unit = _matmul_mod(unit, c.reshape(d, d * d), n).reshape(d, d)
+    right_by_unit = _matmul_mod(unit, c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d)
+    eye = np.eye(d, dtype=c.dtype)
     if not np.array_equal(left_by_unit, eye):
         violations.append("unit is not a left identity")
     if not np.array_equal(right_by_unit, eye):
         violations.append("unit is not a right identity")
 
-    if not np.array_equal((sigma @ sigma) % n, eye):
+    if not np.array_equal(_matmul_mod(sigma, sigma, n), eye):
         violations.append("involution does not square to the identity")
-    if not np.array_equal((unit @ sigma) % n, unit):
+    if not np.array_equal(_matmul_mod(unit, sigma, n), unit):
         violations.append("involution does not fix the unit")
 
     # (e_i e_j)* == e_j* e_i* for all basis pairs
-    lhs = np.einsum("ijm,mk->ijk", c, sigma) % n
-    star_left = np.einsum("jp,pqk->jqk", sigma, c) % n  # e_j* e_q
-    rhs = np.einsum("iq,jqk->ijk", sigma, star_left) % n
-    if not np.array_equal(lhs, rhs):
-        bad = np.argwhere((lhs - rhs) % n)
-        i, j = int(bad[0][0]), int(bad[0][1])
+    star_left = _matmul_mod(sigma, c.reshape(d, d * d), n).reshape(d, d, d)  # e_j* e_q
+    t = star_left.transpose(1, 0, 2).reshape(d, d * d)
+    del star_left
+    rhs = _matmul_mod(sigma, t, n).reshape(d, d, d)
+    del t
+    lhs = _matmul_mod(c.reshape(d * d, d), sigma, n).reshape(d, d, d)
+    del c
+    bad = np.flatnonzero((lhs != rhs).any(axis=2))
+    if len(bad):
+        i, j = divmod(int(bad[0]), d)
         violations.append(
             f"involution is not anti-multiplicative at basis pair ({i}, {j})"
         )
@@ -242,13 +254,14 @@ def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
     c(d x d^2), and Q = c(d^2 x d) @ s(d x d^2) with s[q, i, m] = c[i, q, m],
     its axes moved back to (i, j, k, m). Each entry is a sum of d products of
     residues, so the matmuls run in `residue._exact_dtype(n, d)` (float32 or
-    float64 BLAS at desk scale) and are reduced there before the int64 cast.
+    float64 BLAS at desk scale) through `residue._matmul_mod`, and are reduced
+    there before the int64 cast.
     """
     n, d = algebra.modulus, algebra.rank
     c = algebra.structure.astype(_exact_dtype(n, d))
     pairs = c.reshape(d * d, d)
-    left = _reduce(pairs @ c.reshape(d, d * d), n).astype(np.int64).reshape(d, d, d, d)
-    right = _reduce(pairs @ c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d, d, d)
+    left = _matmul_mod(pairs, c.reshape(d, d * d), n).astype(np.int64).reshape(d, d, d, d)
+    right = _matmul_mod(pairs, c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d, d, d)
     return left, right.transpose(2, 0, 1, 3).astype(np.int64, order="C")  # from [j, k, i, m]
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import CentralScalar, FiniteAlgebra, certify_central_scalar, ensure_valid, scalar_ring
 from .errors import AlgebraError, CertificationError, RankBudgetExceeded, StageMismatch
+from .residue import _exact_dtype, _matmul_mod
 
 DEFAULT_MAX_RANK = 64
 
@@ -67,23 +68,29 @@ def double(
     CentralScalar; a CentralScalar is never trusted, its value is certified
     (central, symmetric, invertible) against `algebra` here, and only
     `algebra`'s own record of the values it has certified spares the checks.
+
+    The new blocks are matmuls of the reshaped structure tensor through
+    `residue._matmul_mod`, in `_exact_dtype(n, d)`: a* b is sigma @ c(d x d^2),
+    b a* is sigma @ c with its first two axes swapped, and alpha (b a*) is
+    that (d^2 x d) times the matrix of left multiplication by alpha.
     """
     ensure_valid(algebra)
     cert = certify_central_scalar(algebra, alpha)
     n, d = algebra.modulus, algebra.rank
-    c, sigma = algebra.structure, algebra.involution
+    sigma = algebra.involution
+    c = algebra.structure.astype(_exact_dtype(n, d))
     alpha_vec = cert.value
 
     big = np.zeros((2 * d, 2 * d, 2 * d), dtype=np.int64)
-    big[:d, :d, :d] = c
+    big[:d, :d, :d] = algebra.structure
     # (a, 0)(0, b) = (0, a* b)
-    big[:d, d:, d:] = np.einsum("ip,pjk->ijk", sigma, c) % n
+    big[:d, d:, d:] = _matmul_mod(sigma, c.reshape(d, d * d), n).reshape(d, d, d)
     # (0, a)(b, 0) = (0, b a)
-    big[d:, :d, d:] = c.transpose(1, 0, 2)
-    # (0, a)(0, b) = (alpha (b a*), 0)
-    ba_star = np.einsum("ip,jpk->ijk", sigma, c) % n
-    left_alpha = np.einsum("p,pqk->qk", alpha_vec, c) % n
-    big[d:, d:, :d] = np.einsum("ijm,mk->ijk", ba_star, left_alpha) % n
+    big[d:, :d, d:] = algebra.structure.transpose(1, 0, 2)
+    # (0, a)(0, b) = (alpha (b a*), 0); ba_star[i, j] = e_j e_i*
+    ba_star = _matmul_mod(sigma, c.transpose(1, 0, 2).reshape(d, d * d), n)
+    left_alpha = _matmul_mod(alpha_vec[None], c.reshape(d, d * d), n).reshape(d, d)
+    big[d:, d:, :d] = _matmul_mod(ba_star.reshape(d * d, d), left_alpha, n).reshape(d, d, d)
 
     unit2 = np.concatenate([algebra.unit, np.zeros(d, dtype=np.int64)])
     sigma2 = np.zeros((2 * d, 2 * d), dtype=np.int64)
@@ -101,6 +108,7 @@ def double(
         parent=algebra,
         alpha=cert,
     )
+    del big  # the double holds its own copy; validation needs the room
     return ensure_valid(doubled)
 
 

@@ -56,7 +56,7 @@ from .residue import (
     Submodule,
     _combinations,
     _exact_dtype,
-    _reduce,
+    _matmul_mod,
     _walk_rows,
     intersect,
     kernel,
@@ -153,12 +153,12 @@ def _scan(
     generators and M the matrix of s, the rows of
     H = [G M mod n | (G M mod n) W mod n] walked with the universe's radices
     give (s u, s u W) for every u in walk order, in the narrowest unsigned
-    dtype that holds 2(n - 1) (uint8 up to n = 128). Each part is padded to
-    whole 8-byte words, so a hit is "some product word nonzero and every
-    pairing word zero" on a uint64 view. G M, H W and the rows decoded from
-    walk indices are int64 sums of at most d products of residues, exact
-    wherever `_require_exact` admits the algebra. The
-    pre-pass and sparse passes contract rows in `_exact_dtype(n, d)`:
+    dtype that holds 2(n - 1) (uint8 up to n = 128), one row per coordinate
+    (`_combinations` walks coordinate-major), so a hit is "the bitwise or of
+    the product rows nonzero and that of the pairing rows zero". G M, H W
+    and the rows decoded from walk indices are int64 sums of at most d
+    products of residues, exact wherever `_require_exact` admits the
+    algebra. The pre-pass and sparse passes contract rows in `_exact_dtype(n, d)`:
     float32 BLAS up to about n = 4096 / sqrt(d), float64 BLAS up to about
     n = 9.5e7 / sqrt(d), int64 beyond. Every product s u is formed and tested.
     """
@@ -174,23 +174,19 @@ def _scan(
     dual_t = dual.astype(dtype)
     ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
     walk_dtype = np.min_scalar_type(2 * (n - 1))
-    per_word = 8 // walk_dtype.itemsize
-    split = -(-d // per_word) * per_word
-    # H, each part padded to whole words; the padding columns stay zero.
-    table = np.zeros((len(gens), split + -(-dual.shape[1] // per_word) * per_word), np.int64)
     cost = 0
 
     def in_target(prods: np.ndarray) -> np.ndarray:
         """Which rows of prods (reduced, of `dtype`) lie in target\\{0}."""
         # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
-        return (prods @ ones > 0) & (_reduce(prods @ dual_t, n) @ ones_dual == 0)
+        return (prods @ ones > 0) & (_matmul_mod(prods, dual_t, n) @ ones_dual == 0)
 
     def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """Which products rows @ mat (rows already of `dtype`) lie in
         target\\{0}."""
         nonlocal cost
         cost += len(rows)
-        return in_target(_reduce(rows @ mat.astype(dtype), n))
+        return in_target(_matmul_mod(rows, mat, n))
 
     def dense_hits(mat: np.ndarray) -> np.ndarray:
         """Which products u @ mat, for every u in walk order, lie in
@@ -198,18 +194,10 @@ def _scan(
         nonlocal cost
         cost += total
         images = gens @ mat % n
-        table[:, :d] = images
-        table[:, split : split + dual.shape[1]] = images @ dual % n
-        words = _combinations(table, radices, n, walk_dtype).view(np.uint64)
-        cut = split // per_word
-        # Word by word: `any(axis=1)` over a few words per row is several
-        # times slower than these full-length column passes.
-        met = words[:, 0] != 0
-        for word in words[:, 1:cut].T:
-            met |= word != 0
-        for word in words[:, cut:].T:
-            met &= word == 0
-        return met
+        walk = _combinations(np.hstack([images, images @ dual % n]), radices, n, walk_dtype).T
+        # walk[:d] holds the products and walk[d:] their pairings, one
+        # contiguous row per coordinate over the universe.
+        return (np.bitwise_or.reduce(walk[:d]) != 0) & (np.bitwise_or.reduce(walk[d:]) == 0)
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -225,7 +213,7 @@ def _scan(
     spec = "uj,ijk->iuk" if side == "left" else "ui,ijk->juk"
     mats = (np.einsum(spec, candidates, algebra.structure) % n).astype(dtype)
     first = multipliers[order[:64]].astype(dtype, copy=False)
-    prods = _reduce(first @ mats.reshape(d, -1), n).reshape(-1, d)
+    prods = _matmul_mod(first, mats.reshape(d, -1), n).reshape(-1, d)
     met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
     for c in range(len(candidate_ids)):
         cost += len(first)

@@ -14,7 +14,8 @@ keys (`_distinct_columns`).
 
 A coordinate sum ⊕ (n / g_l) e_l, g_l dividing n (every center of a tower
 with scalar parameters is one), is its own Howell form: `span` of rows with at
-most one nonzero entry each and `intersect` of two coordinate sums take gcds
+most one nonzero entry each, `kernel` of a matrix whose columns have at most
+one nonzero entry each and `intersect` of two coordinate sums take gcds
 instead (`Submodule.coordinate_sum`, read back by `coordinate_orders`).
 
 All vectors are rows; the kernel convention throughout the package is the
@@ -71,6 +72,15 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
     q *= n
     x -= q
     return x
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """a @ b mod n for 2-D arrays of residues in [0, n), as one matmul in
+    `_exact_dtype(n, a.shape[1])` reduced in place by `_reduce`, and
+    returned in that dtype. Operands already of that dtype are not copied, so
+    a caller that contracts one array several times casts it once."""
+    dtype = _exact_dtype(n, a.shape[1])
+    return _reduce(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False), n)
 
 
 class ResidueMatrix:
@@ -368,12 +378,21 @@ def kernel(m: ResidueMatrix) -> Submodule:
     """Left kernel {v : v @ m = 0} as a canonical submodule, read off one
     elimination of [columns of m | I]: its rows (0, v) are the kernel.
 
-    Duplicate and zero columns are dropped first (`_distinct_columns`): the
-    kernel depends only on the set of columns, and condition matrices are
-    mostly repeats (the associator blocks of the rank-32 tower(3, 1, ..., 1)
-    have 98,304 columns and 62 distinct ones).
+    When every column of m has at most one nonzero entry, each condition
+    touches one coordinate: v_p m[p, j] = 0 for all j holds iff v_p is a
+    multiple of n / g_p, g_p = gcd(n, the entries of row p), so the kernel
+    is the coordinate sum of orders g and no elimination runs (the dual of a
+    coordinate sum, and the condition matrices of a twisted group algebra).
+    Otherwise duplicate and zero columns are dropped first
+    (`_distinct_columns`): the kernel depends only on the set of columns,
+    and condition matrices are mostly repeats (the associator blocks of the
+    rank-32 tower(3, 1, ..., 1) have 98,304 columns and 62 distinct ones).
     """
     _require_exact(m.modulus, m.rows)
+    if (np.count_nonzero(m.array, axis=0) <= 1).all():
+        return Submodule.coordinate_sum(
+            m.modulus, np.gcd(np.gcd.reduce(m.array, axis=1), m.modulus)
+        )
     cols = _distinct_columns(m.array, m.modulus)
     stacked = np.hstack([cols, np.eye(m.rows, dtype=np.int64)])
     return _tail(stacked, cols.shape[1], m.modulus)
@@ -427,24 +446,26 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
 def _combinations(generators: np.ndarray, radices, n: int, dtype=np.int64) -> np.ndarray:
     """Every sum c_1 g_1 + c_2 g_2 + ... mod n with 0 <= c_i < radices[i], c_1
     varying fastest, so zero comes first, as rows of `dtype`, an integer dtype
-    that holds 2(n - 1). One additive walk in place: once the first `size` rows
-    hold the sums of the generators so far, the next generator's multiples
-    g, 2g, ..., (r-1)g, reduced mod n, are added to them into the rows that
-    follow. A sum of two residues lies below 2n and is reduced as
+    that holds 2(n - 1). One additive walk in place, coordinate-major: the
+    walk fills a (d, total) array and returns its transpose, so once the
+    first `size` columns hold the sums of the generators so far, each of the
+    next generator's multiples g, 2g, ..., (r-1)g, reduced mod n, is added
+    to them along `size` contiguous entries per coordinate, into the columns
+    that follow. A sum of two residues lies below 2n and is reduced as
     min(x, x - n) in the unsigned view of `dtype`, where x - n wraps above x
     exactly when x < n. The multiples are formed in int64, each below n^2."""
     d = generators.shape[1]
-    out = np.empty((math.prod(radices), d), dtype=dtype)
+    out = np.empty((d, math.prod(radices)), dtype=dtype)
     walk = out.view(np.dtype(f"u{out.itemsize}"))
-    walk[0] = 0
+    walk[:, 0] = 0
     size = 1
     for g, r in zip(generators, radices):
-        block = walk[size : size * r].reshape(r - 1, size, d)
+        block = walk[:, size : size * r].reshape(d, r - 1, size)
         steps = (np.arange(1, r, dtype=np.int64)[:, None] * g % n).astype(walk.dtype)
-        np.add(steps[:, None, :], walk[:size], out=block)
+        np.add(steps.T[:, :, None], walk[:, None, :size], out=block)
         np.minimum(block, block - walk.dtype.type(n), out=block)
         size *= r
-    return out
+    return out.T
 
 
 def _walk_rows(generators: np.ndarray, radices, n: int, ids) -> np.ndarray:

@@ -31,8 +31,14 @@ from cdrings.analysis import (
     predicted_associative_center,
     predicted_center,
 )
-from cdrings.doubling import TowerSpec, build_tower, embed, nu, tower
-from cdrings.errors import DimensionMismatch, InvalidAlgebra, ModulusTooLarge, NotCentral
+from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, tower
+from cdrings.errors import (
+    CertificationError,
+    DimensionMismatch,
+    InvalidAlgebra,
+    ModulusTooLarge,
+    NotCentral,
+)
 from cdrings.residue import _exact_dtype, all_vectors
 from cdrings.suites import sweep_towers
 
@@ -484,3 +490,116 @@ def test_product_tensors_are_exact_at_the_float64_bound(rank, route):
         got_p, got_q = product_tensors(alg)
         assert (_as_dict(got_p), _as_dict(got_q)) == (p, q)
         assert _as_dict(associator_tensor(alg)) == t
+
+
+def _einsum_violations(algebra):
+    """`validate_algebra` by int64 einsums, each contraction reduced before
+    the next: the reference of the matmul route."""
+    n, d = algebra.modulus, algebra.rank
+    c, unit, sigma = algebra.structure, algebra.unit, algebra.involution
+    eye = np.eye(d, dtype=np.int64)
+    violations = []
+    if not np.array_equal(np.einsum("i,ijk->jk", unit, c) % n, eye):
+        violations.append("unit is not a left identity")
+    if not np.array_equal(np.einsum("j,ijk->ik", unit, c) % n, eye):
+        violations.append("unit is not a right identity")
+    if not np.array_equal((sigma @ sigma) % n, eye):
+        violations.append("involution does not square to the identity")
+    if not np.array_equal((unit @ sigma) % n, unit):
+        violations.append("involution does not fix the unit")
+    lhs = np.einsum("ijm,mk->ijk", c, sigma) % n
+    star_left = np.einsum("jp,pqk->jqk", sigma, c) % n
+    rhs = np.einsum("iq,jqk->ijk", sigma, star_left) % n
+    if not np.array_equal(lhs, rhs):
+        i, j = np.argwhere((lhs - rhs) % n)[0][:2]
+        violations.append(f"involution is not anti-multiplicative at basis pair ({i}, {j})")
+    return violations
+
+
+def _einsum_double(algebra, alpha):
+    """The structure tensor of the double (A, alpha) by int64 einsums, each
+    contraction reduced before the next: the reference of `double`."""
+    n, d = algebra.modulus, algebra.rank
+    c, sigma = algebra.structure, algebra.involution
+    big = np.zeros((2 * d, 2 * d, 2 * d), dtype=np.int64)
+    big[:d, :d, :d] = c
+    big[:d, d:, d:] = np.einsum("ip,pjk->ijk", sigma, c) % n
+    big[d:, :d, d:] = c.transpose(1, 0, 2)
+    ba_star = np.einsum("ip,jpk->ijk", sigma, c) % n
+    left_alpha = np.einsum("p,pqk->qk", alpha, c) % n
+    big[d:, d:, :d] = np.einsum("ijm,mk->ijk", ba_star, left_alpha) % n
+    return big
+
+
+def _route_moduli(rank):
+    """Moduli on each side of the float32/float64 and float64/int64 edges of
+    `_exact_dtype(n, rank)`, and the largest the int64 bound admits on the
+    double, of rank 2 rank."""
+    f32, f64 = _edge(rank, np.float32), _edge(rank, np.float64)
+    return [f32, f32 + 1, f64, f64 + 1, largest_exact_modulus(2 * rank)]
+
+
+def _vector_parameters(stage, rng, count):
+    """Up to `count` certified vector parameters u 1 + (n/2) z, z a random
+    0/1 vector and u a random unit (u 1 alone, as a vector, when n is odd),
+    each of them checked by `certify_central_scalar`."""
+    n, found = stage.modulus, []
+    for _ in range(8 * count):
+        z = np.array([rng.randrange(2) for _ in range(stage.rank)], dtype=np.int64)
+        alpha = (rng.choice([1, n - 1, n // 2 + 1]) * stage.unit + n // 2 * z * (n % 2 == 0)) % n
+        try:
+            certify_central_scalar(stage, alpha.tolist())
+        except CertificationError:
+            continue
+        found.append(alpha)
+        if len(found) == count:
+            break
+    return found
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_double_and_validation_equal_the_einsum_reference(rank):
+    rng = random.Random(rank)
+    moduli = _route_moduli(rank) + ([2**31 - 1] if rank == 1 else [])
+    for n in moduli:
+        stages = build_tower(TowerSpec(n, (n - 1,) * (rank.bit_length() - 1)))
+        stage = stages[-1]
+        assert stage.rank == rank
+        params = [stage.scalar(n - 1), stage.scalar(rng.randrange(1, n))]
+        for alpha in params + _vector_parameters(stage, rng, 3):
+            try:
+                doubled = double(stage, alpha.tolist())
+            except CertificationError:  # a random scalar that is not a unit
+                continue
+            assert np.array_equal(doubled.structure, _einsum_double(stage, alpha)), (n, alpha)
+            assert validate_algebra(doubled) == _einsum_violations(doubled) == []
+        for alg in stages:
+            assert validate_algebra(alg) == _einsum_violations(alg) == []
+
+
+@pytest.mark.parametrize("route", range(5), ids=["float32", "float64", "float64-edge", "int64", "int64-bound"])
+def test_anti_multiplicativity_is_reported_at_its_first_basis_pair(route):
+    # The identity involution squares to 1 and fixes the unit, but
+    # (e_1 e_2)* = e_1 e_2 = -(e_2 e_1) at rank 4, so (1, 2) is the first
+    # basis pair where (e_i e_j)* and e_j* e_i* differ.
+    n = _route_moduli(4)[route]
+    assert _exact_dtype(n, 4) is [np.float32, np.float64, np.float64, np.int64, np.int64][route]
+    stage = tower(n, n - 1, n - 1)
+    bad = FiniteAlgebra(n, stage.structure, stage.unit, np.eye(4, dtype=np.int64))
+    want = ["involution is not anti-multiplicative at basis pair (1, 2)"]
+    assert validate_algebra(bad) == _einsum_violations(bad) == want
+    # One entry of the structure tensor moved, and sometimes one of the
+    # involution: every violation, in order, and the first pair are those
+    # of the reference.
+    rng = random.Random(route)
+    reported = []
+    for _ in range(12):
+        c = stage.structure.copy()
+        c[tuple(rng.randrange(4) for _ in range(3))] += rng.randrange(1, n)
+        sigma = stage.involution.copy()
+        if rng.random() < 0.3:
+            sigma[rng.randrange(4), rng.randrange(4)] += rng.randrange(1, n)
+        alg = FiniteAlgebra(n, c, stage.unit, sigma)
+        reported += validate_algebra(alg)
+        assert validate_algebra(alg) == _einsum_violations(alg)
+    assert sum("anti-multiplicative" in v for v in reported) >= 6

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdrings
+from cdrings import residue
 from cdrings.errors import DimensionMismatch, EnumerationBudgetExceeded, ModulusTooLarge
 from cdrings.residue import (
     ResidueMatrix,
@@ -22,6 +23,7 @@ from cdrings.residue import (
     kernel,
     solve_left,
 )
+from cdrings.suites import run_suite
 
 from conftest import brute_kernel, brute_span, random_matrix, submodule_set
 
@@ -656,3 +658,74 @@ def test_coordinate_orders_refuse_a_row_with_an_off_pivot_entry():
 def test_coordinate_sum_rejects_orders_that_do_not_divide_n(g):
     with pytest.raises(ValueError):
         Submodule.coordinate_sum(4, g)
+
+
+# Prime powers, composites, and the largest odd modulus the int64 bound
+# admits at rank 2 (see `test_span_is_exact_at_the_largest_allowed_odd_modulus`).
+_KERNEL_RULE_MODULI = (2, 4, 6, 8, 9, 12, 30, 36, 2**31 - 1)
+
+
+@st.composite
+def _columns_with_one_entry(draw):
+    """(n, m): a matrix whose columns have at most one nonzero entry mod n,
+    with zero rows, zero columns, no columns at all, unreduced and negative
+    entries, and several columns on one row."""
+    n = draw(st.sampled_from(_KERNEL_RULE_MODULI))
+    rows, cols = draw(st.integers(0, 2 if n == 2**31 - 1 else 5)), draw(st.integers(0, 7))
+    entry = st.one_of(
+        st.integers(-2 * n, 2 * n), st.sampled_from([0, n, n // 2, -(n // 3), n // 4 - n])
+    )
+    m = np.zeros((rows, cols), dtype=np.int64)
+    for j in range(cols if rows else 0):
+        m[draw(st.integers(0, rows - 1)), j] = draw(entry)
+    return n, m
+
+
+def _kernel_by_elimination(n, m):
+    """The left kernel of m read off `_tail` of [m | I], with no shortcut."""
+    stacked = np.hstack([m % n, np.eye(m.shape[0], dtype=np.int64)])
+    return _tail(stacked, m.shape[1], n)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_columns_with_one_entry())
+def test_kernel_of_columns_with_one_nonzero_entry_equals_the_elimination(case):
+    n, m = case
+    got = kernel(ResidueMatrix(n, m))
+    want = _kernel_by_elimination(n, m)
+    assert got == want and got.pivots == want.pivots
+    assert got.coordinate_orders() is not None
+
+
+def _counting_howell(monkeypatch):
+    """Count the calls of `residue._howell` from here on."""
+    calls = []
+    real = residue._howell
+
+    def counted(rows, n):
+        calls.append(rows.shape)
+        return real(rows, n)
+
+    monkeypatch.setattr(residue, "_howell", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_a_column_with_two_entries_still_takes_the_elimination(n, monkeypatch):
+    m = np.array([[2, 0, 0], [0, 3, n // 3], [n - 1, 0, 0]], dtype=np.int64)
+    calls = _counting_howell(monkeypatch)
+    got = kernel(ResidueMatrix(n, m))
+    assert len(calls) == 1
+    assert submodule_set(got) == brute_kernel(m, n)
+    monkeypatch.undo()
+    assert got == _kernel_by_elimination(n, m)
+
+
+def test_the_thm_1_4_sweep_runs_no_elimination(monkeypatch):
+    # Every span, kernel and intersection of a unit-tower sweep is a
+    # coordinate sum: duals of coordinate-sum targets, the condition
+    # matrices of twisted group algebras and their meets.
+    calls = _counting_howell(monkeypatch)
+    report = run_suite("thm-1.4", bases=(2, 3, 4), depth=2)
+    assert report.passed
+    assert calls == []
