@@ -41,8 +41,15 @@ from .algebra import (
     product_tensors,
 )
 from .doubling import _require_doubled
-from .errors import StageMismatch
-from .residue import ResidueMatrix, Submodule, _distinct_columns, intersect, kernel
+from .errors import DimensionMismatch, StageMismatch
+from .residue import (
+    ResidueMatrix,
+    Submodule,
+    _distinct_columns,
+    _matmul_mod,
+    intersect,
+    kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,22 @@ def _associative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
 
     Each condition is linear in x once a, b range over basis pairs, so N is
     the left kernel of the associator tensor with x moved to each of its
-    three slots in turn, the blocks stacked horizontally. Each d x d^3 block
-    is cut to its distinct columns before stacking, so the full d x 3d^3
-    stack is never built.
+    three slots in turn, the blocks stacked horizontally. The full d x 3d^3
+    stack is never built: a block whose columns have at most one nonzero
+    entry each (every block of a twisted algebra) has the left kernel of
+    diag(gcd(n, its row gcds)) and is replaced by that diagonal, which keeps
+    the coordinate pattern `kernel` reads off gcds; any other block is cut
+    to its distinct columns.
     """
     n, d = algebra.modulus, algebra.rank
     t = associator_tensor(algebra)
-    blocks = [_distinct_columns(np.moveaxis(t, s, 0).reshape(d, -1), n) for s in range(3)]
+    blocks = []
+    for s in range(3):
+        block = np.moveaxis(t, s, 0).reshape(d, -1)
+        if (np.count_nonzero(block, axis=0) <= 1).all():
+            blocks.append(np.diag(np.gcd(n, np.gcd.reduce(block, axis=1))))
+        else:
+            blocks.append(_distinct_columns(block, n))
     return kernel(ResidueMatrix(n, np.concatenate(blocks, axis=1)))
 
 
@@ -347,20 +363,33 @@ def identity_conditions(stage: FiniteAlgebra) -> tuple[ResidueMatrix, ResidueMat
     )
 
 
-def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool:
+def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool | np.ndarray:
     """Decide (x, y) in N((A, alpha)) from the two identity systems alone.
 
-    x and y are elements of the undoubled stage A; the systems are tested as
-    the matrix products of `identity_conditions(A)`. Must agree with direct
-    membership of concat(x, y) in associative_center(doubled); the suites
-    sweep that equivalence exhaustively at desk scale.
+    x and y are elements of the undoubled stage A, or row stacks X (k, d)
+    and Y (m, d) of them. Each system is one `_matmul_mod` contraction of
+    the rows with its matrix from `identity_conditions(A)`. Two elements
+    give a bool; otherwise the (k, m) table "X[i] solves the first system
+    and Y[j] the second", a single element counting as a stack of one. Must
+    agree with direct membership of concat(x, y) in associative_center(doubled);
+    the `lemma-2.1` suite sweeps that equivalence exhaustively at desk scale.
     """
     parent = _require_doubled(doubled)
-    x = parent.element(x)
-    y = parent.element(y)
+    X, Y = (_element_rows(parent, v) for v in (x, y))
     first, second = identity_conditions(parent)
     n = parent.modulus
-    return not (x @ first.array % n).any() and not (y @ second.array % n).any()
+    solves_first = ~_matmul_mod(X, first.array, n).any(axis=1)
+    solves_second = ~_matmul_mod(Y, second.array, n).any(axis=1)
+    table = solves_first[:, None] & solves_second[None, :]
+    return bool(table[0, 0]) if np.ndim(x) == np.ndim(y) == 1 else table
+
+
+def _element_rows(algebra: FiniteAlgebra, v) -> np.ndarray:
+    """One element or a (k, d) stack of them, validated, as a reduced stack."""
+    arr = np.asarray(v, dtype=np.int64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != algebra.rank:
+        raise DimensionMismatch(f"element has shape {arr.shape}, algebra rank is {algebra.rank}")
+    return np.atleast_2d(arr) % algebra.modulus
 
 
 def pair_coordinates(doubled: FiniteAlgebra, x, y) -> np.ndarray:

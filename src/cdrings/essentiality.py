@@ -465,9 +465,8 @@ def is_essential_ideal(
     algebra or the ideal, so desk-scale centers stay cheap even in big
     ambient modules. A ring beyond the budget is decided by `_socle`.
     """
-    for g in ideal.generators:
-        if not ring.contains(g):
-            raise ValueError("ideal is not contained in the ring it should be essential in")
+    if not ring.contains(ideal.generators).all():
+        raise ValueError("ideal is not contained in the ring it should be essential in")
     size = ring.order()
     if size > budget:
         return _socle(

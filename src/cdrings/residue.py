@@ -179,21 +179,26 @@ def _howell(rows: np.ndarray, n: int):
     return np.array(work[:r], dtype=np.int64).reshape(r, cols), pivot_cols
 
 
-def _echelon_coefficients(w: np.ndarray, rows: np.ndarray, pivot_cols, n: int) -> np.ndarray | None:
-    """Coefficients c with c @ rows == w, or None when w is outside their span.
+def _echelon_coefficients(
+    w: np.ndarray, rows: np.ndarray, pivot_cols, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(coeffs, inside) for a (k, d) stack w of reduced rows: inside[i] says
+    whether w[i] lies in the span of `rows`, and then coeffs[i] @ rows == w[i].
 
-    `rows` are Howell rows with pivots in `pivot_cols`; w is reduced pivot by
-    pivot, and a pivot entry the pivot does not divide leaves a remainder.
+    `rows` are Howell rows with pivots in `pivot_cols`. The whole stack is
+    reduced pivot by pivot: q = w[:, c] // p, w -= q row, mod n. A pivot entry
+    that p does not divide leaves its remainder in column c, where no later
+    row has an entry, so a row is inside exactly when nothing is left of it;
+    an outside row's coefficients mean nothing. Every q row stays below n^2,
+    so the reduction is exact wherever `_require_exact` admits the rank.
     """
-    coeffs = np.zeros(len(pivot_cols), dtype=np.int64)
+    w = w.copy()
+    coeffs = np.zeros((w.shape[0], len(pivot_cols)), dtype=np.int64)
     for idx, c in enumerate(pivot_cols):
-        if w[c]:
-            q, rem = divmod(int(w[c]), int(rows[idx][c]))
-            if rem:
-                return None
-            coeffs[idx] = q
-            w = (w - q * rows[idx]) % n
-    return None if w.any() else coeffs
+        coeffs[:, idx] = w[:, c] // rows[idx, c]
+        w -= coeffs[:, idx, None] * rows[idx]
+        w %= n
+    return coeffs, ~w.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -289,23 +294,35 @@ class Submodule:
             size *= self.modulus // p
         return size
 
-    def _check_vector(self, v) -> np.ndarray:
+    def _check_rows(self, v) -> np.ndarray:
+        """v, one vector or a (k, d) stack of them, as int64 mod n."""
         arr = np.asarray(v, dtype=np.int64)
-        if arr.shape != (self.ambient_rank,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.ambient_rank:
             raise DimensionMismatch(
                 f"vector has shape {arr.shape}, ambient rank is {self.ambient_rank}"
             )
         return arr % self.modulus
 
-    def contains(self, v) -> bool:
-        """Membership by echelon reduction against the canonical generators."""
-        return self.coefficients_of(v) is not None
+    def _reduce_rows(self, rows: np.ndarray):
+        return _echelon_coefficients(
+            rows, self.generators, [c for c, _ in self.pivots], self.modulus
+        )
+
+    def contains(self, v) -> bool | np.ndarray:
+        """Membership by one echelon reduction against the canonical
+        generators: a bool for one vector, a bool array for a (k, d) stack,
+        whose rows are reduced together."""
+        rows = self._check_rows(v)
+        _, inside = self._reduce_rows(np.atleast_2d(rows))
+        return inside if rows.ndim == 2 else bool(inside[0])
 
     def coefficients_of(self, v) -> np.ndarray | None:
         """Coefficients c with c @ generators == v, or None if v is outside."""
-        return _echelon_coefficients(
-            self._check_vector(v), self.generators, [c for c, _ in self.pivots], self.modulus
-        )
+        rows = self._check_rows(v)
+        if rows.ndim != 1:
+            raise DimensionMismatch(f"expected one vector, got shape {rows.shape}")
+        coeffs, inside = self._reduce_rows(rows[None])
+        return coeffs[0] if inside[0] else None
 
     def elements(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """All elements of the span as an (order, d) array: the sums
@@ -439,8 +456,8 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
     _require_exact(m.modulus, m.cols)  # at most m.cols transform rows are combined
     gens, cols = _howell(np.hstack([m.array, np.eye(m.rows, dtype=np.int64)]), m.modulus)
     head = bisect.bisect_left(cols, m.cols)
-    coeffs = _echelon_coefficients(b, gens[:head, : m.cols], cols[:head], m.modulus)
-    return None if coeffs is None else (coeffs @ gens[:head, m.cols :]) % m.modulus
+    coeffs, inside = _echelon_coefficients(b[None], gens[:head, : m.cols], cols[:head], m.modulus)
+    return (coeffs[0] @ gens[:head, m.cols :]) % m.modulus if inside[0] else None
 
 
 def _combinations(generators: np.ndarray, radices, n: int, dtype=np.int64) -> np.ndarray:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdrings import analysis, doubling
-from cdrings.algebra import FiniteAlgebra, certify_central_scalar, scalar_ring
+from cdrings import analysis, doubling, suites
+from cdrings.algebra import FiniteAlgebra, associator_tensor, certify_central_scalar, scalar_ring
 from cdrings.analysis import (
     FIRST_COMPONENT_IDENTITIES,
     SECOND_COMPONENT_IDENTITIES,
@@ -25,10 +26,10 @@ from cdrings.analysis import (
     skew_span,
     symmetric_center,
 )
-from cdrings.analysis import _kernel_center, _twist
+from cdrings.analysis import _associative_center_kernel, _kernel_center, _twist
 from cdrings.doubling import TowerSpec, build_tower, double, tower
-from cdrings.errors import StageMismatch
-from cdrings.residue import Submodule, all_vectors, intersect, kernel
+from cdrings.errors import DimensionMismatch, StageMismatch
+from cdrings.residue import Submodule, _tail, all_vectors, intersect, kernel
 from cdrings.suites import sweep_towers
 
 from conftest import brute_span, holds_on_basis, identity_difference, submodule_set
@@ -616,3 +617,141 @@ def test_identity_conditions_agree_with_evaluator_on_random_towers(spec, data):
 def test_lemma_2_1_equality_on_random_towers(spec):
     n, params, alpha = spec
     _assert_lemma_2_1(tower(n, *params), alpha)
+
+
+# -- the batched identity sweep and the kernel oracle of N ---------------------
+
+
+def test_identity_membership_table_equals_the_lemma_formula(z4_quaternion):
+    R = double(z4_quaternion, 1)
+    data = essentiality_data(z4_quaternion)
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.integers(-4, 8, (6, 4)), data.C.generators])
+    Y = np.vstack([rng.integers(-4, 8, (5, 4)), data.I.generators])
+    table = n_membership_by_identities(R, X, Y)
+    assert table.dtype == bool and table.shape == (len(X), len(Y))
+    want = [[data.C.contains(x) and data.I.contains(y) for y in Y] for x in X]
+    assert table.tolist() == want and table.any() and not table.all()
+    assert n_membership_by_identities(R, X[-1], Y).tolist() == [want[-1]]
+    assert n_membership_by_identities(R, X, Y[:0]).shape == (len(X), 0)
+    assert n_membership_by_identities(R, X[-1], Y[-1]) is want[-1][-1]
+    with pytest.raises(DimensionMismatch):
+        n_membership_by_identities(R, X[:, :3], Y)
+
+
+def _lemma_2_1_stages():
+    return tower(2, 1, 1), tower(4, 1)
+
+
+def test_the_lemma_2_1_suite_calls_each_side_at_most_twice_per_case(monkeypatch):
+    calls = {"contains": 0, "identities": 0}
+    real_contains, real_identities = Submodule.contains, suites.n_membership_by_identities
+
+    def contains(self, v):
+        calls["contains"] += 1
+        return real_contains(self, v)
+
+    def identities(*args):
+        calls["identities"] += 1
+        return real_identities(*args)
+
+    monkeypatch.setattr(Submodule, "contains", contains)
+    monkeypatch.setattr(suites, "n_membership_by_identities", identities)
+    report = suites.suite_lemma_2_1()
+    cases = len(report.instances)
+    assert cases == len(_lemma_2_1_stages()) and report.passed
+    assert 1 <= calls["contains"] <= 2 * cases
+    assert 1 <= calls["identities"] <= 2 * cases
+
+
+@pytest.mark.parametrize("shrink", ["drop-first", "drop-last", "double"])
+def test_the_lemma_2_1_suite_reports_the_pairwise_witness(shrink, monkeypatch):
+    # A center that is too small disagrees with the identity systems; the
+    # batched sweep must count and name the disagreements as the
+    # pair-by-pair loop over `itertools.product` does.
+    real = suites.associative_center
+
+    def smaller(doubled):
+        N = real(doubled)
+        gens = N.generators
+        rows = {"drop-first": gens[1:], "drop-last": gens[:-1], "double": 2 * gens}[shrink]
+        return Submodule.span(N.modulus, rows, N.ambient_rank)
+
+    monkeypatch.setattr(suites, "associative_center", smaller)
+    report = suites.suite_lemma_2_1()
+    for row, stage in zip(report.instances, _lemma_2_1_stages(), strict=True):
+        doubled = double(stage, 1)
+        N = smaller(doubled)
+        vectors = all_vectors(stage.modulus, stage.rank)
+        mismatches, witness = 0, None
+        for x, y in itertools.product(vectors, repeat=2):
+            if n_membership_by_identities(doubled, x, y) != N.contains(
+                pair_coordinates(doubled, x, y)
+            ):
+                mismatches += 1
+                witness = witness or (tuple(map(int, x)), tuple(map(int, y)))
+        assert mismatches > 0 and not row.passed
+        assert row.detail == f"{len(vectors) ** 2} pairs swept, {mismatches} disagreements"
+        assert row.witness == witness
+
+
+def _kernel_of_the_full_stack(algebra):
+    """N as `_tail` of [the three full associator blocks | I]: no block is
+    deduplicated or replaced by its diagonal."""
+    n, d = algebra.modulus, algebra.rank
+    t = associator_tensor(algebra)
+    stack = np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1)
+    return _tail(np.hstack([stack, np.eye(d, dtype=np.int64)]), stack.shape[1], n)
+
+
+@pytest.fixture
+def distinct_column_calls(monkeypatch):
+    """How often `_associative_center_kernel` deduplicates a block."""
+    calls = []
+    real = analysis._distinct_columns
+
+    def counted(arr, n):
+        calls.append(arr.shape)
+        return real(arr, n)
+
+    monkeypatch.setattr(analysis, "_distinct_columns", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(2, 1, 1, 1), (3, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 5), (9, 2, 1, 4), (2, 1, 1, 1, 1)],
+    ids=str,
+)
+def test_kernel_oracle_of_towers_equals_the_full_stack(params, distinct_column_calls):
+    algebra = tower(*params)
+    assert _twist(algebra) is not None
+    got = _associative_center_kernel(algebra)
+    want = _kernel_of_the_full_stack(algebra)
+    assert got == want and got.pivots == want.pivots
+    assert distinct_column_calls == []
+
+
+def _off_pattern_algebras():
+    stage = tower(3, 1, 1)
+    for extra in ((1, 1, 1), (1, 2, 1)):
+        # e_1 e_1 gains an e_1 term, off the e_0 slot; e_1 e_2 gains one too,
+        # which puts two entries in some columns of the first slot's block
+        # and leaves the other two blocks on the coordinate pattern.
+        structure = stage.structure.copy()
+        structure[extra] += 1
+        yield FiniteAlgebra(3, structure % 3, stage.unit, stage.involution)
+    # certified vector parameters
+    yield double(tower(4, 1), [1, 2])
+    yield double(tower(4, 1), [3, 2])
+    yield double(tower(4, 1, 1), [1, 2, 0, 0])
+    yield double(tower(6, 1, 1), [4, 3, 0, 0])
+
+
+def test_kernel_oracle_off_the_pattern_equals_the_full_stack(distinct_column_calls):
+    for algebra in _off_pattern_algebras():
+        assert _twist(algebra) is None
+        got = _associative_center_kernel(algebra)
+        want = _kernel_of_the_full_stack(algebra)
+        assert got == want and got.pivots == want.pivots
+    assert distinct_column_calls  # the mixed algebra dedupes one block

@@ -729,3 +729,67 @@ def test_the_thm_1_4_sweep_runs_no_elimination(monkeypatch):
     report = run_suite("thm-1.4", bases=(2, 3, 4), depth=2)
     assert report.passed
     assert calls == []
+
+
+# -- the batched echelon reduction behind `contains` ----------------------------
+
+_STACK_MODULI = (2, 4, 6, 8, 9, 12, 30, 36, 2**31 - 1)
+
+
+@st.composite
+def _submodules_and_stacks(draw):
+    """(S, V): a submodule (a span, zero or full) and a (k, d) stack of rows,
+    k = 0 included, each row a random vector or a combination of S's
+    generators, unreduced and negative entries included."""
+    n = draw(st.sampled_from(_STACK_MODULI))
+    d = draw(st.integers(1, 2 if n == 2**31 - 1 else 4))
+    entry = st.one_of(
+        st.integers(0, n - 1), st.sampled_from([0, 1, n - 1, n // 2, n // 3, n + 1, -1])
+    )
+    vector = st.lists(entry, min_size=d, max_size=d)
+    kind = draw(st.sampled_from(["span", "zero", "full"]))
+    if kind == "span":
+        S = Submodule.span(n, np.array(draw(st.lists(vector, max_size=4)), np.int64).reshape(-1, d), d)
+    else:
+        S = getattr(Submodule, kind)(n, d)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if S.num_generators and draw(st.booleans()):
+            c = draw(st.lists(entry, min_size=S.num_generators, max_size=S.num_generators))
+            rows.append(_left_product(c, S.generators, n))
+        else:
+            rows.append(draw(vector))
+    return S, np.array(rows, dtype=np.int64).reshape(-1, d)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_submodules_and_stacks())
+def test_stacked_contains_equals_the_span_oracle(case):
+    S, V = case
+    n, d = S.modulus, S.ambient_rank
+    inside = S.contains(V)
+    assert inside.dtype == bool and inside.shape == (len(V),)
+    coeffs, flags = residue._echelon_coefficients(
+        V % n, S.generators, [c for c, _ in S.pivots], n
+    )
+    assert flags.tolist() == inside.tolist()
+    for v, member, c in zip(V, inside, coeffs):
+        assert member == (Submodule.span(n, np.vstack([S.generators, v]), d) == S)
+        assert S.contains(v) is bool(member)
+        if member:
+            assert _left_product(c, S.generators, n) == [int(x) % n for x in v]
+            assert S.coefficients_of(v).tolist() == c.tolist()
+        else:
+            assert S.coefficients_of(v) is None
+
+
+def test_contains_keeps_the_shape_of_its_argument():
+    s = Submodule.span(4, [[2, 0]])
+    assert s.contains([2, 0]) is True and s.contains([1, 0]) is False
+    assert s.contains([[2, 0], [1, 0], [0, 0]]).tolist() == [True, False, True]
+    assert s.contains(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    for bad in ([[[2, 0]]], [[1, 2, 3]]):
+        with pytest.raises(DimensionMismatch):
+            s.contains(bad)
+    with pytest.raises(DimensionMismatch):
+        s.coefficients_of([[2, 0]])
