@@ -13,6 +13,19 @@ kernel route: the left kernel of a stacked basis-indexed linear system
 (`_associative_center_kernel`, `_commutative_center_kernel`), which is also
 the oracle the closed forms are tested against (`_kernel_center`).
 
+The stage data of a twisted group algebra are coordinate sums too. Products
+of a coordinate vector with basis elements stay coordinate vectors, so
+[A, A] is the coordinate sum of pivots p_m dividing n: seeded with gcd(n,
+f(i, j) - f(j, i) over i xor j = m), then p_m = gcd(p_m, p_l f(l, l xor m),
+p_l f(l xor m, l) over all l) until a fixpoint (`commutator_ideal`). The
+annihilator of a coordinate sum of orders g within one of orders g_within
+has orders gcd(g_within, h), h_k = gcd(n, (n / g_l) f(k, l) over all l),
+since coordinate k of r meets (n / g_l) e_l only at k xor l
+(`annihilator`). The closure under basis products
+(`_commutator_ideal_closure`) and the kernel of the right multiplication
+matrices (`_annihilator_kernel`) serve every other input and are the
+oracles of both closed forms.
+
 For a doubled algebra R = (A, alpha) the same data admits closed forms built
 from stage-A invariants:
 
@@ -187,6 +200,34 @@ def _kernel_center(algebra: FiniteAlgebra) -> CenterReport:
 def commutator_ideal(algebra: FiniteAlgebra) -> Submodule:
     """Least ideal containing all commutators.
 
+    On a twisted group algebra (`_twist`) [e_i, e_j] = (f(i, j) - f(j, i))
+    e_{i xor j}, and a product of p_l e_l with e_k on either side is p_l
+    f(l, k) e_{l xor k} or p_l f(k, l) e_{l xor k}: the ideal is a coordinate
+    sum, each coordinate m the multiples of a pivot p_m dividing n. Seeded
+    with p_m = gcd(n, f(i, j) - f(j, i) over i xor j = m), each round sets
+    p_m to gcd(p_m, p_l f(l, l xor m), p_l f(l xor m, l) over all l), one
+    gather of d^2 values through the xor table, until nothing changes. Any
+    other algebra takes `_commutator_ideal_closure`.
+    """
+    f = _twist(algebra)
+    if f is None:
+        return _commutator_ideal_closure(algebra)
+    n, d = algebra.modulus, algebra.rank
+    rows = np.arange(d)[:, None]
+    partner = rows ^ np.arange(d)  # partner[l, m] = l xor m
+    # p_l f < n^2: exact in int64 wherever `_require_exact` admits the rank.
+    p = np.gcd(n, np.gcd.reduce((f - f.T)[rows, partner], axis=0))
+    steps = np.stack([f[rows, partner], f.T[rows, partner]])
+    while True:
+        grown = np.gcd(p, np.gcd.reduce(steps * p[:, None], axis=(0, 1)))
+        if np.array_equal(grown, p):
+            return Submodule.coordinate_sum(n, n // p)  # each p_m divides n
+        p = grown
+
+
+def _commutator_ideal_closure(algebra: FiniteAlgebra) -> Submodule:
+    """The commutator ideal of any algebra, and the oracle of the closed form.
+
     Seeded with the basis commutators and closed under left and right
     multiplication by basis elements until the canonical form stabilizes;
     one-sided closure is not enough in a non-associative ring.
@@ -211,9 +252,29 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
     """{r in within : r * g = 0 for every generator g of s}.
 
     Linearity of the action extends the generator condition to all of s.
+    When s and within are coordinate sums (orders g and g_within) in a
+    twisted group algebra, r * (n / g_l) e_l has coordinate k xor l equal to
+    r_k (n / g_l) f(k, l), so each r_k meets its own conditions: it lies in
+    the cyclic group of order h_k = gcd(n, (n / g_l) f(k, l) over all l), an
+    l with g_l = 1 adding a multiple of n. The result is the coordinate sum
+    of orders gcd(h, g_within). Any other input takes `_annihilator_kernel`.
     """
     if s.ambient_rank != algebra.rank or within.ambient_rank != algebra.rank:
         raise StageMismatch("submodules do not live in this algebra's module")
+    g, g_within = s.coordinate_orders(), within.coordinate_orders()
+    f = None if g is None or g_within is None else _twist(algebra)
+    if f is None:
+        return _annihilator_kernel(s, within, algebra)
+    n = algebra.modulus
+    # (n / g_l) f(k, l) < n^2: exact in int64 wherever `_require_exact` admits the rank.
+    h = np.gcd(n, np.gcd.reduce(f * (n // g), axis=1))
+    return Submodule.coordinate_sum(n, np.gcd(h, g_within))
+
+
+def _annihilator_kernel(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Submodule:
+    """The annihilator in any algebra, and the oracle of the closed form: the
+    left kernel of the right multiplication matrices of s's generators, met
+    with within."""
     if s.is_zero:
         return within
     blocks = [algebra.right_mul_matrix(g) for g in s.generators]

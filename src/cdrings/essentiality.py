@@ -133,18 +133,18 @@ def _scan(
     each walks the multipliers in chunks of 64, 256, 1024, ... and stops at
     the first chunk with a hit, so a candidate is refuted only after all of
     S. The first chunk is tried against every candidate at once: one
-    contraction of the candidates with the structure tensor gives all their
-    multiplication matrices side by side, and one matrix product gives every
-    product of the chunk. A candidate it leaves unmet walks the later chunks
-    alone, in candidate order. Then the sweep runs s-outer over the universe
-    elements still unmet: while more than a quarter are, a dense pass forms
-    the product of s with every element, else a sparse pass forms those of
-    the unmet ones, decoded from their walk indices. The witness of a False
-    verdict is the first refuted candidate, otherwise the first unmet
-    universe element. `cost` counts the products a candidate-by-candidate
-    walk evaluates: each candidate up to the first refuted one adds its
-    chunks, and the products of the shared first chunk that belong to later
-    candidates are never counted.
+    `_matmul_mod` of the candidates with the reshaped structure tensor gives
+    all their multiplication matrices side by side (`_candidate_matrices`),
+    and one matrix product gives every product of the chunk. A candidate it
+    leaves unmet walks the later chunks alone, in candidate order. Then the
+    sweep runs s-outer over the universe elements still unmet: while more
+    than a quarter are, a dense pass forms the product of s with every
+    element, else a sparse pass forms those of the unmet ones, decoded from
+    their walk indices. The witness of a False verdict is the first refuted
+    candidate, otherwise the first unmet universe element. `cost` counts the
+    products a candidate-by-candidate walk evaluates: each candidate up to
+    the first refuted one adds its chunks, and the products of the shared
+    first chunk that belong to later candidates are never counted.
 
     Membership in the target is read off its dual: the dot product is a
     perfect pairing on (Z/nZ)^d, so T = {p : p @ W = 0} where the columns of
@@ -209,9 +209,7 @@ def _scan(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
     candidates = _walk_rows(gens, radices, n, candidate_ids)
-    # mats[:, c] is the matrix of candidate c: s @ mats[:, c] = s u (left) or u s.
-    spec = "uj,ijk->iuk" if side == "left" else "ui,ijk->juk"
-    mats = (np.einsum(spec, candidates, algebra.structure) % n).astype(dtype)
+    mats = _candidate_matrices(algebra, candidates, side)
     first = multipliers[order[:64]].astype(dtype, copy=False)
     prods = _matmul_mod(first, mats.reshape(d, -1), n).reshape(-1, d)
     met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
@@ -248,6 +246,19 @@ def _scan(
     if satisfied.all():
         return EssentialityVerdict(property_name, True, "definitional", None, cost)
     return refuted(_walk_rows(gens, radices, n, np.flatnonzero(~satisfied)[:1])[0])
+
+
+def _candidate_matrices(algebra: FiniteAlgebra, candidates: np.ndarray, side: str) -> np.ndarray:
+    """The multiplication matrices of the candidate rows u side by side, as a
+    (d, len(candidates), d) array: s @ mats[:, c] is s u (side='left') or
+    u s. One `_matmul_mod` of the candidates with the structure tensor,
+    its contracted axis (j for s u, i for u s) moved first, returned in
+    `_exact_dtype(n, d)`."""
+    n, d = algebra.modulus, algebra.rank
+    c = algebra.structure
+    tensor = c.transpose(1, 0, 2) if side == "left" else c
+    mats = _matmul_mod(candidates, tensor.reshape(d, d * d), n)
+    return np.ascontiguousarray(mats.reshape(-1, d, d).transpose(1, 0, 2))
 
 
 def _products(algebra: FiniteAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -235,7 +235,7 @@ class Submodule:
             return cls.coordinate_sum(modulus, modulus // np.gcd(np.gcd.reduce(arr), modulus))
         if arr.shape[0] > arr.shape[1]:
             # The Howell form is canonical, so repeated and zero rows can go
-            # first: closure steps such as `commutator_ideal` span mostly repeats.
+            # first: closure steps such as `_commutator_ideal_closure` span mostly repeats.
             arr = _distinct_columns(arr.T, modulus).T
         return cls._from_howell(modulus, *_howell(arr, modulus))
 

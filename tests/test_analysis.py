@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdrings import analysis, doubling, suites
+from cdrings import analysis, doubling, residue, suites
 from cdrings.algebra import FiniteAlgebra, associator_tensor, certify_central_scalar, scalar_ring
 from cdrings.analysis import (
     FIRST_COMPONENT_IDENTITIES,
@@ -354,16 +354,30 @@ def _assert_routes_agree(algebra):
     assert report.Z == oracle.Z
 
 
+def _assert_stage_data_agrees(algebra):
+    """[A, A], I and J by the closed forms against their oracles."""
+    comm = commutator_ideal(algebra)
+    assert comm == analysis._commutator_ideal_closure(algebra)
+    pairs = ((comm, center(algebra).Z), (skew_span(algebra), symmetric_center(algebra)))
+    for s, within in pairs:
+        assert annihilator(s, within, algebra) == analysis._annihilator_kernel(s, within, algebra)
+
+
 @pytest.fixture
 def kernel_routes(monkeypatch):
-    """The names of the kernel routes called while the fixture is live."""
+    """The names of the oracle routes called while the fixture is live."""
     calls = []
-    for name in ("_associative_center_kernel", "_commutative_center_kernel"):
+    for name in (
+        "_associative_center_kernel",
+        "_commutative_center_kernel",
+        "_commutator_ideal_closure",
+        "_annihilator_kernel",
+    ):
         real = getattr(analysis, name)
 
-        def spy(algebra, real=real, name=name):
+        def spy(*args, real=real, name=name):
             calls.append(name)
-            return real(algebra)
+            return real(*args)
 
         monkeypatch.setattr(analysis, name, spy)
     return calls
@@ -379,15 +393,18 @@ def test_closed_forms_equal_the_kernel_route_on_unit_towers(base, depth):
         algebra = stages[-1]
         assert _twist(algebra) is not None, params
         _assert_routes_agree(algebra)
+        _assert_stage_data_agrees(algebra)
 
 
-def _twisted_algebra(n, f):
-    """e_i e_j = f[i][j] e_{i xor j}, with e_0 as the unit."""
+def _twisted_algebra(n, f, involution=None):
+    """e_i e_j = f[i][j] e_{i xor j}, with e_0 as the unit and the identity
+    involution unless one is given."""
     d = len(f)
     i = np.arange(d)
     structure = np.zeros((d, d, d), dtype=np.int64)
     structure[i[:, None], i, i[:, None] ^ i] = f
-    return FiniteAlgebra(n, structure, np.eye(d, dtype=np.int64)[0], np.eye(d, dtype=np.int64))
+    eye = np.eye(d, dtype=np.int64)
+    return FiniteAlgebra(n, structure, eye[0], eye if involution is None else involution)
 
 
 @st.composite
@@ -755,3 +772,85 @@ def test_kernel_oracle_off_the_pattern_equals_the_full_stack(distinct_column_cal
         want = _kernel_of_the_full_stack(algebra)
         assert got == want and got.pivots == want.pivots
     assert distinct_column_calls  # the mixed algebra dedupes one block
+
+
+# -- the twisted stage data against the closure and kernel routes ------------
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(_units(n)), max_size=4))
+    )
+)
+@example((12, [5, 7, 11, 1]))
+@example((10, [3, 9, 7, 1]))
+def test_stage_data_closed_forms_equal_the_oracles_on_unit_towers(spec):
+    n, params = spec
+    algebra = tower(n, *params)
+    assert _twist(algebra) is not None
+    _assert_stage_data_agrees(algebra)
+
+
+@st.composite
+def _twists_with_diagonal_involutions(draw):
+    n, f = draw(_twists())
+    sigma = draw(st.lists(st.integers(0, n - 1), min_size=len(f), max_size=len(f)))
+    return n, f, np.diag(sigma)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_twists_with_diagonal_involutions())
+# zero and non-unit twist values, and an involution scaling e_1 and e_2 by 11 and 5
+@example((
+    12,
+    np.array([[1, 1, 1, 1], [1, 0, 6, 4], [1, 3, 2, 0], [1, 9, 8, 11]]),
+    np.diag([1, 11, 5, 1]),
+))
+# [A, A] needs a second round: 2 e_0 comes from p_2 = 1 in round one, and
+# e_0 itself from the p_1 = 1 that round one also finds.
+@example((12, np.array([[1, 1, 1, 1], [1, 1, 3, 0], [1, 1, 2, 1], [1, 1, 1, 1]]), np.eye(4)))
+def test_stage_data_closed_forms_equal_the_oracles_on_random_twists(case):
+    n, f, sigma = case
+    algebra = _twisted_algebra(n, f, sigma)
+    assert _twist(algebra) is not None
+    _assert_stage_data_agrees(algebra)
+
+
+@pytest.mark.parametrize("params", [(6, 1, 5, 1), (4, 1, 3, 1, 1)], ids=str)
+def test_stage_data_of_twisted_towers_runs_no_elimination(params, kernel_routes, monkeypatch):
+    algebra = tower(*params)
+    calls = []
+    real_howell, real_right = residue._howell, FiniteAlgebra.right_mul_matrix
+
+    def howell(*args):
+        calls.append("_howell")
+        return real_howell(*args)
+
+    def right_mul_matrix(*args):
+        calls.append("right_mul_matrix")
+        return real_right(*args)
+
+    monkeypatch.setattr(residue, "_howell", howell)
+    monkeypatch.setattr(FiniteAlgebra, "right_mul_matrix", right_mul_matrix)
+    data = essentiality_data(algebra)
+    assert kernel_routes == [] and calls == []
+    assert not data.commutator_ideal.is_zero and not data.I.is_zero
+
+
+def test_stage_data_off_the_pattern_takes_the_oracle_routes(kernel_routes):
+    for algebra in _off_pattern_algebras():
+        kernel_routes.clear()
+        essentiality_data(algebra)
+        assert kernel_routes.count("_commutator_ideal_closure") == 1
+        assert kernel_routes.count("_annihilator_kernel") == 2
+    # A twisted algebra whose involution exchanges e_1 and e_2: a - a* is not
+    # a coordinate sum, so J alone takes the kernel route.
+    stage = tower(3, 1, 1)
+    swap = np.eye(4, dtype=np.int64)[[0, 2, 1, 3]]
+    algebra = FiniteAlgebra(3, stage.structure, stage.unit, swap)
+    kernel_routes.clear()
+    essentiality_data(algebra)
+    assert skew_span(algebra).coordinate_orders() is None
+    assert kernel_routes == ["_annihilator_kernel"]
+    _assert_stage_data_agrees(algebra)
