@@ -6,9 +6,14 @@ vector, and an involution given as a d x d matrix acting on row vectors
 (x* = x @ involution). Elements are plain length-d integer vectors; all
 per-element operations live on the algebra object, which owns the modulus.
 Every product of residues is formed one pair at a time and reduced mod n, so
-int64 is exact for every modulus `residue._require_exact` admits; validation,
-doubling and the product tensors contract the structure tensor in the
-narrowest dtype `residue._exact_dtype` finds exact (`residue._matmul_mod`).
+int64 is exact for every modulus `residue._require_exact` admits. The
+structure tensor has one reader for products: `FiniteAlgebra.mul_matrices`
+forms the left or right multiplication matrices of a stack of elements as
+one `residue._matmul_mod`, in the narrowest dtype `residue._exact_dtype`
+finds exact, and `mul`, validation, doubling, the product tensors and the
+kernel routes of `analysis` and `essentiality` all take it. Whether the
+algebra is a twisted group algebra is read once, at construction, into
+`FiniteAlgebra.twist` (`_twist`).
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -32,7 +37,7 @@ from .errors import (
     NotInvertible,
     NotSymmetric,
 )
-from .residue import ResidueMatrix, _exact_dtype, _matmul_mod, _require_exact, solve_left
+from .residue import ResidueMatrix, _matmul_mod, _require_exact, solve_left
 
 
 class FiniteAlgebra:
@@ -51,6 +56,7 @@ class FiniteAlgebra:
         "memo",
         "valid",
         "certified",
+        "twist",
     )
 
     def __init__(
@@ -94,6 +100,7 @@ class FiniteAlgebra:
         self.memo = {}  # invariants computed on first use, see `analysis._memoized`
         self.valid = False  # set by `ensure_valid` once the invariants hold
         self.certified = {}  # value bytes -> inverse, see `certify_central_scalar`
+        self.twist = _twist(self)  # read once, off the reduced tensor
 
     # -- elements ----------------------------------------------------------
 
@@ -122,10 +129,21 @@ class FiniteAlgebra:
 
     # -- multiplication and derived brackets --------------------------------
 
+    def mul_matrices(self, rows: np.ndarray, side: str = "left") -> np.ndarray:
+        """The multiplication matrices of a (k, d) stack of residue rows x,
+        as a (k, d, d) array M with y @ M[a] = x_a y (side='left') or
+        y x_a (side='right'): one `residue._matmul_mod` of the rows with the
+        structure tensor, contracted on its first axis (the tensor as
+        d x d^2) or its second (a matmul broadcast over the first), in
+        `_exact_dtype(n, d)` and reduced. Every contraction of the tensor
+        against elements goes through here."""
+        n, d = self.modulus, self.rank
+        if side == "left":
+            return _matmul_mod(rows, self.structure.reshape(d, d * d), n).reshape(-1, d, d)
+        return _matmul_mod(rows, self.structure, n).transpose(1, 0, 2)  # from [i, a, k]
+
     def mul(self, x, y) -> np.ndarray:
-        x = self.element(x)
-        right = np.einsum("j,ijk->ik", self.element(y), self.structure) % self.modulus
-        return (x @ right) % self.modulus
+        return (self.element(x) @ self.right_mul_matrix(y)) % self.modulus
 
     def associator(self, a, b, c) -> np.ndarray:
         return (self.mul(self.mul(a, b), c) - self.mul(a, self.mul(b, c))) % self.modulus
@@ -138,13 +156,11 @@ class FiniteAlgebra:
 
     def left_mul_matrix(self, x) -> np.ndarray:
         """Matrix L with y @ L = x * y (left multiplication by x)."""
-        x = self.element(x)
-        return np.einsum("i,ijk->jk", x, self.structure) % self.modulus
+        return self.mul_matrices(self.element(x)[None], "left")[0].astype(np.int64)
 
     def right_mul_matrix(self, x) -> np.ndarray:
         """Matrix R with y @ R = y * x (right multiplication by x)."""
-        x = self.element(x)
-        return np.einsum("j,ijk->ik", x, self.structure) % self.modulus
+        return self.mul_matrices(self.element(x)[None], "right")[0].astype(np.int64)
 
     def format_element(self, x) -> str:
         x = self.element(x)
@@ -190,23 +206,21 @@ def scalar_ring(n: int, name: str | None = None) -> FiniteAlgebra:
 def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
     """Check every structural invariant; violations are data, not exceptions.
 
-    Every contraction is a matmul of the reshaped structure tensor through
-    `residue._matmul_mod`, in `_exact_dtype(n, d)`, and each side is compared
-    in that dtype, reduced: with lhs[i, j] = (e_i e_j)* = c(d^2 x d) @ sigma
-    and rhs[i, j] = e_j* e_i* = sigma @ t(d x d^2), t[q, j, k] the
-    coefficient of e_k in e_j* e_q, the first basis pair where they differ
-    is reported."""
+    Both sides of each law are formed in `_exact_dtype(n, d)`, reduced, and
+    compared in that dtype. The unit laws read the multiplication matrices
+    of the unit (`FiniteAlgebra.mul_matrices`). Anti-multiplicativity
+    compares lhs[i, j] = (e_i e_j)* = c(d^2 x d) @ sigma with
+    e_j* e_i* = sigma @ M_j at [j, i], M_j the left matrix of e_j*, and
+    reports the first basis pair (i, j) where they differ."""
     n, d = algebra.modulus, algebra.rank
     unit, sigma = algebra.unit[None], algebra.involution
-    c = algebra.structure.astype(_exact_dtype(n, d))
     violations: list[str] = []
 
-    left_by_unit = _matmul_mod(unit, c.reshape(d, d * d), n).reshape(d, d)
-    right_by_unit = _matmul_mod(unit, c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d)
-    eye = np.eye(d, dtype=c.dtype)
-    if not np.array_equal(left_by_unit, eye):
+    left = algebra.mul_matrices(np.vstack([unit, sigma]), "left")  # unit, then e_j*
+    eye = np.eye(d, dtype=left.dtype)
+    if not np.array_equal(left[0], eye):
         violations.append("unit is not a left identity")
-    if not np.array_equal(right_by_unit, eye):
+    if not np.array_equal(algebra.mul_matrices(unit, "right")[0], eye):
         violations.append("unit is not a right identity")
 
     if not np.array_equal(_matmul_mod(sigma, sigma, n), eye):
@@ -215,14 +229,10 @@ def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
         violations.append("involution does not fix the unit")
 
     # (e_i e_j)* == e_j* e_i* for all basis pairs
-    star_left = _matmul_mod(sigma, c.reshape(d, d * d), n).reshape(d, d, d)  # e_j* e_q
-    t = star_left.transpose(1, 0, 2).reshape(d, d * d)
-    del star_left
-    rhs = _matmul_mod(sigma, t, n).reshape(d, d, d)
-    del t
-    lhs = _matmul_mod(c.reshape(d * d, d), sigma, n).reshape(d, d, d)
-    del c
-    bad = np.flatnonzero((lhs != rhs).any(axis=2))
+    rhs = _matmul_mod(sigma, left[1:], n)  # [j, i]
+    del left
+    lhs = _matmul_mod(algebra.structure.reshape(d * d, d), sigma, n).reshape(d, d, d)
+    bad = np.flatnonzero((lhs != rhs.transpose(1, 0, 2)).any(axis=2))
     if len(bad):
         i, j = divmod(int(bad[0]), d)
         violations.append(
@@ -250,19 +260,16 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
 def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k).
 
-    Both are matmuls of the reshaped structure tensor: P = c(d^2 x d) @
-    c(d x d^2), and Q = c(d^2 x d) @ s(d x d^2) with s[q, i, m] = c[i, q, m],
-    its axes moved back to (i, j, k, m). Each entry is a sum of d products of
-    residues, so the matmuls run in `residue._exact_dtype(n, d)` (float32 or
-    float64 BLAS at desk scale) through `residue._matmul_mod`, and are reduced
-    there before the int64 cast.
+    The rows of the structure tensor as d^2 x d are the products e_i e_j, so
+    P holds their left multiplication matrices and Q their right ones, which
+    `FiniteAlgebra.mul_matrices` forms in `residue._exact_dtype(n, d)` (float32
+    or float64 BLAS at desk scale), reduced before the int64 cast.
     """
-    n, d = algebra.modulus, algebra.rank
-    c = algebra.structure.astype(_exact_dtype(n, d))
-    pairs = c.reshape(d * d, d)
-    left = _matmul_mod(pairs, c.reshape(d, d * d), n).astype(np.int64).reshape(d, d, d, d)
-    right = _matmul_mod(pairs, c.transpose(1, 0, 2).reshape(d, d * d), n).reshape(d, d, d, d)
-    return left, right.transpose(2, 0, 1, 3).astype(np.int64, order="C")  # from [j, k, i, m]
+    d = algebra.rank
+    pairs = algebra.structure.reshape(d * d, d)
+    left = algebra.mul_matrices(pairs, "left").astype(np.int64).reshape(d, d, d, d)
+    right = algebra.mul_matrices(pairs, "right").transpose(1, 0, 2)  # [i, (j, k)]
+    return left, right.reshape(d, d, d, d).astype(np.int64)
 
 
 def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
@@ -310,13 +317,16 @@ def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
     e_i e_j = f(i, j) e_{i xor j}, or None for any other algebra: one whose
     rank is not a power of two, or with a nonzero c[i, j, k] at k != i xor j.
     f may take zero and non-unit values. f holds entries of c at distinct
-    places, so the pattern holds exactly when it holds every nonzero entry."""
+    places, so the pattern holds exactly when it holds every nonzero entry.
+    Read once per algebra, by the constructor, into `FiniteAlgebra.twist`
+    (read-only), which every twisted route consults."""
     d = algebra.rank
     if d.bit_count() != 1:
         return None
     c = algebra.structure
     i = np.arange(d)
     f = c[i[:, None], i, i[:, None] ^ i]
+    f.setflags(write=False)
     return f if np.count_nonzero(f) == np.count_nonzero(c) else None
 
 
@@ -332,13 +342,13 @@ def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:
     """The associative, commutative, alternative and right-alternative
     flags, the three associator laws read off one associator tensor.
 
-    On a twisted group algebra (`_twist`) the associator of basis elements
-    is a(i, j, k) times one basis element, so the d^3 array a
+    On a twisted group algebra (`FiniteAlgebra.twist`) the associator of
+    basis elements is a(i, j, k) times one basis element, so the d^3 array a
     (`_twisted_associators`) stands in for the d^4 tensor, and commutativity
     is f = f^T. `associator_tensor` serves every other algebra and is the
     oracle of this route (the `is_*` predicates)."""
     n = algebra.modulus
-    f = _twist(algebra)
+    f = algebra.twist
     t = associator_tensor(algebra) if f is None else _twisted_associators(f, n)
     right = _alternates(t, n, 1, 2)
     return {
@@ -353,18 +363,24 @@ def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:
 
 
 def is_central(algebra: FiniteAlgebra, x) -> bool:
-    """x commutes with everything and associates in all three slots."""
-    n = algebra.modulus
-    c = algebra.structure
-    x = algebra.element(x)
-    xr = np.einsum("p,pik->ik", x, c) % n  # rows: x * e_i
-    rx = np.einsum("p,ipk->ik", x, c) % n  # rows: e_i * x
-    if ((xr - rx) % n).any():
+    """x commutes with everything and associates in all three slots.
+
+    The rows of x's left matrix L are x e_i, and x commutes iff its right
+    matrix equals L. Then the left matrices of those rows hold
+    (x e_i) e_j = (e_i x) e_j at [i, j], their right matrices hold
+    e_i (x e_j) = e_i (e_j x) at [j, i], and c(d^2 x d) @ L holds
+    x (e_i e_j) = (e_i e_j) x at [i, j]: x associates in the first slot iff
+    the first equals the third, in the middle iff it equals the second, and
+    then in the last."""
+    n, d = algebra.modulus, algebra.rank
+    x = algebra.element(x)[None]
+    L = algebra.mul_matrices(x, "left")[0]
+    if not np.array_equal(L, algebra.mul_matrices(x, "right")[0]):
         return False
-    s1 = np.einsum("ik,kjm->ijm", xr, c) - np.einsum("ijq,qm->ijm", c, xr)
-    s2 = np.einsum("ik,kjm->ijm", rx, c) - np.einsum("jk,ikm->ijm", xr, c)
-    s3 = np.einsum("ijq,qm->ijm", c, rx) - np.einsum("jk,ikm->ijm", rx, c)
-    return not ((s1 % n).any() or (s2 % n).any() or (s3 % n).any())
+    first = algebra.mul_matrices(L, "left")
+    middle = algebra.mul_matrices(L, "right").transpose(1, 0, 2)
+    last = _matmul_mod(algebra.structure.reshape(d * d, d), L, n).reshape(d, d, d)
+    return np.array_equal(first, last) and np.array_equal(first, middle)
 
 
 def is_symmetric(algebra: FiniteAlgebra, x) -> bool:

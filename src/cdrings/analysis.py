@@ -4,14 +4,17 @@ No center is found by element enumeration; that is reserved for the
 desk-scale oracles in the test suite. Every Cayley-Dickson tower with scalar
 parameters is a twisted group algebra over (Z/2)^k, e_i e_j = f(i, j)
 e_{i xor j}, which one vectorized test of the structure tensor detects
-(`_twist`). There each associator and commutator condition touches one
-coordinate of x, so N, K and Z are direct sums of coordinate annihilators
-(n / g_l) e_l with g_l a gcd of values of f, read off int64 arrays of size
-d^3 and d^2. Every other algebra (a rank that is not a power of two, a
-loaded document or a double by a non-scalar alpha off the pattern) takes the
-kernel route: the left kernel of a stacked basis-indexed linear system
+when the algebra is built (`FiniteAlgebra.twist`, None off the pattern).
+There each associator and commutator condition touches one coordinate of
+x, so N, K and Z are direct sums of coordinate annihilators (n / g_l) e_l
+with g_l a gcd of values of f, read off int64 arrays of size d^3 and d^2.
+Every other algebra (a rank that is not a power of two, a loaded document
+or a double by a non-scalar alpha off the pattern) takes the kernel route:
+the left kernel of a stacked basis-indexed linear system
 (`_associative_center_kernel`, `_commutative_center_kernel`), which is also
-the oracle the closed forms are tested against (`_kernel_center`).
+the oracle the closed forms are tested against (`_kernel_center`). Every
+multiplication matrix the kernel routes need comes from
+`FiniteAlgebra.mul_matrices`.
 
 The stage data of a twisted group algebra are coordinate sums too. Products
 of a coordinate vector with basis elements stay coordinate vectors, so
@@ -46,13 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    FiniteAlgebra,
-    _twist,
-    _twisted_associators,
-    associator_tensor,
-    product_tensors,
-)
+from .algebra import FiniteAlgebra, _twisted_associators, associator_tensor, product_tensors
 from .doubling import _require_doubled
 from .errors import DimensionMismatch, StageMismatch
 from .residue import (
@@ -117,14 +114,15 @@ def _memoized(fn):
 def associative_center(algebra: FiniteAlgebra) -> Submodule:
     """N = {x : (x,a,b) = (a,x,b) = (a,b,x) = 0 for all a, b}.
 
-    On a twisted group algebra (`_twist`), (e_i, e_j, e_k) = a(i, j, k)
-    e_{i xor j xor k} (`_twisted_associators`). With x in one slot and basis
-    elements in the other two, each coordinate x_l lands on its own
-    coordinate, so x is in N iff every x_l is annihilated by every a with l
-    in any slot: N is the sum of the (n / g_l) e_l, g_l = gcd(n, those a).
+    On a twisted group algebra (`FiniteAlgebra.twist`), (e_i, e_j, e_k) =
+    a(i, j, k) e_{i xor j xor k} (`_twisted_associators`). With x in one
+    slot and basis elements in the other two, each coordinate x_l lands on
+    its own coordinate, so x is in N iff every x_l is annihilated by every a
+    with l in any slot: N is the sum of the (n / g_l) e_l, g_l = gcd(n,
+    those a).
     Any other algebra takes the kernel route (`_associative_center_kernel`).
     """
-    f = _twist(algebra)
+    f = algebra.twist
     if f is None:
         return _associative_center_kernel(algebra)
     n = algebra.modulus
@@ -164,7 +162,7 @@ def commutative_center(algebra: FiniteAlgebra) -> Submodule:
     so K is the sum of the (n / h_l) e_l, h_l = gcd(n, f(l, j) - f(j, l)
     over all j). Any other algebra takes `_commutative_center_kernel`.
     """
-    f = _twist(algebra)
+    f = algebra.twist
     if f is None:
         return _commutative_center_kernel(algebra)
     n = algebra.modulus
@@ -200,16 +198,17 @@ def _kernel_center(algebra: FiniteAlgebra) -> CenterReport:
 def commutator_ideal(algebra: FiniteAlgebra) -> Submodule:
     """Least ideal containing all commutators.
 
-    On a twisted group algebra (`_twist`) [e_i, e_j] = (f(i, j) - f(j, i))
-    e_{i xor j}, and a product of p_l e_l with e_k on either side is p_l
-    f(l, k) e_{l xor k} or p_l f(k, l) e_{l xor k}: the ideal is a coordinate
-    sum, each coordinate m the multiples of a pivot p_m dividing n. Seeded
-    with p_m = gcd(n, f(i, j) - f(j, i) over i xor j = m), each round sets
-    p_m to gcd(p_m, p_l f(l, l xor m), p_l f(l xor m, l) over all l), one
-    gather of d^2 values through the xor table, until nothing changes. Any
-    other algebra takes `_commutator_ideal_closure`.
+    On a twisted group algebra (`FiniteAlgebra.twist`) [e_i, e_j] =
+    (f(i, j) - f(j, i)) e_{i xor j}, and a product of p_l e_l with e_k on
+    either side is p_l f(l, k) e_{l xor k} or p_l f(k, l) e_{l xor k}: the
+    ideal is a coordinate sum, each coordinate m the multiples of a pivot
+    p_m dividing n. Seeded with p_m = gcd(n, f(i, j) - f(j, i) over
+    i xor j = m), each round sets p_m to gcd(p_m, p_l f(l, l xor m),
+    p_l f(l xor m, l) over all l), one gather of d^2 values through the xor
+    table, until nothing changes. Any other algebra takes
+    `_commutator_ideal_closure`.
     """
-    f = _twist(algebra)
+    f = algebra.twist
     if f is None:
         return _commutator_ideal_closure(algebra)
     n, d = algebra.modulus, algebra.rank
@@ -230,7 +229,9 @@ def _commutator_ideal_closure(algebra: FiniteAlgebra) -> Submodule:
 
     Seeded with the basis commutators and closed under left and right
     multiplication by basis elements until the canonical form stabilizes;
-    one-sided closure is not enough in a non-associative ring.
+    one-sided closure is not enough in a non-associative ring. The rows of
+    a generator's left (right) multiplication matrix are its products g e_i
+    (e_i g).
     """
     n, d = algebra.modulus, algebra.rank
     c = algebra.structure
@@ -240,9 +241,8 @@ def _commutator_ideal_closure(algebra: FiniteAlgebra) -> Submodule:
         gens = span.generators
         if gens.shape[0] == 0:
             return span
-        right = np.einsum("gp,pik->gik", gens, c).reshape(-1, d) % n
-        left = np.einsum("gq,iqk->gik", gens, c).reshape(-1, d) % n
-        grown = Submodule.span(n, np.vstack([gens, right, left]), d)
+        products = [algebra.mul_matrices(gens, side).reshape(-1, d) for side in ("left", "right")]
+        grown = Submodule.span(n, np.vstack([gens, *products]), d)
         if grown == span:
             return span
         span = grown
@@ -262,7 +262,7 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
     if s.ambient_rank != algebra.rank or within.ambient_rank != algebra.rank:
         raise StageMismatch("submodules do not live in this algebra's module")
     g, g_within = s.coordinate_orders(), within.coordinate_orders()
-    f = None if g is None or g_within is None else _twist(algebra)
+    f = None if g is None or g_within is None else algebra.twist
     if f is None:
         return _annihilator_kernel(s, within, algebra)
     n = algebra.modulus
@@ -273,12 +273,10 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
 
 def _annihilator_kernel(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Submodule:
     """The annihilator in any algebra, and the oracle of the closed form: the
-    left kernel of the right multiplication matrices of s's generators, met
-    with within."""
-    if s.is_zero:
-        return within
-    blocks = [algebra.right_mul_matrix(g) for g in s.generators]
-    conditions = ResidueMatrix(algebra.modulus, np.hstack(blocks))
+    left kernel of the right multiplication matrices of s's generators, side
+    by side (no columns when s = 0), met with within."""
+    mats = algebra.mul_matrices(s.generators, "right").transpose(1, 0, 2)  # [i, g, k]
+    conditions = ResidueMatrix(algebra.modulus, mats.reshape(algebra.rank, -1))
     return intersect(kernel(conditions), within)
 
 

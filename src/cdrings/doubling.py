@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import CentralScalar, FiniteAlgebra, certify_central_scalar, ensure_valid, scalar_ring
 from .errors import AlgebraError, CertificationError, RankBudgetExceeded, StageMismatch
-from .residue import _exact_dtype, _matmul_mod
+from .residue import _matmul_mod
 
 DEFAULT_MAX_RANK = 64
 
@@ -69,28 +69,27 @@ def double(
     (central, symmetric, invertible) against `algebra` here, and only
     `algebra`'s own record of the values it has certified spares the checks.
 
-    The new blocks are matmuls of the reshaped structure tensor through
-    `residue._matmul_mod`, in `_exact_dtype(n, d)`: a* b is sigma @ c(d x d^2),
-    b a* is sigma @ c with its first two axes swapped, and alpha (b a*) is
-    that (d^2 x d) times the matrix of left multiplication by alpha.
+    The new blocks are multiplication matrices of the old algebra
+    (`FiniteAlgebra.mul_matrices`): the block of a* b holds the left matrix
+    of e_i* at i, that of b a* the right matrix of e_i*, and
+    alpha (b a*) is that times the left matrix of alpha.
     """
     ensure_valid(algebra)
     cert = certify_central_scalar(algebra, alpha)
     n, d = algebra.modulus, algebra.rank
     sigma = algebra.involution
-    c = algebra.structure.astype(_exact_dtype(n, d))
     alpha_vec = cert.value
+    left = algebra.mul_matrices(np.vstack([sigma, alpha_vec]), "left")  # e_i*, then alpha
 
     big = np.zeros((2 * d, 2 * d, 2 * d), dtype=np.int64)
     big[:d, :d, :d] = algebra.structure
     # (a, 0)(0, b) = (0, a* b)
-    big[:d, d:, d:] = _matmul_mod(sigma, c.reshape(d, d * d), n).reshape(d, d, d)
+    big[:d, d:, d:] = left[:d]
     # (0, a)(b, 0) = (0, b a)
     big[d:, :d, d:] = algebra.structure.transpose(1, 0, 2)
     # (0, a)(0, b) = (alpha (b a*), 0); ba_star[i, j] = e_j e_i*
-    ba_star = _matmul_mod(sigma, c.transpose(1, 0, 2).reshape(d, d * d), n)
-    left_alpha = _matmul_mod(alpha_vec[None], c.reshape(d, d * d), n).reshape(d, d)
-    big[d:, d:, :d] = _matmul_mod(ba_star.reshape(d * d, d), left_alpha, n).reshape(d, d, d)
+    ba_star = algebra.mul_matrices(sigma, "right")
+    big[d:, d:, :d] = _matmul_mod(ba_star.reshape(d * d, d), left[d], n).reshape(d, d, d)
 
     unit2 = np.concatenate([algebra.unit, np.zeros(d, dtype=np.int64)])
     sigma2 = np.zeros((2 * d, 2 * d), dtype=np.int64)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, _twist, certify_central_scalar, is_commutative, scalar_ring
+from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative, scalar_ring
 from .analysis import annihilator, associative_center, center, essentiality_data
 from .errors import EnumerationBudgetExceeded
 from .modn import prime_powers
@@ -132,15 +132,15 @@ def _scan(
     a few fixed candidates u (universe indices 1..32 and the powers n**k);
     each walks the multipliers in chunks of 64, 256, 1024, ... and stops at
     the first chunk with a hit, so a candidate is refuted only after all of
-    S. The first chunk is tried against every candidate at once: one
-    `_matmul_mod` of the candidates with the reshaped structure tensor gives
-    all their multiplication matrices side by side (`_candidate_matrices`),
-    and one matrix product gives every product of the chunk. A candidate it
-    leaves unmet walks the later chunks alone, in candidate order. Then the
-    sweep runs s-outer over the universe elements still unmet: while more
-    than a quarter are, a dense pass forms the product of s with every
-    element, else a sparse pass forms those of the unmet ones, decoded from
-    their walk indices. The witness of a False verdict is the first refuted
+    S. The first chunk is tried against every candidate at once: the
+    candidates' multiplication matrices (`FiniteAlgebra.mul_matrices`, the
+    right ones for s u and the left ones for u s), side by side, give every
+    product of the chunk in one matrix product. A candidate it leaves unmet
+    walks the later chunks alone, in candidate order. Then the sweep runs
+    s-outer over the universe elements still unmet: while more than a
+    quarter are, a dense pass forms the product of s with every element,
+    else a sparse pass forms those of the unmet ones, decoded from their
+    walk indices. The witness of a False verdict is the first refuted
     candidate, otherwise the first unmet universe element. `cost` counts the
     products a candidate-by-candidate walk evaluates: each candidate up to
     the first refuted one adds its chunks, and the products of the shared
@@ -209,7 +209,9 @@ def _scan(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
     candidates = _walk_rows(gens, radices, n, candidate_ids)
-    mats = _candidate_matrices(algebra, candidates, side)
+    # s @ mats[:, c] is s u (side 'left') or u s, u the candidate c.
+    mats = algebra.mul_matrices(candidates, "right" if side == "left" else "left")
+    mats = mats.transpose(1, 0, 2)
     first = multipliers[order[:64]].astype(dtype, copy=False)
     prods = _matmul_mod(first, mats.reshape(d, -1), n).reshape(-1, d)
     met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
@@ -248,32 +250,6 @@ def _scan(
     return refuted(_walk_rows(gens, radices, n, np.flatnonzero(~satisfied)[:1])[0])
 
 
-def _candidate_matrices(algebra: FiniteAlgebra, candidates: np.ndarray, side: str) -> np.ndarray:
-    """The multiplication matrices of the candidate rows u side by side, as a
-    (d, len(candidates), d) array: s @ mats[:, c] is s u (side='left') or
-    u s. One `_matmul_mod` of the candidates with the structure tensor,
-    its contracted axis (j for s u, i for u s) moved first, returned in
-    `_exact_dtype(n, d)`."""
-    n, d = algebra.modulus, algebra.rank
-    c = algebra.structure
-    tensor = c.transpose(1, 0, 2) if side == "left" else c
-    mats = _matmul_mod(candidates, tensor.reshape(d, d * d), n)
-    return np.ascontiguousarray(mats.reshape(-1, d, d).transpose(1, 0, 2))
-
-
-def _products(algebra: FiniteAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Every product a b, a a row of left and b a row of right, as rows,
-    each contraction reduced before the next so int64 stays exact."""
-    n = algebra.modulus
-    mats = np.einsum("ai,ijk->ajk", left, algebra.structure) % n
-    return (np.einsum("bj,ajk->abk", right, mats) % n).reshape(-1, algebra.rank)
-
-
-def _inside(rows: np.ndarray, sub: Submodule) -> bool:
-    """Every row lies in sub: spanned with its generators, they give sub back."""
-    return Submodule.span(sub.modulus, np.vstack([sub.generators, rows]), sub.ambient_rank) == sub
-
-
 def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
     """The steps of `_socle` for any algebra, by spans and intersections;
     None when the precondition fails, else (U, step, witness)."""
@@ -281,19 +257,22 @@ def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
     s = ring.generators
 
     def times_ring(rows):
-        return _products(algebra, s, rows) if side == "left" else _products(algebra, rows, s)
+        """Every product of a generator of S with a row (s r, or r s), as rows."""
+        mats = algebra.mul_matrices(rows, "right" if side == "left" else "left")
+        return _matmul_mod(s, mats.transpose(1, 0, 2).reshape(d, -1), n).reshape(-1, d)
 
+    # S's generators times themselves are the same products on either side.
     sound = (
         ring.contains(algebra.unit)
-        and _inside(s, associative_center(algebra))
-        and _inside(_products(algebra, s, s), ring)
-        and _inside(times_ring(target.generators), target)
-        and _inside(times_ring(module.generators), module)
+        and associative_center(algebra).contains(s).all()
+        and ring.contains(times_ring(s)).all()
+        and target.contains(times_ring(target.generators)).all()
+        and module.contains(times_ring(module.generators)).all()
     )
     if not sound:
         return None
     U = module if rad == n else intersect(module, Submodule.coordinate_sum(n, np.full(d, rad)))
-    if _inside(U.generators, target):
+    if target.contains(U.generators).all():
         return U, "a", None
     for u in U.generators:
         for e in idempotents:
@@ -304,7 +283,7 @@ def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
 
 
 def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
-    """The steps of `_socle` when the algebra is twisted by f (`_twist`) and
+    """The steps of `_socle` when the algebra is twisted by f (its `twist`) and
     S, T, M and N(R) are coordinate sums with coordinate orders `orders`
     (`Submodule.coordinate_orders`): every span, product and meet is then
     read off coordinate by coordinate, as gcds of int64 arrays."""
@@ -394,7 +373,7 @@ def _socle(
     split = prime_powers(n)
     rad = math.prod(p for p, _ in split)
     idempotents = [(n // q) * pow(n // q, -1, q) % n for _, q in split]
-    f = _twist(algebra)
+    f = algebra.twist
     subs = (ring, target, module, associative_center(algebra))
     orders = [s.coordinate_orders() for s in subs] if f is not None else [None]
     if any(g is None for g in orders):

@@ -75,10 +75,12 @@ def _reduce(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """a @ b mod n for 2-D arrays of residues in [0, n), as one matmul in
-    `_exact_dtype(n, a.shape[1])` reduced in place by `_reduce`, and
-    returned in that dtype. Operands already of that dtype are not copied, so
-    a caller that contracts one array several times casts it once."""
+    """a @ b mod n for a 2-D array a of residues in [0, n) and b one such
+    matrix or a stack of them (the matmul broadcasts a over b's first axis),
+    as one matmul in `_exact_dtype(n, a.shape[1])` reduced in place by
+    `_reduce`, and returned in that dtype. Operands already of that dtype are
+    not copied, so a caller that contracts one array several times casts it
+    once."""
     dtype = _exact_dtype(n, a.shape[1])
     return _reduce(a.astype(dtype, copy=False) @ b.astype(dtype, copy=False), n)
 

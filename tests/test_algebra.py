@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdrings import algebra as algebra_module
 from cdrings.algebra import (
     CentralScalar,
     FiniteAlgebra,
@@ -39,6 +40,7 @@ from cdrings.errors import (
     ModulusTooLarge,
     NotCentral,
 )
+from cdrings.essentiality import is_centrally_essential, is_left_n_essential, is_right_n_essential
 from cdrings.residue import _exact_dtype, all_vectors
 from cdrings.suites import sweep_towers
 
@@ -603,3 +605,96 @@ def test_anti_multiplicativity_is_reported_at_its_first_basis_pair(route):
         reported += validate_algebra(alg)
         assert validate_algebra(alg) == _einsum_violations(alg)
     assert sum("anti-multiplicative" in v for v in reported) >= 6
+
+
+# -- the one reader of the structure tensor ------------------------------------
+
+# At rank 4 the float32 edge of `_exact_dtype` lies between 2048 and 2049 and
+# the float64 edge between 47,453,133 and 47,453,134 (int64 beyond).
+_EDGE_MODULI = (2048, 2049, 47_453_133, 47_453_134)
+
+
+@st.composite
+def _stacks(draw):
+    """(build, rows): build() makes an algebra with a random structure
+    tensor, dense or twisted (e_i e_j = f(i, j) e_{i xor j}, f with zero and
+    non-unit values), and rows is a (k, d) stack of residues, k = 0
+    included."""
+    n, d = draw(
+        st.one_of(
+            st.tuples(st.sampled_from(_EDGE_MODULI), st.just(4)),
+            st.tuples(st.integers(2, 40), st.integers(1, 8)),
+        )
+    )
+    entry = st.one_of(st.sampled_from((0, 1, n - 1, n // 2, n // 3)), st.integers(0, n - 1))
+
+    def residues(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(entry, min_size=size, max_size=size))
+        return np.array(values, dtype=np.int64).reshape(shape)
+
+    if d.bit_count() == 1 and draw(st.booleans()):
+        i = np.arange(d)
+        structure = np.zeros((d, d, d), dtype=np.int64)
+        structure[i[:, None], i, i[:, None] ^ i] = residues(d, d)
+    else:
+        structure = residues(d, d, d)
+    eye = np.eye(d, dtype=np.int64)
+    build = functools.partial(FiniteAlgebra, n, structure, eye[0], eye)
+    return build, residues(draw(st.integers(0, 5)), d)
+
+
+def _edge_case(n):
+    """The rank-4 tower over Z/n with parameters 1, n - 1, built when the
+    example runs, and 40 random rows plus the row of all n - 1."""
+    rows = np.random.default_rng(n).integers(0, n, (40, 4))
+    return functools.partial(tower, n, 1, n - 1), np.vstack([rows, np.full((1, 4), n - 1)])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_stacks())
+@example(_edge_case(2048))
+@example(_edge_case(2049))
+@example((functools.partial(tower, 3, 1, 1), np.zeros((0, 4), dtype=np.int64)))
+def test_mul_matrices_equal_the_int64_einsum(case):
+    edges = [_exact_dtype(n, 4) for n in _EDGE_MODULI]
+    assert edges == [np.float32, np.float64, np.float64, np.int64]
+    build, rows = case
+    alg = build()
+    n, d = alg.modulus, alg.rank
+    y = np.arange(d) * (n - 1) // max(d - 1, 1)
+    for side, spec in (("left", "ai,ijk->ajk"), ("right", "aj,ijk->aik")):
+        mats = alg.mul_matrices(rows, side)
+        assert mats.shape == (len(rows), d, d) and mats.dtype == _exact_dtype(n, d)
+        assert np.array_equal(mats, np.einsum(spec, rows, alg.structure) % n), side
+        for x, mat in zip(rows[:3], mats.astype(np.int64)):
+            product = alg.mul(x, y) if side == "left" else alg.mul(y, x)
+            assert np.array_equal(y @ mat % n, product), side
+
+
+def test_each_algebra_reads_its_twist_once(monkeypatch):
+    built = []
+    read = algebra_module._twist
+
+    def counted(algebra):
+        built.append(algebra)  # kept alive, so no two share an id
+        return read(algebra)
+
+    monkeypatch.setattr(algebra_module, "_twist", counted)
+    stages = build_tower(TowerSpec(3, (1, 1, 1, 1)))
+    top = stages[-1]
+    essentiality_data(top)
+    center(top)
+    identity_flags(top)
+    for check in (is_centrally_essential, is_left_n_essential, is_right_n_essential):
+        check(top)
+    assert all(any(a is stage for a in built) for stage in stages)
+    assert len({id(a) for a in built}) == len(built)
+    assert top.twist is not None and not top.twist.flags.writeable
+    with pytest.raises(ValueError):
+        top.twist[0, 0] = 2
+    # The twist is read off the reduced tensor: shifted by -3, every entry of
+    # the Z3 quaternions is nonzero until it is reduced.
+    quaternions = stages[2]
+    shifted = FiniteAlgebra(3, quaternions.structure - 3, quaternions.unit, quaternions.involution)
+    assert np.array_equal(shifted.twist, quaternions.twist)

@@ -26,7 +26,7 @@ from cdrings.analysis import (
     skew_span,
     symmetric_center,
 )
-from cdrings.analysis import _associative_center_kernel, _kernel_center, _twist
+from cdrings.analysis import _associative_center_kernel, _kernel_center
 from cdrings.doubling import TowerSpec, build_tower, double, tower
 from cdrings.errors import DimensionMismatch, StageMismatch
 from cdrings.residue import Submodule, _tail, all_vectors, intersect, kernel
@@ -391,7 +391,7 @@ def test_closed_forms_equal_the_kernel_route_on_unit_towers(base, depth):
     # 596 towers in all, the base rings (depth 0) included.
     for params, stages in doubling.unit_towers(base, depth):
         algebra = stages[-1]
-        assert _twist(algebra) is not None, params
+        assert algebra.twist is not None, params
         _assert_routes_agree(algebra)
         _assert_stage_data_agrees(algebra)
 
@@ -426,7 +426,7 @@ def _twists(draw):
 def test_closed_forms_equal_the_kernel_route_on_random_twists(case):
     n, f = case
     algebra = _twisted_algebra(n, f)
-    assert np.array_equal(_twist(algebra), f % n)
+    assert np.array_equal(algebra.twist, f % n)
     _assert_routes_agree(algebra)
 
 
@@ -448,7 +448,7 @@ def test_algebras_off_the_pattern_take_the_kernel_route(kernel_routes):
     rank_3 = FiniteAlgebra(4, truncated, [1, 0, 0], np.eye(3, dtype=np.int64))
     nonscalar_double = double(tower(4, 1), [1, 2])
     for algebra in (off_pattern, rank_3, nonscalar_double):
-        assert _twist(algebra) is None
+        assert algebra.twist is None
         kernel_routes.clear()
         report = center(algebra)
         assert kernel_routes == ["_associative_center_kernel", "_commutative_center_kernel"]
@@ -742,7 +742,7 @@ def distinct_column_calls(monkeypatch):
 )
 def test_kernel_oracle_of_towers_equals_the_full_stack(params, distinct_column_calls):
     algebra = tower(*params)
-    assert _twist(algebra) is not None
+    assert algebra.twist is not None
     got = _associative_center_kernel(algebra)
     want = _kernel_of_the_full_stack(algebra)
     assert got == want and got.pivots == want.pivots
@@ -767,7 +767,7 @@ def _off_pattern_algebras():
 
 def test_kernel_oracle_off_the_pattern_equals_the_full_stack(distinct_column_calls):
     for algebra in _off_pattern_algebras():
-        assert _twist(algebra) is None
+        assert algebra.twist is None
         got = _associative_center_kernel(algebra)
         want = _kernel_of_the_full_stack(algebra)
         assert got == want and got.pivots == want.pivots
@@ -788,7 +788,7 @@ def test_kernel_oracle_off_the_pattern_equals_the_full_stack(distinct_column_cal
 def test_stage_data_closed_forms_equal_the_oracles_on_unit_towers(spec):
     n, params = spec
     algebra = tower(n, *params)
-    assert _twist(algebra) is not None
+    assert algebra.twist is not None
     _assert_stage_data_agrees(algebra)
 
 
@@ -813,7 +813,7 @@ def _twists_with_diagonal_involutions(draw):
 def test_stage_data_closed_forms_equal_the_oracles_on_random_twists(case):
     n, f, sigma = case
     algebra = _twisted_algebra(n, f, sigma)
-    assert _twist(algebra) is not None
+    assert algebra.twist is not None
     _assert_stage_data_agrees(algebra)
 
 
@@ -821,18 +821,18 @@ def test_stage_data_closed_forms_equal_the_oracles_on_random_twists(case):
 def test_stage_data_of_twisted_towers_runs_no_elimination(params, kernel_routes, monkeypatch):
     algebra = tower(*params)
     calls = []
-    real_howell, real_right = residue._howell, FiniteAlgebra.right_mul_matrix
+    real_howell, real_mul_matrices = residue._howell, FiniteAlgebra.mul_matrices
 
     def howell(*args):
         calls.append("_howell")
         return real_howell(*args)
 
-    def right_mul_matrix(*args):
-        calls.append("right_mul_matrix")
-        return real_right(*args)
+    def mul_matrices(*args):
+        calls.append("mul_matrices")
+        return real_mul_matrices(*args)
 
     monkeypatch.setattr(residue, "_howell", howell)
-    monkeypatch.setattr(FiniteAlgebra, "right_mul_matrix", right_mul_matrix)
+    monkeypatch.setattr(FiniteAlgebra, "mul_matrices", mul_matrices)
     data = essentiality_data(algebra)
     assert kernel_routes == [] and calls == []
     assert not data.commutator_ideal.is_zero and not data.I.is_zero

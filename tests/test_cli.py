@@ -344,6 +344,26 @@ def test_search_rejects_unknown_flag(capsys):
     assert "unknown flag" in stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("centrally_essential &", "bad filter expression"),
+        ("__import__('os')", "unsupported syntax"),
+        ("centrally_essential.real", "unsupported syntax"),
+        ("associative == commutative", "unsupported syntax"),
+        ("True", "unsupported syntax"),
+    ],
+)
+def test_search_refuses_a_filter_outside_the_flag_grammar(capsys, text, message):
+    # The filter is evaluated with `eval`, so anything beyond flag names,
+    # !, &, | and parentheses must be refused before a row is printed.
+    argv = ["search", "--bases", "3", "--depth", "1", "--filter", text]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in stderr
+    assert stdout == ""
+
+
 def test_budget_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CDRINGS_ENUM_BUDGET", "10")
     out = tmp_path / "q.json"
@@ -529,6 +549,25 @@ def test_python_m_cdrings_returns_the_cli_exit_code(argv, expected):
         [sys.executable, "-m", "cdrings", *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == expected, proc.stderr
+
+
+def test_importing_the_package_loads_only_the_standard_library_and_numpy():
+    # Import time is every CLI call's start-up; no third-party module may
+    # join numpy there. Modules the interpreter loads before (site hooks)
+    # do not count.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import cdrings; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert {"cdrings", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"cdrings", "numpy"}
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -532,7 +532,7 @@ def test_every_route_of_the_exactness_rule_agrees(base, monkeypatch):
     results = {}
     for dtype in (np.float32, np.float64, np.int64):
         callers = set()
-        for module in (essentiality, algebra):
+        for module in (essentiality, residue):
 
             def forced(n, terms, name=module.__name__, dtype=dtype):
                 callers.add(name)
@@ -540,25 +540,8 @@ def test_every_route_of_the_exactness_rule_agrees(base, monkeypatch):
 
             monkeypatch.setattr(module, "_exact_dtype", forced)
         results[dtype] = _verdicts_and_tensors(base)
-        assert callers == {"cdrings.essentiality", "cdrings.algebra"}
+        assert callers == {"cdrings.essentiality", "cdrings.residue"}
     assert results[np.float32] == results[np.float64] == results[np.int64]
-
-
-@pytest.mark.parametrize("n, dtype", [(2048, np.float32), (2049, np.float64)])
-def test_pre_pass_matrices_equal_the_int64_einsum(n, dtype):
-    # At rank 4, 4 (n - 1)^2 + n is 2^24 - 14,332 for n = 2048 and above 2^24
-    # for n = 2049: the two sides of the float32 edge of the exactness rule.
-    alg = tower(n, 1, n - 1)
-    assert _exact_dtype(n, alg.rank) is dtype
-    rng = np.random.default_rng(n)
-    candidates = np.vstack([rng.integers(0, n, (40, 4)), np.full((1, 4), n - 1)])
-    s = rng.integers(0, n, 4)
-    for side, spec in (("left", "uj,ijk->iuk"), ("right", "ui,ijk->juk")):
-        mats = essentiality._candidate_matrices(alg, candidates, side)
-        assert mats.dtype == dtype
-        assert np.array_equal(mats, np.einsum(spec, candidates, alg.structure) % n)
-        product = alg.mul(s, candidates[0]) if side == "left" else alg.mul(candidates[0], s)
-        assert np.array_equal(s @ mats[:, 0].astype(np.int64) % n, product)
 
 
 def test_float64_route_scan():
@@ -864,7 +847,7 @@ def _socle_routes(algebra, S, T, M, side, budget=2**20):
         )
 
     got = decide()
-    with mock.patch.object(essentiality, "_twist", lambda algebra: None):
+    with mock.patch.object(algebra, "twist", None):
         assert decide() == got
     return got
 
@@ -895,9 +878,9 @@ def test_socle_step_c_raises_beyond_the_budget(route, monkeypatch):
     # In A = Z9[x]/(x^2), U = 3A (9 elements) is not inside T = xA, yet the
     # multiples of both generators 3 and 3x of U meet T, so step (c) scans U.
     # T contains the socle 3xA, so it is essential.
-    if route == "kernels":
-        monkeypatch.setattr(essentiality, "_twist", lambda algebra: None)
     A = _dual_numbers(9)
+    if route == "kernels":
+        monkeypatch.setattr(A, "twist", None)
     ring, ideal = Submodule.full(9, 2), Submodule.span(9, [[0, 1]], 2)
     scan = is_essential_ideal(ideal, ring, A)  # 81 elements, in budget
     assert (scan.verdict, scan.method) == (True, "definitional")
@@ -911,10 +894,10 @@ def test_socle_step_c_raises_beyond_the_budget(route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["coordinates", "kernels"])
 def test_socle_refuses_rings_outside_its_precondition(route, monkeypatch):
-    if route == "kernels":
-        monkeypatch.setattr(essentiality, "_twist", lambda algebra: None)
     # xA lacks the unit: the scan decides it, the socle route refuses it.
     A = _dual_numbers(9)
+    if route == "kernels":
+        monkeypatch.setattr(A, "twist", None)
     x = Submodule.span(9, [[0, 1]], 2)
     assert is_essential_submodule(x, A).method == "definitional"
     with pytest.raises(EnumerationBudgetExceeded) as raised:
@@ -922,6 +905,8 @@ def test_socle_refuses_rings_outside_its_precondition(route, monkeypatch):
     assert (raised.value.required, raised.value.budget) == (81, 80)
     # span(1, e1) in the Z3 octonions is a unital subring outside N(R).
     O = tower(3, 1, 1, 1)
+    if route == "kernels":
+        monkeypatch.setattr(O, "twist", None)
     S = Submodule.span(3, np.eye(8, dtype=np.int64)[:2], 8)
     assert not associative_center(O).contains(S.generators[1])
     with pytest.raises(EnumerationBudgetExceeded):
