@@ -544,6 +544,26 @@ def test_every_route_of_the_exactness_rule_agrees(base, monkeypatch):
     assert results[np.float32] == results[np.float64] == results[np.int64]
 
 
+@pytest.mark.parametrize("n, dtype", [(2048, np.float32), (2049, np.float64)])
+def test_pre_pass_matrices_equal_the_int64_einsum(n, dtype):
+    # At rank 4, 4 (n - 1)^2 + n is 2^24 - 14,332 for n = 2048 and above 2^24
+    # for n = 2049: the two sides of the float32 edge of the exactness rule.
+    # The scan's pre-pass stacks the candidates' matrices as [i, u, k], with
+    # s @ mats[:, u] = s u (side 'left') or u s.
+    alg = tower(n, 1, n - 1)
+    assert _exact_dtype(n, alg.rank) is dtype
+    rng = np.random.default_rng(n)
+    candidates = np.vstack([rng.integers(0, n, (40, 4)), np.full((1, 4), n - 1)])
+    s = rng.integers(0, n, 4)
+    for side, spec in (("left", "uj,ijk->iuk"), ("right", "ui,ijk->juk")):
+        mats = alg.mul_matrices(candidates, "right" if side == "left" else "left")
+        mats = mats.transpose(1, 0, 2)
+        assert mats.dtype == dtype
+        assert np.array_equal(mats, np.einsum(spec, candidates, alg.structure) % n)
+        product = alg.mul(s, candidates[0]) if side == "left" else alg.mul(candidates[0], s)
+        assert np.array_equal(s @ mats[:, 0].astype(np.int64) % n, product)
+
+
 def test_float64_route_scan():
     # 8193^2 + 8194 > 2^24, so this scan runs in float64.
     assert _exact_dtype(8194, 1) is np.float64
