@@ -1,10 +1,12 @@
 """Command line surface: build towers, analyze algebras, verify, search.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or
-construction errors. The enumeration budget can be overridden with
---budget or the CDRINGS_ENUM_BUDGET environment variable. Malformed
-integers, moduli below 2, negative depths, non-positive budgets and flags
-a suite does not take are usage errors.
+construction errors, 141 (128 + SIGPIPE) the reader closed standard output
+early, as `cdrings search ... | head` does; that exit prints nothing. The
+enumeration budget can be overridden with --budget or the
+CDRINGS_ENUM_BUDGET environment variable. Malformed integers, moduli
+below 2, negative depths, non-positive budgets and flags a suite does not
+take are usage errors.
 """
 
 from __future__ import annotations
@@ -326,7 +328,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return status
+    except BrokenPipeError:
+        # The rest of the buffered output goes nowhere, so the flush at exit
+        # cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except AlgebraError as exc:

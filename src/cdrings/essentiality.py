@@ -16,7 +16,9 @@ While the universe fits the enumeration budget the scan is the route, so
 every such verdict, cost and witness is the scan's. Beyond the budget
 `_socle` decides the same quantifier by linear algebra (method "socle"):
 T is essential in the S-module M iff it contains the socle of M, which lies
-in the small, explicit U = {m in M : rad(n) m = 0}. It raises
+in the small, explicit U = {m in M : rad(n) m = 0}. It is one route for
+every algebra: products by S come from S's multiplication matrices, and
+memberships, spans and meets are `Submodule` operations. It raises
 EnumerationBudgetExceeded, an explicit skip, when S is not a unital subring
 of N(R) acting on M and T, or when its last step would scan a U beyond the
 budget.
@@ -250,84 +252,6 @@ def _scan(
     return refuted(_walk_rows(gens, radices, n, np.flatnonzero(~satisfied)[:1])[0])
 
 
-def _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents):
-    """The steps of `_socle` for any algebra, by spans and intersections;
-    None when the precondition fails, else (U, step, witness)."""
-    n, d = algebra.modulus, algebra.rank
-    s = ring.generators
-
-    def times_ring(rows):
-        """Every product of a generator of S with a row (s r, or r s), as rows."""
-        mats = algebra.mul_matrices(rows, "right" if side == "left" else "left")
-        return _matmul_mod(s, mats.transpose(1, 0, 2).reshape(d, -1), n).reshape(-1, d)
-
-    # S's generators times themselves are the same products on either side.
-    sound = (
-        ring.contains(algebra.unit)
-        and associative_center(algebra).contains(s).all()
-        and ring.contains(times_ring(s)).all()
-        and target.contains(times_ring(target.generators)).all()
-        and module.contains(times_ring(module.generators)).all()
-    )
-    if not sound:
-        return None
-    U = module if rad == n else intersect(module, Submodule.coordinate_sum(n, np.full(d, rad)))
-    if target.contains(U.generators).all():
-        return U, "a", None
-    for u in U.generators:
-        for e in idempotents:
-            w = e * u % n
-            if w.any() and intersect(Submodule.span(n, times_ring(w[None]), d), target).is_zero:
-                return U, "b", w
-    return U, "c", None
-
-
-def _socle_by_coordinates(algebra, f, orders, side, rad, idempotents):
-    """The steps of `_socle` when the algebra is twisted by f (its `twist`) and
-    S, T, M and N(R) are coordinate sums with coordinate orders `orders`
-    (`Submodule.coordinate_orders`): every span, product and meet is then
-    read off coordinate by coordinate, as gcds of int64 arrays."""
-    n, d = algebra.modulus, algebra.rank
-    g_s, g_t, g_m, g_n = orders
-    # A generator (n/g_k) e_k of S times e_l lands on e_{k xor l}, scaled by F[k, l].
-    F = f if side == "left" else f.T
-    xor = np.arange(d)[:, None] ^ np.arange(d)
-
-    def closed(g):
-        """Every generator of S times every generator of the coordinate sum
-        of orders g lies in that sum."""
-        v = (n // g_s)[:, None] * (n // g) % n * F % n
-        return not (v % (n // g)[xor]).any()
-
-    sound = (
-        not (algebra.unit % (n // g_s)).any()
-        and not (g_n % g_s).any()
-        and closed(g_s)
-        and closed(g_t)
-        and closed(g_m)
-    )
-    if not sound:
-        return None
-    g_u = np.gcd(g_m, rad)
-    U = Submodule.coordinate_sum(n, g_u)
-    if not (g_t % g_u).any():
-        return U, "a", None
-    # Candidate (e, l) is e (n / g_u[l]) e_l; S times it is the sum of the
-    # cyclic groups <v[e, k, l]> on coordinates k xor l, and it misses T iff
-    # each has order prime to T's order there.
-    w = np.array(idempotents, dtype=np.int64)[:, None] * (n // g_u) % n
-    v = ((n // g_s)[:, None] * F % n)[None] * w[:, None, :] % n
-    meets = np.gcd(n // np.gcd(v, n), g_t[xor]) > 1
-    misses = (w > 0) & ~meets.any(axis=1)
-    hits = np.flatnonzero(misses.any(axis=0))
-    if len(hits) == 0:
-        return U, "c", None
-    l = hits[0]
-    witness = np.zeros(d, dtype=np.int64)
-    witness[l] = w[np.flatnonzero(misses[:, l])[0], l]
-    return U, "b", witness
-
-
 _SOCLE_STEPS = {
     "a": "U = ann_M(rad(n)) lies in the target",
     "b": "the multiples of the witness by S miss the target",
@@ -362,27 +286,45 @@ def _socle(
           spanned by the products of S's generators with u): False, witness u;
       (c) otherwise the scan of U alone decides, since every simple
           submodule of M lies in U; over budget, it raises.
-    The precondition is checked on generators first; when it fails, the
-    check raises EnumerationBudgetExceeded(required, budget), as an
-    over-budget scan would. `cost` counts the products of step (c)'s scan.
-    Twisted algebras whose S, T, M and N(R) are coordinate sums take
-    `_socle_by_coordinates`, every other one `_socle_by_kernels`; the two
-    give the same U, step and witness.
+    One membership of the candidates e g in T serves (a) and (b).
+    The precondition is checked on generators first, once per distinct
+    submodule among S, T and M; when it fails, the check raises
+    EnumerationBudgetExceeded(required, budget), as an over-budget scan
+    would. Every product by S is read off S's own multiplication matrices
+    (`FiniteAlgebra.mul_matrices` on `side`), formed once per check, and
+    every membership, span and meet is a `Submodule` operation, which
+    takes gcds on coordinate sums. `cost` counts the products of step
+    (c)'s scan.
     """
-    n = algebra.modulus
+    n, d = algebra.modulus, algebra.rank
     split = prime_powers(n)
     rad = math.prod(p for p, _ in split)
-    idempotents = [(n // q) * pow(n // q, -1, q) % n for _, q in split]
-    f = algebra.twist
-    subs = (ring, target, module, associative_center(algebra))
-    orders = [s.coordinate_orders() for s in subs] if f is not None else [None]
-    if any(g is None for g in orders):
-        steps = _socle_by_kernels(algebra, ring, target, module, side, rad, idempotents)
-    else:
-        steps = _socle_by_coordinates(algebra, f, orders, side, rad, idempotents)
-    if steps is None:
+    idempotents = np.array([(n // q) * pow(n // q, -1, q) % n for _, q in split])
+    mats = algebra.mul_matrices(ring.generators, side)
+
+    def times_ring(rows):
+        """Every product of a generator of S with a row (s r, or r s), as rows."""
+        return _matmul_mod(rows, mats, n).reshape(-1, d)
+
+    subs = dict.fromkeys((ring, target, module))  # S, T and M, each once
+    sound = (
+        ring.contains(algebra.unit)
+        and associative_center(algebra).contains(ring.generators).all()
+        and all(sub.contains(times_ring(sub.generators)).all() for sub in subs)
+    )
+    if not sound:
         raise EnumerationBudgetExceeded(required, budget)
-    U, step, witness = steps
+    U = module if rad == n else intersect(module, Submodule.coordinate_sum(n, np.full(d, rad)))
+    # The candidates e u of step (b), u-major. The idempotents sum to 1, so
+    # U lies in T iff every candidate does, and one in T (zero among them)
+    # is no witness: S is unital, so S w contains w.
+    candidates = (U.generators[:, None] * idempotents[:, None] % n).reshape(-1, d)
+    outside = candidates[~target.contains(candidates)]
+    step, witness = ("c" if len(outside) else "a"), None
+    for w in outside:
+        if intersect(Submodule.span(n, times_ring(w[None]), d), target).is_zero:
+            step, witness = "b", w
+            break
     detail = f"socle step ({step}): {_SOCLE_STEPS[step]}; |U| = {U.order()}, |S| = {ring.order()}"
     if step == "a":
         return EssentialityVerdict(property_name, True, "socle", None, 0, detail)

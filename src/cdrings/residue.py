@@ -16,7 +16,8 @@ A coordinate sum ⊕ (n / g_l) e_l, g_l dividing n (every center of a tower
 with scalar parameters is one), is its own Howell form: `span` of rows with at
 most one nonzero entry each, `kernel` of a matrix whose columns have at most
 one nonzero entry each and `intersect` of two coordinate sums take gcds
-instead (`Submodule.coordinate_sum`, read back by `coordinate_orders`).
+instead, and `contains` tests each coordinate for divisibility by n / g_l
+(`Submodule.coordinate_sum`, read back by `coordinate_orders`).
 
 All vectors are rows; the kernel convention throughout the package is the
 left kernel {v : v @ m = 0}.
@@ -269,7 +270,7 @@ class Submodule:
 
     @classmethod
     def full(cls, modulus: int, ambient_rank: int) -> "Submodule":
-        return cls.span(modulus, np.eye(ambient_rank, dtype=np.int64), ambient_rank)
+        return cls.coordinate_sum(modulus, np.full(ambient_rank, modulus))
 
     def coordinate_orders(self) -> np.ndarray | None:
         """The g with `Submodule.coordinate_sum(n, g) == self`, or None when
@@ -311,11 +312,17 @@ class Submodule:
         )
 
     def contains(self, v) -> bool | np.ndarray:
-        """Membership by one echelon reduction against the canonical
-        generators: a bool for one vector, a bool array for a (k, d) stack,
-        whose rows are reduced together."""
+        """Membership: a bool for one vector, a bool array for a (k, d) stack.
+        A coordinate sum of orders g holds x iff every x_l is a multiple of
+        n / g_l; any other span reduces the rows together by one echelon
+        pass against the canonical generators."""
         rows = self._check_rows(v)
-        _, inside = self._reduce_rows(np.atleast_2d(rows))
+        stack = np.atleast_2d(rows)
+        g = self.coordinate_orders()
+        if g is None:
+            _, inside = self._reduce_rows(stack)
+        else:
+            inside = ~(stack % (self.modulus // g)).any(axis=1)
         return inside if rows.ndim == 2 else bool(inside[0])
 
     def coefficients_of(self, v) -> np.ndarray | None:

@@ -551,6 +551,21 @@ def test_python_m_cdrings_returns_the_cli_exit_code(argv, expected):
     assert proc.returncode == expected, proc.stderr
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_cli_quietly():
+    # The rows (about 100 kB) overrun the pipe's buffer, so the CLI is still
+    # writing when the reader stops after the first row.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdrings", "search", "--bases", "2..6", "--depth", "4"],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["base"] == 2
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=120)
+    assert (proc.returncode, stderr) == (141, b"")
+
+
 def test_importing_the_package_loads_only_the_standard_library_and_numpy():
     # Import time is every CLI call's start-up; no third-party module may
     # join numpy there. Modules the interpreter loads before (site hooks)

@@ -1,8 +1,9 @@
+import ast
 import collections
 import itertools
 import math
 import random
-from unittest import mock
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -858,18 +859,11 @@ def _socle_cases(algebra):
     ]
 
 
-def _socle_routes(algebra, S, T, M, side, budget=2**20):
-    """The socle verdict by the default route and by `_socle_by_kernels`
-    (the coordinate route switched off), asserted equal."""
-    def decide():
-        return essentiality._socle(
-            algebra, S, T, M, side=side, property_name="p", budget=budget, required=0
-        )
-
-    got = decide()
-    with mock.patch.object(algebra, "twist", None):
-        assert decide() == got
-    return got
+def _socle_verdict(algebra, S, T, M, side):
+    """The socle verdict of T in the S-module M, asked directly."""
+    return essentiality._socle(
+        algebra, S, T, M, side=side, property_name="p", budget=2**20, required=0
+    )
 
 
 def test_socle_equals_the_scan_on_every_in_budget_check_of_the_unit_towers():
@@ -879,7 +873,7 @@ def test_socle_equals_the_scan_on_every_in_budget_check_of_the_unit_towers():
             for S, T, M, side, check in _socle_cases(stages[-1]):
                 scan = check()
                 assert scan.method == "definitional"
-                got = _socle_routes(stages[-1], S, T, M, side)
+                got = _socle_verdict(stages[-1], S, T, M, side)
                 assert (got.method, got.verdict) == ("socle", scan.verdict), (base, params)
                 steps[got.detail[:14]] += 1
     # 1,080 checks: none of them needs step (c).
@@ -893,14 +887,18 @@ def _dual_numbers(n):
     return FiniteAlgebra(n, structure, [1, 0], np.eye(2, dtype=np.int64))
 
 
-@pytest.mark.parametrize("route", ["coordinates", "kernels"])
-def test_socle_step_c_raises_beyond_the_budget(route, monkeypatch):
+def _z68_squared():
+    """The ring Z68 x Z68 (two orthogonal idempotents), which is not twisted."""
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 0, 0] = c[1, 1, 1] = 1
+    return FiniteAlgebra(68, c, [1, 1], np.eye(2, dtype=np.int64))
+
+
+def test_socle_step_c_raises_beyond_the_budget():
     # In A = Z9[x]/(x^2), U = 3A (9 elements) is not inside T = xA, yet the
     # multiples of both generators 3 and 3x of U meet T, so step (c) scans U.
     # T contains the socle 3xA, so it is essential.
     A = _dual_numbers(9)
-    if route == "kernels":
-        monkeypatch.setattr(A, "twist", None)
     ring, ideal = Submodule.full(9, 2), Submodule.span(9, [[0, 1]], 2)
     scan = is_essential_ideal(ideal, ring, A)  # 81 elements, in budget
     assert (scan.verdict, scan.method) == (True, "definitional")
@@ -912,12 +910,9 @@ def test_socle_step_c_raises_beyond_the_budget(route, monkeypatch):
     assert (raised.value.required, raised.value.budget) == (9, 8)
 
 
-@pytest.mark.parametrize("route", ["coordinates", "kernels"])
-def test_socle_refuses_rings_outside_its_precondition(route, monkeypatch):
+def test_socle_refuses_rings_outside_its_precondition():
     # xA lacks the unit: the scan decides it, the socle route refuses it.
     A = _dual_numbers(9)
-    if route == "kernels":
-        monkeypatch.setattr(A, "twist", None)
     x = Submodule.span(9, [[0, 1]], 2)
     assert is_essential_submodule(x, A).method == "definitional"
     with pytest.raises(EnumerationBudgetExceeded) as raised:
@@ -925,20 +920,46 @@ def test_socle_refuses_rings_outside_its_precondition(route, monkeypatch):
     assert (raised.value.required, raised.value.budget) == (81, 80)
     # span(1, e1) in the Z3 octonions is a unital subring outside N(R).
     O = tower(3, 1, 1, 1)
-    if route == "kernels":
-        monkeypatch.setattr(O, "twist", None)
     S = Submodule.span(3, np.eye(8, dtype=np.int64)[:2], 8)
     assert not associative_center(O).contains(S.generators[1])
     with pytest.raises(EnumerationBudgetExceeded):
         is_essential_submodule(S, O, budget=100)
-    # The ring Z68 x Z68 is not twisted, so it always takes the kernel route.
-    c = np.zeros((2, 2, 2), dtype=np.int64)
-    c[0, 0, 0] = c[1, 1, 1] = 1
-    ring = FiniteAlgebra(68, c, [1, 1], np.eye(2, dtype=np.int64))
+    ring = _z68_squared()
     got = is_essential_submodule(Submodule.full(68, 2), ring, budget=100)
     assert (got.verdict, got.method) == (True, "socle")
     with pytest.raises(EnumerationBudgetExceeded):
         is_essential_submodule(Submodule.span(68, [[1, 0]], 2), ring, budget=100)
+
+
+@pytest.mark.parametrize(
+    "gens, witness", [([[1, 1]], (34, 0)), ([[1, 1], [0, 17]], (36, 0))], ids=["diag", "diag+17"]
+)
+def test_socle_equals_the_scan_off_the_coordinate_pattern(gens, witness):
+    # S = T = span(gens) in Z68 x Z68 is no coordinate sum, so every
+    # membership in S or T inside the socle route takes the echelon route.
+    ring = _z68_squared()
+    S = Submodule.span(68, gens, 2)
+    assert S.coordinate_orders() is None
+    scan = is_essential_submodule(S, ring)  # 68^2 elements, in budget
+    got = is_essential_submodule(S, ring, budget=100)
+    assert (scan.method, scan.verdict) == ("definitional", False)
+    assert (got.method, got.verdict, got.witness) == ("socle", False, witness)
+    assert got.detail.startswith("socle step (b):")
+    # By brute force, S w meets T = S only in 0.
+    multiples = {tuple(int(t) for t in ring.mul(s, witness)) for s in S.elements()}
+    assert multiples & submodule_set(S) == {(0, 0)}
+
+
+def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
+    # The twist and the coordinate-sum layout belong to algebra, analysis and
+    # residue; the socle route reaches them only through `Submodule`.
+    tree = ast.parse(Path(essentiality.__file__).read_text())
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"twist", "coordinate_orders"}
 
 
 @st.composite
@@ -962,7 +983,7 @@ def test_socle_gcd_certificates_and_twist_flags_equal_their_oracles(case, c):
     structure[i[:, None], i, i[:, None] ^ i] = f
     A = FiniteAlgebra(n, structure, np.eye(d, dtype=np.int64)[0], np.eye(d, dtype=np.int64))
     for S, T, M, side, check in _socle_cases(A)[:3]:
-        assert _socle_routes(A, S, T, M, side).verdict == check().verdict
+        assert _socle_verdict(A, S, T, M, side).verdict == check().verdict
     assert algebra.identity_flags(A) == {
         "associative": algebra.is_associative(A),
         "commutative": algebra.is_commutative(A),

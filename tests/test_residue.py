@@ -654,6 +654,40 @@ def test_coordinate_orders_refuse_a_row_with_an_off_pivot_entry():
     assert Submodule.span(4, [[2, 0], [0, 2]]).coordinate_orders().tolist() == [2, 2]
 
 
+@st.composite
+def _coordinate_sums_with_rows(draw):
+    """(s, rows): a coordinate sum over a composite modulus, the zero one
+    among them, and a (k, d) stack of unreduced rows, k possibly 0, some of
+    them scaled into s."""
+    n = draw(st.sampled_from((4, 8, 12, 30, 36, 72)))
+    d = draw(st.integers(1, 4))
+    orders = st.lists(st.sampled_from(_divisors(n)), min_size=d, max_size=d)
+    g = np.array(draw(st.one_of(st.just([1] * d), orders)), dtype=np.int64)
+    k = draw(st.integers(0, 6))
+    entries = st.lists(st.integers(-2 * n, 2 * n), min_size=k * d, max_size=k * d)
+    rows = np.array(draw(entries), dtype=np.int64).reshape(k, d)
+    scaled = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+    rows[scaled] *= n // g
+    return Submodule.coordinate_sum(n, g), rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_coordinate_sums_with_rows())
+def test_contains_on_coordinate_sums_equals_the_echelon_route(case):
+    s, rows = case
+    _, want = s._reduce_rows(rows % s.modulus)
+    got = s.contains(rows)
+    assert got.shape == (len(rows),) and got.tolist() == want.tolist()
+    for row, inside in zip(rows, want):
+        assert s.contains(row) is bool(inside)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (12, 3), (36, 4), (2**31 - 1, 2)])
+def test_full_is_the_span_of_the_identity(n, d):
+    full, want = Submodule.full(n, d), Submodule.span(n, np.eye(d, dtype=np.int64), d)
+    assert full == want and full.pivots == want.pivots and hash(full) == hash(want)
+
+
 @pytest.mark.parametrize("g", [[3, 1], [0, 2], [-2, 1], [[2, 2]]], ids=str)
 def test_coordinate_sum_rejects_orders_that_do_not_divide_n(g):
     with pytest.raises(ValueError):
