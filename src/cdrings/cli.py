@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 a verification suite failed, 2 usage or
 construction errors, 141 (128 + SIGPIPE) the reader closed standard output
 early, as `cdrings search ... | head` does; that exit prints nothing. The
-enumeration budget can be overridden with --budget or the
-CDRINGS_ENUM_BUDGET environment variable. Malformed integers, moduli
-below 2, negative depths, non-positive budgets and flags a suite does not
-take are usage errors.
+enumeration budget can be overridden with --budget, before or after the
+subcommand, or the CDRINGS_ENUM_BUDGET environment variable. Malformed
+integers, moduli below 2, negative depths, non-positive budgets and flags
+a suite does not take are usage errors.
 """
 
 from __future__ import annotations
@@ -264,20 +264,30 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _budget_parser(default) -> argparse.ArgumentParser:
+    """A parent parser that holds --budget alone, with the given default."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--budget",
+        type=_budget,
+        default=default,
+        help="enumeration budget (elements); default 2**20 or CDRINGS_ENUM_BUDGET",
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdrings",
         description="Finite doubling towers over Z/nZ: construction and analysis",
+        parents=[_budget_parser(None)],
     )
-    parser.add_argument(
-        "--budget",
-        type=_budget,
-        default=None,
-        help="enumeration budget (elements); default 2**20 or CDRINGS_ENUM_BUDGET",
-    )
+    # A subcommand's --budget sets the value only when given after it, so it
+    # never overwrites one given before the subcommand.
+    budget = _budget_parser(argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build a doubling tower")
+    p_build = sub.add_parser("build", help="build a doubling tower", parents=[budget])
     p_build.add_argument("--base", type=_modulus, required=True, help="base modulus n")
     p_build.add_argument(
         "--params",
@@ -291,11 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.set_defaults(func=cmd_build)
 
-    p_analyze = sub.add_parser("analyze", help="analyze a saved algebra document")
+    p_analyze = sub.add_parser(
+        "analyze", help="analyze a saved algebra document", parents=[budget]
+    )
     p_analyze.add_argument("document", help="path to an algebra document")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    p_verify = sub.add_parser(
+        "verify", help="run a named verification suite", parents=[budget]
+    )
     p_verify.add_argument("suite", choices=sorted(SUITES), help="suite name")
     p_verify.add_argument(
         "--n-range", type=_parse_range, default=None, help="modulus sweep, e.g. 2..9"
@@ -308,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser(
-        "search", help="sweep unit-parameter towers and filter by property flags"
+        "search", help="sweep unit-parameter towers and filter by property flags", parents=[budget]
     )
     p_search.add_argument(
         "--bases", type=_parse_range, required=True, help="bases, e.g. 2..5 or 2,3,4"

@@ -4,11 +4,12 @@ Every definitional check is one quantifier, implemented once by `_scan`:
 for every nonzero u of a universe U, the multiples {s u : s in S} meet a
 target T outside 0. Centrally essential and left/right N-essential take
 S = T = Z(R) or N(R) and U = R (right N-essential multiplies u s); an
-essential ideal I of a ring C takes S = U = C and T = I. U is never listed:
-it is walked from its generators (`residue._combinations`), and for each
-fixed s the linear map u -> s u turns that walk into the walk of the
-images of the generators, so every product s u is formed by additions in a
-narrow unsigned dtype. A product p lies in T iff p @ W = 0 for a matrix W
+essential ideal I of a ring C takes S = U = C and T = I. Neither is
+listed: S is read by index in code order (`Submodule.code_order`), U is
+walked from its generators (`residue._combinations`), a tile at a time, and
+for each fixed s the linear map u -> s u turns that walk into the walk of
+the images of the generators, so every product s u is formed by additions
+in a narrow unsigned dtype. A product p lies in T iff p @ W = 0 for a matrix W
 whose columns span the dual of T, but the quantifier structure is exactly
 the definition; nothing is replaced by algebraic shortcuts.
 
@@ -59,7 +60,7 @@ from .residue import (
     _combinations,
     _exact_dtype,
     _matmul_mod,
-    _walk_rows,
+    _walker,
     intersect,
     kernel,
 )
@@ -94,55 +95,51 @@ class EssentialityVerdict:
         return self.verdict
 
 
-def _code_order(rows: np.ndarray, n: int) -> np.ndarray:
-    """The order of residue rows by their last coordinate first, equal to
-    `np.lexsort(rows.T)` (all_vectors order), sorted on ceil(d / p) packed
-    int64 keys instead of d: key g holds coordinates gp .. gp + p - 1 as the
-    base-n number they spell (the last the most significant), and p is the
-    largest power with n^p < 2^62, so every key is exact and two rows tie
-    exactly when they are equal."""
-    d = rows.shape[1]
-    p = 1
-    while n ** (p + 1) < 2**62:
-        p += 1
-    weights = np.zeros((d, -(-d // p)), dtype=np.int64)
-    weights[np.arange(d), np.arange(d) // p] = [n ** (j % p) for j in range(d)]
-    return np.lexsort((rows @ weights).T)
+# Dense passes walk the universe at most this many elements at a time (more
+# only when one generator's multiples alone outnumber it), so no pass holds
+# a multi-MB temporary; see `_scan`.
+_TILE = 4096
 
 
 def _scan(
     algebra: FiniteAlgebra,
-    multipliers: np.ndarray,
+    multipliers: Submodule,
     target: Submodule,
     universe: tuple[np.ndarray, list[int]],
     *,
     side: str,
     property_name: str,
     detail: str,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """Definitional scan: for every nonzero u in universe, does some s in
-    multipliers give a product s u (side='left') or u s (side='right') in
-    target\\{0}?
+    the submodule multipliers give a product s u (side='left') or u s
+    (side='right') in target\\{0}?
 
-    Multipliers are element rows. The universe is never materialized: it is
-    the walk (generators, radices) of `residue._combinations`, whose index i
-    names the element sum_k c_k g_k mod n for the mixed-radix digits c_k of i
-    (the first generator fastest), zero at index 0: (I_d, [n] * d) for the
-    whole algebra in code order, `Submodule.walk()` for a submodule.
-    Multipliers are tried in all_vectors order (0, the unit and its scalar
-    multiples first), found by `_code_order`. A witness pre-pass first tries
-    a few fixed candidates u (universe indices 1..32 and the powers n**k);
-    each walks the multipliers in chunks of 64, 256, 1024, ... and stops at
-    the first chunk with a hit, so a candidate is refuted only after all of
-    S. The first chunk is tried against every candidate at once: the
-    candidates' multiplication matrices (`FiniteAlgebra.mul_matrices`, the
-    right ones for s u and the left ones for u s), side by side, give every
-    product of the chunk in one matrix product. A candidate it leaves unmet
-    walks the later chunks alone, in candidate order. Then the sweep runs
-    s-outer over the universe elements still unmet: while more than a
-    quarter are, a dense pass forms the product of s with every element,
-    else a sparse pass forms those of the unmet ones, decoded from their
-    walk indices. The witness of a False verdict is the first refuted
+    The multipliers are never listed: they are read by index in code order
+    (`Submodule.code_order`, the all_vectors order: 0, the unit and its
+    scalar multiples first), and more than `budget` of them raise
+    EnumerationBudgetExceeded before any product is formed. The universe is
+    not materialized either: it is the walk (generators, radices) of
+    `residue._combinations`, whose index i names the element
+    sum_k c_k g_k mod n for the mixed-radix digits c_k of i (the first
+    generator fastest), zero at index 0: (I_d, [n] * d) for the whole
+    algebra in code order, `Submodule.walk()` for a submodule. A witness
+    pre-pass first tries a few fixed candidates u (universe indices 1..32
+    and the powers n**k); each walks the multipliers in chunks of 64, 256,
+    1024, ... and stops at the first chunk with a hit, so a candidate is
+    refuted only after all of S. The first chunk is tried against every
+    candidate at once: the candidates' multiplication matrices
+    (`FiniteAlgebra.mul_matrices`, the right ones for s u and the left ones
+    for u s), side by side, give every product of the chunk in one matrix
+    product. A candidate it leaves unmet walks the later chunks alone, in
+    candidate order, decoded `_TILE` multipliers at a time. Then the sweep
+    runs s-outer over the universe elements still unmet, with the
+    multipliers decoded and their matrices formed in blocks of 64 (one
+    `mul_matrices` call per block): while more than a quarter are unmet, a
+    dense pass forms the product of s with every element, else a sparse
+    pass forms those of the unmet ones, decoded from their walk indices
+    `_TILE` at a time. The witness of a False verdict is the first refuted
     candidate, otherwise the first unmet universe element. `cost` counts the
     products a candidate-by-candidate walk evaluates: each candidate up to
     the first refuted one adds its chunks, and the products of the shared
@@ -154,28 +151,45 @@ def _scan(
     linear, so a dense pass is itself a walk: with G the universe's
     generators and M the matrix of s, the rows of
     H = [G M mod n | (G M mod n) W mod n] walked with the universe's radices
-    give (s u, s u W) for every u in walk order, in the narrowest unsigned
-    dtype that holds 2(n - 1) (uint8 up to n = 128), one row per coordinate
-    (`_combinations` walks coordinate-major), so a hit is "the bitwise or of
-    the product rows nonzero and that of the pairing rows zero". G M, H W
-    and the rows decoded from walk indices are int64 sums of at most d
-    products of residues, exact wherever `_require_exact` admits the
-    algebra. The pre-pass and sparse passes contract rows in `_exact_dtype(n, d)`:
-    float32 BLAS up to about n = 4096 / sqrt(d), float64 BLAS up to about
-    n = 9.5e7 / sqrt(d), int64 beyond. Every product s u is formed and tested.
+    give (s u, s u W) for every u in walk order, one row per coordinate
+    (`_combinations` walks coordinate-major), and a hit is "some product row
+    nonzero and every pairing row zero". The pass walks the first generators
+    of H once, into a tile of at most `_TILE` elements (more only when the
+    first generator's multiples alone are more), in the narrowest unsigned
+    dtype that holds 2(n - 1) (uint8 up to n = 128). Each offset o of the
+    remaining digits, in walk order, moves the tile to the next block of the
+    walk, and a row of tile + o is 0 mod n exactly where the tile's row
+    equals -o mod n: so a block's hits are one comparison of the tile with
+    -o, for as many offsets at once as fit `_TILE` elements, into one reused
+    bool buffer. G M, H W and the rows decoded from indices are int64 sums
+    of at most d products of residues, exact wherever `_require_exact`
+    admits the algebra. The pre-pass and sparse passes contract rows in
+    `_exact_dtype(n, d)`: float32 BLAS up to about n = 4096 / sqrt(d),
+    float64 BLAS up to about n = 9.5e7 / sqrt(d), int64 beyond. Every s u
+    the scan relies on is tested on its own coordinates, none inferred.
     """
+    count = multipliers.order()
+    if count > budget:
+        raise EnumerationBudgetExceeded(count, budget)
     n, d = algebra.modulus, algebra.rank
     gens, radices = universe
     total = math.prod(radices)
 
-    # The order is kept as indices because a sorted copy of the multipliers
-    # would sit in memory next to the caller's array.
-    order = _code_order(multipliers, n)
+    multipliers_at = multipliers.code_order()
+    universe_at = _walker(gens, radices, n)
     dtype = _exact_dtype(n, d)
     dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T
     dual_t = dual.astype(dtype)
     ones, ones_dual = np.ones(d, dtype=dtype), np.ones(dual.shape[1], dtype=dtype)
     walk_dtype = np.min_scalar_type(2 * (n - 1))
+    # A dense pass walks the first `fast` generators into a tile of `width`
+    # elements, and `per` offsets of the other digits share one comparison
+    # with it, in one reused buffer.
+    fast = max(1, sum(math.prod(radices[: k + 1]) <= _TILE for k in range(len(radices))))
+    width = math.prod(radices[:fast])
+    offset_count = total // width
+    per = min(offset_count, max(1, _TILE // width))
+    is_zero = np.empty((d + dual.shape[1], per, width), dtype=bool)
     cost = 0
 
     def in_target(prods: np.ndarray) -> np.ndarray:
@@ -183,23 +197,41 @@ def _scan(
         # Row sums through BLAS: residues are >= 0, so a zero sum is a zero row.
         return (prods @ ones > 0) & (_matmul_mod(prods, dual_t, n) @ ones_dual == 0)
 
-    def hits(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """Which products rows @ mat (rows already of `dtype`) lie in
-        target\\{0}."""
-        nonlocal cost
-        cost += len(rows)
+    def hits_at(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """Which products rows @ mat lie in target\\{0}, uncounted."""
         return in_target(_matmul_mod(rows, mat, n))
 
-    def dense_hits(mat: np.ndarray) -> np.ndarray:
-        """Which products u @ mat, for every u in walk order, lie in
-        target\\{0}: one walk of H (see above)."""
+    def chunk_hit(start: int, stop: int, mat: np.ndarray) -> bool:
+        """Does a multiplier of code indices start..stop - 1 give a product
+        s @ mat in target\\{0}? The whole chunk is counted."""
+        nonlocal cost
+        cost += stop - start
+        return any(
+            hits_at(multipliers_at(np.arange(lo, min(lo + _TILE, stop))), mat).any()
+            for lo in range(start, stop, _TILE)
+        )
+
+    def dense_pass(mat: np.ndarray) -> None:
+        """Mark every u in walk order whose product u @ mat lies in
+        target\\{0}: the walk of H (see above), one tile at a time."""
         nonlocal cost
         cost += total
-        images = gens @ mat % n
-        walk = _combinations(np.hstack([images, images @ dual % n]), radices, n, walk_dtype).T
-        # walk[:d] holds the products and walk[d:] their pairings, one
-        # contiguous row per coordinate over the universe.
-        return (np.bitwise_or.reduce(walk[:d]) != 0) & (np.bitwise_or.reduce(walk[d:]) == 0)
+        images = gens @ mat.astype(np.int64) % n
+        h = np.hstack([images, images @ dual % n])
+        tile = _combinations(h[:fast], radices[:fast], n, walk_dtype).T[:, None, :]
+        offsets_at = _walker(h[fast:], radices[fast:], n)
+        for lo in range(0, offset_count, _TILE):
+            # A row of tile + o is 0 mod n where the tile's row equals -o mod n.
+            negated = -offsets_at(np.arange(lo, min(lo + _TILE, offset_count))) % n
+            negated = negated.astype(walk_dtype).T[:, :, None]
+            for first in range(0, negated.shape[1], per):
+                eq = is_zero[:, : min(per, negated.shape[1] - first)]
+                np.equal(tile, negated[:, first : first + per], out=eq)
+                # eq[:d] compares the products and eq[d:] their pairings.
+                met = np.logical_and.reduce(eq[d:])
+                met &= ~np.logical_and.reduce(eq[:d])
+                start = (lo + first) * width
+                satisfied[start : start + met.size] |= met.ravel()
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
@@ -210,11 +242,11 @@ def _scan(
     candidate_ids = sorted(
         set(range(1, min(33, total))) | {n**k for k in range(d) if n**k < total}
     )
-    candidates = _walk_rows(gens, radices, n, candidate_ids)
+    candidates = universe_at(candidate_ids)
     # s @ mats[:, c] is s u (side 'left') or u s, u the candidate c.
     mats = algebra.mul_matrices(candidates, "right" if side == "left" else "left")
     mats = mats.transpose(1, 0, 2)
-    first = multipliers[order[:64]].astype(dtype, copy=False)
+    first = multipliers_at(np.arange(min(64, count))).astype(dtype, copy=False)
     prods = _matmul_mod(first, mats.reshape(d, -1), n).reshape(-1, d)
     met_first = in_target(prods).reshape(len(first), -1).any(axis=0)
     for c in range(len(candidate_ids)):
@@ -222,34 +254,40 @@ def _scan(
         if met_first[c]:
             continue
         start, size = len(first), 256
-        while start < len(order):
-            chunk = multipliers[order[start : start + size]].astype(dtype, copy=False)
-            if hits(chunk, mats[:, c]).any():
+        while start < count:
+            if chunk_hit(start, min(start + size, count), mats[:, c]):
                 break
             start, size = start + size, 4 * size
         else:
             return refuted(candidates[c])
 
+    def sweep():
+        """(s, matrix of s on `side`) in code order, formed 64 at a time."""
+        for lo in range(0, count, 64):
+            block = multipliers_at(np.arange(lo, min(lo + 64, count)))
+            yield from zip(block, algebra.mul_matrices(block, side))
+
     satisfied = np.zeros(total, dtype=bool)
     satisfied[0] = True  # u = 0 is outside the quantifier
-    for i in order:
-        s = multipliers[i]
+    for s, mat in sweep():
         if not s.any():
             continue
-        remaining = np.flatnonzero(~satisfied)
-        if len(remaining) == 0:
+        unmet = total - np.count_nonzero(satisfied)
+        if unmet == 0:
             break
-        mat = algebra.left_mul_matrix(s) if side == "left" else algebra.right_mul_matrix(s)
-        if len(remaining) > total // 4:
+        if unmet > total // 4:
             # Dense pass over the whole universe: recomputing satisfied rows
             # is cheaper than gathering a large subset.
-            satisfied |= dense_hits(mat)
+            dense_pass(mat)
         else:
-            rows = _walk_rows(gens, radices, n, remaining).astype(dtype, copy=False)
-            satisfied[remaining[hits(rows, mat)]] = True
+            cost += unmet
+            remaining = np.flatnonzero(~satisfied)
+            for lo in range(0, unmet, _TILE):
+                ids = remaining[lo : lo + _TILE]
+                satisfied[ids[hits_at(universe_at(ids), mat)]] = True
     if satisfied.all():
         return EssentialityVerdict(property_name, True, "definitional", None, cost)
-    return refuted(_walk_rows(gens, radices, n, np.flatnonzero(~satisfied)[:1])[0])
+    return refuted(universe_at(np.flatnonzero(~satisfied)[:1])[0])
 
 
 _SOCLE_STEPS = {
@@ -338,8 +376,8 @@ def _socle(
     # scan as its image in (Z/rad(n))^d, lifted to residues below rad(n).
     image = ring if rad == n else Submodule.span(rad, ring.generators % rad, algebra.rank)
     scan = _scan(
-        algebra, image.elements(budget), target, U.walk(),
-        side=side, property_name=property_name, detail=detail,
+        algebra, image, target, U.walk(),
+        side=side, property_name=property_name, detail=detail, budget=budget,
     )
     return replace(scan, method="socle", detail=detail)
 
@@ -363,12 +401,13 @@ def _scan_ambient(
         )
     return _scan(
         algebra,
-        sub.elements(budget),
+        sub,
         sub,
         (np.eye(d, dtype=np.int64), [n] * d),
         side=side,
         property_name=property_name,
         detail=f"{side} multiples of the submodule by the witness miss it",
+        budget=budget,
     )
 
 
@@ -407,12 +446,13 @@ def is_essential_ideal(
         )
     return _scan(
         algebra,
-        ring.elements(budget),
+        ring,
         ideal,
         ring.walk(),
         side="left",
         property_name=property_name,
         detail="ring multiples of the witness miss the ideal",
+        budget=budget,
     )
 
 

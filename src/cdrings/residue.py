@@ -17,7 +17,13 @@ with scalar parameters is one), is its own Howell form: `span` of rows with at
 most one nonzero entry each, `kernel` of a matrix whose columns have at most
 one nonzero entry each and `intersect` of two coordinate sums take gcds
 instead, and `contains` tests each coordinate for divisibility by n / g_l
-(`Submodule.coordinate_sum`, read back by `coordinate_orders`).
+(`Submodule.coordinate_sum`). Every submodule stores its orders g, or None,
+once, when it is built; `coordinate_orders` reads them back.
+
+`Submodule.code_order` reads the elements of a span in code order (the
+`all_vectors` order, `np.lexsort(rows.T)`) by index, without listing them: a
+mixed-radix walk over the Howell rows of the span with its coordinates
+reversed, each digit shifted by what the slower rows left in its pivot column.
 
 All vectors are rows; the kernel convention throughout the package is the
 left kernel {v : v @ m = 0}.
@@ -218,6 +224,8 @@ class Submodule:
     ambient_rank: int
     generators: np.ndarray = field(repr=False)
     pivots: tuple[tuple[int, int], ...]  # (column, value) per generator row
+    # The orders g of a coordinate sum, None for any other span (`coordinate_orders`).
+    _orders: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def span(cls, modulus: int, rows, ambient_rank: int | None = None) -> "Submodule":
@@ -247,22 +255,35 @@ class Submodule:
         """The coordinate sum of orders g: the direct sum of the cyclic groups
         (n / g_l) e_l, for divisors g_l of n. Its nonzero rows, pivot n / g_l in
         column l, are already in Howell form, so no elimination runs."""
-        g = np.asarray(g, dtype=np.int64)
-        if g.ndim != 1 or (g < 1).any() or (modulus % g).any():
-            raise ValueError(f"coordinate orders must divide {modulus}, got {g.tolist()}")
-        _require_exact(modulus, len(g))
-        cols = np.flatnonzero(g > 1)
-        rows = np.zeros((len(cols), len(g)), dtype=np.int64)
-        rows[np.arange(len(cols)), cols] = modulus // g[cols]
-        return cls._from_howell(modulus, rows, cols.tolist())
+        g = np.array(g, dtype=np.int64)
+        orders = g.tolist()
+        if g.ndim != 1 or any(x < 1 or modulus % x for x in orders):
+            raise ValueError(f"coordinate orders must divide {modulus}, got {orders}")
+        _require_exact(modulus, len(orders))
+        pivots = tuple((c, modulus // x) for c, x in enumerate(orders) if x > 1)
+        rows = np.zeros((len(pivots), len(orders)), dtype=np.int64)
+        for i, (c, p) in enumerate(pivots):
+            rows[i, c] = p
+        rows.setflags(write=False)
+        g.setflags(write=False)
+        return cls(modulus, len(orders), rows, pivots, g)
 
     @classmethod
     def _from_howell(cls, modulus: int, gens: np.ndarray, pivot_cols) -> "Submodule":
-        """Freeze rows already in Howell form (copying a view of a larger block)."""
+        """Freeze rows already in Howell form (copying a view of a larger block),
+        and read their coordinate orders off the pivots when every row is its
+        pivot alone."""
         gens = np.ascontiguousarray(gens)
         gens.setflags(write=False)
-        pivots = tuple((c, int(gens[i, c])) for i, c in enumerate(pivot_cols))
-        return cls(modulus, gens.shape[1], gens, pivots)
+        cols = np.asarray(pivot_cols, dtype=np.intp)
+        values = gens[np.arange(len(cols)), cols]
+        orders = None
+        if np.count_nonzero(gens) == len(cols):
+            orders = np.ones(gens.shape[1], dtype=np.int64)
+            orders[cols] = modulus // values
+            orders.setflags(write=False)
+        values = values.tolist()
+        return cls(modulus, gens.shape[1], gens, tuple(zip(pivot_cols, values)), orders)
 
     @classmethod
     def zero(cls, modulus: int, ambient_rank: int) -> "Submodule":
@@ -273,14 +294,10 @@ class Submodule:
         return cls.coordinate_sum(modulus, np.full(ambient_rank, modulus))
 
     def coordinate_orders(self) -> np.ndarray | None:
-        """The g with `Submodule.coordinate_sum(n, g) == self`, or None when
-        some Howell row has an entry besides its pivot."""
-        if np.count_nonzero(self.generators) != self.num_generators:
-            return None
-        g = np.ones(self.ambient_rank, dtype=np.int64)
-        for col, p in self.pivots:
-            g[col] = self.modulus // p
-        return g
+        """The g with `Submodule.coordinate_sum(n, g) == self` (read-only), or
+        None when some Howell row has an entry besides its pivot. Stored when
+        the submodule is built."""
+        return self._orders
 
     @property
     def num_generators(self) -> int:
@@ -318,7 +335,7 @@ class Submodule:
         pass against the canonical generators."""
         rows = self._check_rows(v)
         stack = np.atleast_2d(rows)
-        g = self.coordinate_orders()
+        g = self._orders
         if g is None:
             _, inside = self._reduce_rows(stack)
         else:
@@ -352,6 +369,47 @@ class Submodule:
         first, each with its radix n / p_i for pivot value p_i."""
         radices = [self.modulus // p for _, p in self.pivots]
         return self.generators[::-1], radices[::-1]
+
+    def code_order(self):
+        """The function from indices to int64 rows that reads the elements
+        sorted in code order (`np.lexsort(self.elements().T)`, the
+        `all_vectors` order: the last coordinate the most significant, zero
+        first) by index, without listing them.
+
+        With the coordinates reversed, code order is lexicographic, so it is
+        a mixed-radix walk over the Howell rows r_j of the reversed span,
+        pivot p_j in column P_j, row 0 slowest: given the sum x of the rows
+        before j, the values x[P_j] + a p_j mod n, 0 <= a < n / p_j, are
+        x[P_j] mod p_j + m p_j in increasing order of m, so index digit m_j
+        takes a_j = (m_j - x[P_j] // p_j) mod (n / p_j). When no row has an
+        entry in a later row's pivot column, x[P_j] is 0 and a_j = m_j, so
+        the rows are one `_walker` matmul; for a coordinate sum, whose rows
+        are single entries, that is the walk of its own rows, the first
+        fastest, with no elimination. The rows and radices are worked out
+        once, here. Every term is below n^2, exact wherever
+        `_require_exact` admits the rank.
+        """
+        n, d = self.modulus, self.ambient_rank
+        if self._orders is not None:
+            return _walker(self.generators, [n // p for _, p in self.pivots], n)
+        flipped, cols = _howell(self.generators[:, ::-1], n)
+        rows, cols = flipped[:, ::-1], [d - 1 - c for c in cols]
+        pivots = [int(rows[j, c]) for j, c in enumerate(cols)]
+        radices = [n // p for p in pivots]
+        if not any(rows[:j, c].any() for j, c in enumerate(cols)):
+            return _walker(rows[::-1], radices[::-1], n)
+        strides = np.cumprod([1, *radices[:0:-1]], dtype=np.int64)[::-1]
+
+        def rows_at(ids) -> np.ndarray:
+            ids = np.asarray(ids, dtype=np.int64)
+            x = np.zeros((len(ids), d), dtype=np.int64)
+            for row, col, p, r, stride in zip(rows, cols, pivots, radices, strides):
+                a = (ids // stride - x[:, col] // p) % r
+                x += a[:, None] * row
+                x %= n
+            return x
+
+        return rows_at
 
     def __eq__(self, other) -> bool:
         return (
@@ -443,7 +501,7 @@ def intersect(a: Submodule, b: Submodule) -> Submodule:
     gcd(g, h), with no elimination: (n/g) Z/n ∩ (n/h) Z/n = (n/gcd(g, h)) Z/n.
     """
     _require_compatible(a, b)
-    g, h = a.coordinate_orders(), b.coordinate_orders()
+    g, h = a._orders, b._orders
     if g is not None and h is not None:
         return Submodule.coordinate_sum(a.modulus, np.gcd(g, h))
     stacked = np.vstack([
@@ -494,13 +552,19 @@ def _combinations(generators: np.ndarray, radices, n: int, dtype=np.int64) -> np
     return out.T
 
 
-def _walk_rows(generators: np.ndarray, radices, n: int, ids) -> np.ndarray:
-    """The rows at indices ids of the `_combinations` walk, as int64, without
-    the walk: the mixed-radix digits c_i of each index (c_1 fastest) times
-    the generators, mod n, a sum of len(radices) products below n^2."""
+def _walker(generators: np.ndarray, radices, n: int):
+    """The function ids -> the rows at indices ids of the `_combinations`
+    walk, as int64, without the walk: the mixed-radix digits c_i of each
+    index (c_1 fastest) times the generators, mod n, a sum of len(radices)
+    products below n^2. The strides are worked out once, here."""
     strides = np.cumprod([1, *radices[:-1]], dtype=np.int64)
-    digits = np.asarray(ids, dtype=np.int64)[:, None] // strides % np.asarray(radices, np.int64)
-    return digits @ generators % n
+    radices = np.asarray(radices, dtype=np.int64)
+
+    def rows_at(ids) -> np.ndarray:
+        digits = np.asarray(ids, dtype=np.int64)[:, None] // strides % radices
+        return digits @ generators % n
+
+    return rows_at
 
 
 def all_vectors(modulus: int, rank: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:

@@ -374,6 +374,33 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
     assert stdout.count("[socle]") == 3 and "[definitional]" not in stdout
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "search"])
+def test_budget_is_taken_before_and_after_the_subcommand(tmp_path, capsys, monkeypatch, command):
+    # One --budget definition serves both positions; the environment
+    # variable still applies when neither is given.
+    doc = tmp_path / "q.json"
+    run_cli(capsys, "build", "--base", "4", "--params", "1,1", "--out", str(doc))
+    argv, budget, sign = {
+        "verify": (["verify", "thm-1.5"], "1000", "[SKIP]"),
+        "analyze": (["analyze", str(doc)], "10", "[socle]"),
+        "search": (["search", "--bases", "2", "--depth", "1"], "4", '"base": 2'),
+    }[command]
+
+    def output(*args):
+        code, stdout, _ = run_cli(capsys, *args)
+        assert code == 0
+        return re.sub(r" in \d+\.\d+s", "", stdout)  # the suite's elapsed time
+
+    before = output("--budget", budget, *argv)
+    assert sign in before
+    assert output(*argv, "--budget", budget) == before
+    monkeypatch.setenv("CDRINGS_ENUM_BUDGET", budget)
+    assert output(*argv) == before
+    if command != "search":  # the search rows do not show how a flag was decided
+        monkeypatch.delenv("CDRINGS_ENUM_BUDGET")
+        assert sign not in output(*argv)
+
+
 def exit_code(capsys, *argv):
     """Exit code and stderr of one call, whether main returns or argparse exits."""
     try:
@@ -495,9 +522,10 @@ def test_verify_explicit_depth_bounds_the_z2_sweep(capsys, depth, instances):
     [
         (["verify", "prop-5.2", "--bases", "9"], "--bases"),
         (["--budget", "5", "verify", "remark-2.5"], "--budget"),
+        (["verify", "remark-2.5", "--budget", "5"], "--budget"),
         (["--budget", "5", "verify", "lemma-2.1"], "--budget"),
     ],
-    ids=["prop-5.2-bases", "remark-2.5-budget", "lemma-2.1-budget"],
+    ids=["prop-5.2-bases", "remark-2.5-budget", "remark-2.5-budget-after", "lemma-2.1-budget"],
 )
 def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
     code, stderr = exit_code(capsys, *argv)

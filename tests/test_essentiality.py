@@ -3,6 +3,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from cdrings import algebra, essentiality, residue
 from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
 from cdrings.analysis import associative_center, center, essentiality_data
 from cdrings.doubling import double, tower, unit_towers
-from cdrings.errors import AlgebraError, EnumerationBudgetExceeded, NotInvertible
+from cdrings.errors import AlgebraError, EnumerationBudgetExceeded, ModulusTooLarge, NotInvertible
 from cdrings.essentiality import (
     ann2_ideal,
     centrally_essential_criterion,
@@ -335,7 +336,7 @@ def test_batched_pre_pass_matches_the_sequential_reference():
             universe = all_vectors(n, d)
             for side in ("left", "right"):
                 got = essentiality._scan(
-                    alg, S.elements(), T, (np.eye(d, dtype=np.int64), [n] * d),
+                    alg, S, T, (np.eye(d, dtype=np.int64), [n] * d),
                     side=side, property_name="p", detail="",
                 )
                 verdict, witness, cost, walks = sequential_scan(
@@ -380,6 +381,55 @@ def _recording(monkeypatch, module, walks):
     monkeypatch.setattr(module, "_combinations", recorded)
 
 
+def _recording_decodes(monkeypatch, module, decoded):
+    """Append (dtype, rows) of every array that a function made by
+    `module._walker` returns to decoded."""
+    real = module._walker
+
+    def walker(*args):
+        rows_at = real(*args)
+
+        def recorded(ids):
+            out = rows_at(ids)
+            decoded.append((out.dtype, len(out)))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(module, "_walker", walker)
+
+
+def _walk_scan_cases(n, rank, trials):
+    """(algebra, S, T, universe walk, listed universe) for random S and T and
+    a universe that is the whole algebra or a random submodule U with
+    non-unit radices."""
+    alg = scalar_ring(n) if rank == 1 else tower(n, *[1] * (rank.bit_length() - 1))
+    rng = random.Random(n * rank)
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    for trial in range(trials):
+        # Beyond 4,096 elements S is kept small: scalars or one scaled row.
+        if n**rank <= 4096:
+            S = _random_submodule(rng, n, rank)
+        elif trial % 3 == 0 and n < 1000:
+            S = Submodule.span(n, [[rng.randrange(n)] + [0] * (rank - 1)], rank)
+        else:
+            k = rng.choice([k for k in divisors if k <= 64])
+            S = Submodule.span(n, [[n // k * rng.randrange(n) for _ in range(rank)]], rank)
+        if trial % 2:
+            T = _random_submodule(rng, n, rank)
+        else:
+            k = rng.choice([k for k in divisors if k <= 4])
+            T = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
+                                   for _ in range(rank + 1)], rank)
+        if trial % 4 > 1:
+            k = rng.choice(divisors[:-1])
+            U = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
+                                   for _ in range(rng.randint(1, rank))], rank)
+            yield alg, S, T, U.walk(), _listed(U)
+        else:
+            yield alg, S, T, (np.eye(rank, dtype=np.int64), [n] * rank), all_vectors(n, rank)
+
+
 @pytest.mark.parametrize(
     "n, rank, walk_dtype",
     [
@@ -399,63 +449,66 @@ def test_walk_scan_matches_the_sequential_reference(n, rank, walk_dtype, monkeyp
     # submodules U with non-unit radices, on both sides: verdict, witness and
     # cost must be those of the literal scan of the listed universe. 2(n - 1)
     # fits uint8 up to n = 128 and uint16 up to n = 32,768.
-    alg = scalar_ring(n) if rank == 1 else tower(n, *[1] * (rank.bit_length() - 1))
-    rng = random.Random(n * rank)
-    divisors = [k for k in range(1, n + 1) if n % k == 0]
     dense_walks = []
     _recording(monkeypatch, essentiality, dense_walks)
     branches, verdicts, radices = collections.Counter(), set(), set()
-    for trial in range(32):
-        # Beyond 4,096 elements S is kept small: scalars or one scaled row.
-        if n**rank <= 4096:
-            S = _random_submodule(rng, n, rank)
-        elif trial % 3 == 0 and n < 1000:
-            S = Submodule.span(n, [[rng.randrange(n)] + [0] * (rank - 1)], rank)
-        else:
-            k = rng.choice([k for k in divisors if k <= 64])
-            S = Submodule.span(n, [[n // k * rng.randrange(n) for _ in range(rank)]], rank)
-        if trial % 2:
-            T = _random_submodule(rng, n, rank)
-        else:
-            k = rng.choice([k for k in divisors if k <= 4])
-            T = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
-                                   for _ in range(rank + 1)], rank)
-        if trial % 4 > 1:
-            k = rng.choice(divisors[:-1])
-            U = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
-                                   for _ in range(rng.randint(1, rank))], rank)
-            universe, rows = U.walk(), _listed(U)
-            radices |= set(universe[1])
-        else:
-            universe, rows = (np.eye(rank, dtype=np.int64), [n] * rank), all_vectors(n, rank)
+    for alg, S, T, universe, rows in _walk_scan_cases(n, rank, 32):
+        radices |= set(universe[1])
         for side in ("left", "right"):
             got = essentiality._scan(
-                alg, S.elements(), T, universe, side=side, property_name="p", detail=""
+                alg, S, T, universe, side=side, property_name="p", detail=""
             )
             verdict, witness, cost, _ = sequential_scan(
                 alg, S.elements(), T, rows, side, branches
             )
-            assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), (
-                trial, side
-            )
+            assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), side
             verdicts.add(verdict)
-    # Each dense step of the reference is one walk of the scan; with equal
-    # costs, the products of the sparse steps were evaluated too.
+    # Each dense step of the reference is one tiled pass of the scan, which
+    # walks its tile once and reaches the rest of the universe by offsets;
+    # with equal costs, the products of the sparse steps were evaluated too.
     assert len(dense_walks) == branches["dense"] > 0 and branches["sparse"] > 0
     assert {dtype for dtype, _ in dense_walks} == {np.dtype(walk_dtype)}
+    # No walk exceeds one tile: `_TILE` elements, or one generator's
+    # multiples, at most n, where those alone are more.
+    assert max(rows for _, rows in dense_walks) <= max(essentiality._TILE, n)
     assert verdicts == {True, False}
     assert radices - {n}
 
 
+@pytest.mark.parametrize("n, rank, tile", [(4, 4, 32), (9, 4, 4), (9, 4, 32), (12, 2, 8)])
+def test_small_tiles_match_the_sequential_reference(n, rank, tile, monkeypatch):
+    # With `_TILE` cut to a few elements, dense passes walk many tiles, with
+    # several offsets per comparison (a partial last group among them) and
+    # more than `_TILE` offsets in batches, and pre-pass chunks and sparse
+    # passes decode in many slices: verdict, witness and cost stay the
+    # reference's.
+    monkeypatch.setattr(essentiality, "_TILE", tile)
+    branches = collections.Counter()
+    for alg, S, T, universe, rows in _walk_scan_cases(n, rank, 12):
+        for side in ("left", "right"):
+            got = essentiality._scan(
+                alg, S, T, universe, side=side, property_name="p", detail=""
+            )
+            verdict, witness, cost, _ = sequential_scan(
+                alg, S.elements(), T, rows, side, branches
+            )
+            assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), side
+    assert branches["dense"] > 0 and branches["sparse"] > 0
+
+
 def test_ambient_scan_builds_no_int64_table_of_the_algebra(monkeypatch):
-    # The rank-8 Z4 tower has 4^8 = 65,536 elements: its scan walks them in
-    # uint8 and never lists them as int64 rows.
-    walks = []
+    # The rank-8 Z4 tower has 4^8 = 65,536 elements: its scan walks them a
+    # tile at a time in uint8, decodes multipliers and unmet elements by
+    # index, and never lists the algebra as int64 rows.
+    walks, decoded = [], []
     for module in (essentiality, residue):
         _recording(monkeypatch, module, walks)
+        _recording_decodes(monkeypatch, module, decoded)
     assert is_centrally_essential(tower(4, 1, 1, 1)).verdict
-    assert (np.dtype(np.uint8), 4**8) in walks
-    assert (np.dtype(np.int64), 4**8) not in walks
+    assert (np.dtype(np.uint8), essentiality._TILE) in walks
+    assert max(rows for _, rows in walks) <= essentiality._TILE
+    assert (np.dtype(np.int64), 4**8) not in walks + decoded
+    assert max(rows for _, rows in decoded) <= essentiality._TILE
 
 
 @pytest.mark.parametrize(
@@ -463,18 +516,84 @@ def test_ambient_scan_builds_no_int64_table_of_the_algebra(monkeypatch):
     [(2**31 - 1, 4), (2**31 - 1, 5), (2**31, 3), (2, 61), (2, 62), (3, 39), (3, 40), (7, 9)],
 )
 def test_packed_keys_give_the_lexsort_order(n, d):
-    # (2^31 - 1)^2 < 2^62 <= (2^31)^2, 2^61 < 2^62 and 3^39 < 2^62 < 3^40:
-    # each pair sits on both sides of a key boundary. Ties and the extreme
-    # residues 0 and n - 1 are drawn often.
+    # The scan reads its multipliers in the order of `np.lexsort` by index
+    # (`Submodule.code_order`), with no key packed from the rows: (2^31 - 1)^2
+    # < 2^62 <= (2^31)^2, 2^61 < 2^62 and 3^39 < 2^62 < 3^40, so each pair
+    # sits on both sides of where one int64 key per row of Z_n^d ran out.
+    # Where the modulus rule refuses rank d, no submodule of Z_n^d exists and
+    # the largest rank it admits is read instead. Ties and the extreme
+    # residues 0, 1, n - 2 and n - 1 are drawn often.
+    rank = d
+    while True:
+        try:
+            Submodule.zero(n, rank)
+            break
+        except ModulusTooLarge:
+            rank -= 1
+    assert rank == d or (rank == 2 and n >= 2**31 - 1)
     rng = np.random.default_rng(d)
     picks = np.array([0, 1, n - 2, n - 1], dtype=np.int64)
-    rows = np.where(
-        rng.random((500, d)) < 0.5,
-        picks[rng.integers(0, 4, (500, d))],
-        rng.integers(0, n, (500, d), dtype=np.int64),
-    )
-    rows = np.vstack([rows, rows[:100]])
-    assert np.array_equal(essentiality._code_order(rows, n), np.lexsort(rows.T))
+    most = {2: 10, 3: 6, 7: 4}.get(n, 2)
+    for _ in range(30):
+        k = int(rng.integers(1, most + 1))
+        rows = np.where(
+            rng.random((k, rank)) < 0.5,
+            picks[rng.integers(0, 4, (k, rank))],
+            rng.integers(0, n, (k, rank), dtype=np.int64),
+        )
+        if n == 2**31 and rng.random() < 0.5:
+            rows = rows * (n // 2 ** int(rng.integers(1, 9))) % n
+        s = Submodule.span(n, np.vstack([rows, rows[:1]]), rank)
+        rows_at, size = s.code_order(), s.order()
+        if size <= 2**16:
+            listed = s.elements()
+            want = listed[np.lexsort(listed.T)]
+            assert np.array_equal(rows_at(np.arange(size)), want)
+            continue
+        # Too many to list: sorted ids, the ends and runs of neighbours among
+        # them, read rows of s strictly increasing in lexsort order.
+        ends = [0, 1, 2, size - 3, size - 2, size - 1]
+        starts = rng.integers(0, size - 3, 100, dtype=np.int64)
+        ids = np.unique(np.concatenate([ends, rng.integers(0, size, 300), starts, starts + 1]))
+        got = rows_at(ids)
+        assert got.dtype == np.int64 and s.contains(got).all()
+        assert not got[0].any()
+        assert np.array_equal(np.lexsort(got.T), np.arange(len(ids)))
+        assert (got[1:] != got[:-1]).any(axis=1).all()
+        assert np.array_equal(rows_at(ids[::-1]), got[::-1])
+
+
+def test_n_essential_scan_of_the_rank_16_z2_tower_stays_small():
+    # S = N = R has 65,536 elements, which the scan once listed as an 8 MB
+    # int64 table before reading its first 64 multipliers.
+    R = tower(2, 1, 1, 1, 1)
+    associative_center(R)  # memoized: only the scan is measured
+    tracemalloc.start()
+    try:
+        assert is_left_n_essential(R).verdict
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_scan_refuses_more_multipliers_than_the_budget(monkeypatch):
+    # As `Submodule.elements(budget)` did: the scan raises with |S| and the
+    # budget before it forms any product.
+    R = tower(3, 1, 1)
+    S = Submodule.full(3, 4)
+
+    def no_products(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(essentiality, "_matmul_mod", no_products)
+    monkeypatch.setattr(FiniteAlgebra, "mul_matrices", no_products)
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        essentiality._scan(
+            R, S, S, (np.eye(4, dtype=np.int64), [3] * 4),
+            side="left", property_name="p", detail="", budget=80,
+        )
+    assert (info.value.required, info.value.budget) == (81, 80)
 
 
 _REDUCTION_MODULI = [*range(2, 13), 41, 47, 97, 1000, 2047, 2048]
@@ -960,6 +1079,14 @@ def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
         if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert not names & {"twist", "coordinate_orders"}
+
+
+def test_essentiality_lists_no_multipliers_and_forms_no_single_matrices():
+    # The scan reads S by index (`Submodule.code_order`) and forms the
+    # sweep's matrices in blocks (`FiniteAlgebra.mul_matrices`).
+    tree = ast.parse(Path(essentiality.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"elements", "left_mul_matrix", "right_mul_matrix"}
 
 
 @st.composite
