@@ -13,7 +13,11 @@ one `residue._matmul_mod`, in the narrowest dtype `residue._exact_dtype`
 finds exact, and `mul`, validation, doubling, the product tensors and the
 kernel routes of `analysis` and `essentiality` all take it. Whether the
 algebra is a twisted group algebra is read once, at construction, into
-`FiniteAlgebra.twist` (`_twist`).
+`FiniteAlgebra.twist` (`_twist`). An algebra built from its twist
+(`FiniteAlgebra.from_twist`, as `doubling.double` builds the doubles of a
+tower) holds f alone and builds the tensor on first read of `structure`;
+validation, the centers, the stage data and the identity flags of a
+twisted algebra read f instead.
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -46,7 +50,7 @@ class FiniteAlgebra:
     __slots__ = (
         "modulus",
         "rank",
-        "structure",
+        "_structure",
         "unit",
         "involution",
         "labels",
@@ -73,7 +77,42 @@ class FiniteAlgebra:
         structure = np.array(structure, dtype=np.int64)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ValueError(f"structure tensor must be d x d x d, got {structure.shape}")
-        d = structure.shape[0]
+        self._set_fields(modulus, structure.shape[0], unit, involution, labels, name, parent, alpha)
+        structure %= modulus
+        structure.setflags(write=False)
+        self._structure = structure
+        self.twist = _twist(self)  # read once, off the reduced tensor
+
+    @classmethod
+    def from_twist(
+        cls,
+        modulus: int,
+        twist,
+        unit,
+        involution,
+        labels: list[str] | None = None,
+        name: str = "",
+        parent: "FiniteAlgebra | None" = None,
+        alpha: "CentralScalar | None" = None,
+    ) -> "FiniteAlgebra":
+        """The twisted group algebra e_i e_j = twist[i, j] e_{i xor j} of
+        rank d, a power of two, kept as its d x d twist: `structure` is built
+        from it on first read (`_twisted_structure`), so an algebra whose
+        readers all take the twisted routes never holds the d^3 tensor."""
+        f = np.array(twist, dtype=np.int64)
+        d = f.shape[0] if f.ndim else 0
+        if f.shape != (d, d) or d.bit_count() != 1:
+            raise ValueError(f"twist must be d x d with d a power of two, got {f.shape}")
+        algebra = cls.__new__(cls)
+        algebra._set_fields(modulus, d, unit, involution, labels, name, parent, alpha)
+        f %= modulus
+        f.setflags(write=False)
+        algebra._structure = None
+        algebra.twist = f
+        return algebra
+
+    def _set_fields(self, modulus, d, unit, involution, labels, name, parent, alpha) -> None:
+        """Check and store everything but the product, for rank d."""
         _require_exact(modulus, d)
         unit = np.array(unit, dtype=np.int64)
         involution = np.array(involution, dtype=np.int64)
@@ -85,12 +124,11 @@ class FiniteAlgebra:
             labels = [f"e{i}" for i in range(d)]
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for rank {d}")
-        for arr in (structure, unit, involution):
+        for arr in (unit, involution):
             arr %= modulus
             arr.setflags(write=False)
         self.modulus = modulus
         self.rank = d
-        self.structure = structure
         self.unit = unit
         self.involution = involution
         self.labels = list(labels)
@@ -100,7 +138,14 @@ class FiniteAlgebra:
         self.memo = {}  # invariants computed on first use, see `analysis._memoized`
         self.valid = False  # set by `ensure_valid` once the invariants hold
         self.certified = {}  # value bytes -> inverse, see `certify_central_scalar`
-        self.twist = _twist(self)  # read once, off the reduced tensor
+
+    @property
+    def structure(self) -> np.ndarray:
+        """The read-only d x d x d structure tensor; an algebra built by
+        `from_twist` builds it on first read and keeps it."""
+        if self._structure is None:
+            self._structure = _twisted_structure(self.twist)
+        return self._structure
 
     # -- elements ----------------------------------------------------------
 
@@ -206,6 +251,27 @@ def scalar_ring(n: int, name: str | None = None) -> FiniteAlgebra:
 def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
     """Check every structural invariant; violations are data, not exceptions.
 
+    A twisted group algebra (`FiniteAlgebra.twist`) with a diagonal
+    involution is checked on f and the diagonal s (`_twisted_violations`),
+    with d^2 work and no structure tensor; every other algebra on the tensor
+    (`_tensor_violations`), which is also the oracle of the twisted route.
+    Both report the same violations in the same order, the same first bad
+    basis pair included."""
+    s = _diagonal(algebra.involution)
+    if algebra.twist is None or s is None:
+        return _tensor_violations(algebra)
+    return _twisted_violations(algebra, s)
+
+
+def _diagonal(matrix: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a square matrix that has no other nonzero entry, or None."""
+    s = np.diagonal(matrix)
+    return s if np.count_nonzero(matrix) == np.count_nonzero(s) else None
+
+
+def _tensor_violations(algebra: FiniteAlgebra) -> list[str]:
+    """The invariants of any algebra, read off the structure tensor.
+
     Both sides of each law are formed in `_exact_dtype(n, d)`, reduced, and
     compared in that dtype. The unit laws read the multiplication matrices
     of the unit (`FiniteAlgebra.mul_matrices`). Anti-multiplicativity
@@ -234,11 +300,41 @@ def validate_algebra(algebra: FiniteAlgebra) -> list[str]:
     lhs = _matmul_mod(algebra.structure.reshape(d * d, d), sigma, n).reshape(d, d, d)
     bad = np.flatnonzero((lhs != rhs.transpose(1, 0, 2)).any(axis=2))
     if len(bad):
-        i, j = divmod(int(bad[0]), d)
-        violations.append(
-            f"involution is not anti-multiplicative at basis pair ({i}, {j})"
-        )
+        violations.append(_anti_multiplicative_at(*divmod(int(bad[0]), d)))
     return violations
+
+
+def _twisted_violations(algebra: FiniteAlgebra, s: np.ndarray) -> list[str]:
+    """The invariants of a twisted group algebra with the diagonal
+    involution e_i* = s_i e_i, read off f = `twist` and s.
+
+    Coordinate m of u e_j is u[j xor m] f(j xor m, j), and of e_j u it is
+    u[j xor m] f(j, j xor m), so the unit laws compare those d x d arrays
+    with the identity. The involution squares to the identity iff every
+    s_i^2 = 1, fixes the unit iff u_i s_i = u_i, and is anti-multiplicative
+    iff f(i, j) s_{i xor j} = s_i s_j f(j, i) for every basis pair. Every
+    product is of two residues, reduced before the next."""
+    n, f, u = algebra.modulus, algebra.twist, algebra.unit
+    i = np.arange(algebra.rank)[:, None]
+    xor = i ^ i.T  # xor[j, m] = j xor m
+    eye = np.eye(algebra.rank, dtype=np.int64)
+    violations: list[str] = []
+    if not np.array_equal(u[xor] * f[xor, i] % n, eye):
+        violations.append("unit is not a left identity")
+    if not np.array_equal(u[xor] * f[i, xor] % n, eye):
+        violations.append("unit is not a right identity")
+    if (s * s % n != 1).any():
+        violations.append("involution does not square to the identity")
+    if not np.array_equal(u * s % n, u):
+        violations.append("involution does not fix the unit")
+    bad = np.flatnonzero(f * s[xor] % n != (s[:, None] * s % n) * f.T % n)
+    if len(bad):
+        violations.append(_anti_multiplicative_at(*divmod(int(bad[0]), algebra.rank)))
+    return violations
+
+
+def _anti_multiplicative_at(i: int, j: int) -> str:
+    return f"involution is not anti-multiplicative at basis pair ({i}, {j})"
 
 
 def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
@@ -257,27 +353,33 @@ def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
 # -- identity predicates -----------------------------------------------------
 
 
-def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k).
-
-    The rows of the structure tensor as d^2 x d are the products e_i e_j, so
-    P holds their left multiplication matrices and Q their right ones, which
-    `FiniteAlgebra.mul_matrices` forms in `residue._exact_dtype(n, d)` (float32
-    or float64 BLAS at desk scale), reduced before the int64 cast.
-    """
+def _product_pair(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) of `product_tensors` in `residue._exact_dtype(n, d)`, reduced:
+    the rows of the structure tensor as d^2 x d are the products e_i e_j, so
+    P holds their left multiplication matrices and Q their right ones
+    (`FiniteAlgebra.mul_matrices`; Q is a transposed view)."""
     d = algebra.rank
     pairs = algebra.structure.reshape(d * d, d)
-    left = algebra.mul_matrices(pairs, "left").astype(np.int64).reshape(d, d, d, d)
+    left = algebra.mul_matrices(pairs, "left").reshape(d, d, d, d)
     right = algebra.mul_matrices(pairs, "right").transpose(1, 0, 2)  # [i, (j, k)]
-    return left, right.reshape(d, d, d, d).astype(np.int64)
+    return left, right.reshape(d, d, d, d)
+
+
+def product_tensors(algebra: FiniteAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) with P[i, j, k, :] = (e_i e_j) e_k and Q[i, j, k, :] = e_i (e_j e_k),
+    formed in `residue._exact_dtype(n, d)` (float32 or float64 BLAS at desk
+    scale) and reduced before the int64 cast."""
+    return tuple(t.astype(np.int64) for t in _product_pair(algebra))
 
 
 def associator_tensor(algebra: FiniteAlgebra) -> np.ndarray:
-    """T[i, j, k, :] = associator(e_i, e_j, e_k)."""
-    left, right = product_tensors(algebra)
+    """T[i, j, k, :] = associator(e_i, e_j, e_k): P - Q in the contraction
+    dtype, where |P - Q| < n is exact, lifted to [0, n) by adding n where it
+    is negative and cast to int64 once."""
+    left, right = _product_pair(algebra)
     left -= right
-    left %= algebra.modulus
-    return left
+    np.add(left, algebra.modulus, out=left, where=left < 0)
+    return left.astype(np.int64, copy=False)
 
 
 def is_associative(algebra: FiniteAlgebra) -> bool:
@@ -318,8 +420,9 @@ def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
     rank is not a power of two, or with a nonzero c[i, j, k] at k != i xor j.
     f may take zero and non-unit values. f holds entries of c at distinct
     places, so the pattern holds exactly when it holds every nonzero entry.
-    Read once per algebra, by the constructor, into `FiniteAlgebra.twist`
-    (read-only), which every twisted route consults."""
+    Read once per algebra built from a tensor, by the constructor, into
+    `FiniteAlgebra.twist` (read-only), which every twisted route consults;
+    `FiniteAlgebra.from_twist` is given f and never reads it."""
     d = algebra.rank
     if d.bit_count() != 1:
         return None
@@ -330,12 +433,34 @@ def _twist(algebra: FiniteAlgebra) -> np.ndarray | None:
     return f if np.count_nonzero(f) == np.count_nonzero(c) else None
 
 
+def _twisted_structure(f: np.ndarray) -> np.ndarray:
+    """The read-only structure tensor of the twisted group algebra of f:
+    c[i, j, i xor j] = f(i, j), zero elsewhere."""
+    i = np.arange(len(f))[:, None]
+    c = np.zeros((len(f),) * 3, dtype=np.int64)
+    c[i, i.T, i ^ i.T] = f
+    c.setflags(write=False)
+    return c
+
+
 def _twisted_associators(f: np.ndarray, n: int) -> np.ndarray:
     """a with (e_i, e_j, e_k) = a(i, j, k) e_{i xor j xor k} on the twisted
     group algebra of f: a(i, j, k) = f(i, j) f(i xor j, k) - f(j, k)
-    f(i, j xor k) mod n, each product below (n - 1)^2, exact in int64."""
-    i, j, k = np.ix_(*3 * [np.arange(len(f))])
-    return (f[i, j] * f[i ^ j, k] - f[j, k] * f[i, j ^ k]) % n
+    f(i, j xor k) mod n. Each product lies in [0, (n - 1)^2] and their
+    difference in +-(n - 1)^2, so a is formed and returned in the narrowest
+    signed dtype that holds (n - 1)^2: int16 up to n = 182, int32 up to
+    n = 46,341, int64 beyond."""
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if (n - 1) ** 2 <= np.iinfo(t).max)
+    f = f.astype(dtype)
+    i = np.arange(len(f))[:, None]
+    xor = i ^ i.T
+    a = f[xor]  # a[i, j, k] = f(i xor j, k)
+    a *= f[:, :, None]
+    b = f[:, xor]  # b[i, j, k] = f(i, j xor k)
+    b *= f
+    a -= b
+    a %= n
+    return a
 
 
 def identity_flags(algebra: FiniteAlgebra) -> dict[str, bool]:

@@ -3,11 +3,14 @@
 No center is found by element enumeration; that is reserved for the
 desk-scale oracles in the test suite. Every Cayley-Dickson tower with scalar
 parameters is a twisted group algebra over (Z/2)^k, e_i e_j = f(i, j)
-e_{i xor j}, which one vectorized test of the structure tensor detects
-when the algebra is built (`FiniteAlgebra.twist`, None off the pattern).
+e_{i xor j}: `doubling.double` builds its stages from f, and one
+vectorized test of the structure tensor detects the pattern in an algebra
+built from a tensor (`FiniteAlgebra.twist`, None off the pattern).
 There each associator and commutator condition touches one coordinate of
 x, so N, K and Z are direct sums of coordinate annihilators (n / g_l) e_l
-with g_l a gcd of values of f, read off int64 arrays of size d^3 and d^2.
+with g_l a gcd of values of f, read off arrays of size d^3 (in the
+narrowest integer dtype that holds them, `_twisted_associators`) and d^2,
+and no twisted route reads the structure tensor.
 Every other algebra (a rank that is not a power of two, a loaded document
 or a double by a non-scalar alpha off the pattern) takes the kernel route:
 the left kernel of a stacked basis-indexed linear system

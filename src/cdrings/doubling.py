@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CentralScalar, FiniteAlgebra, certify_central_scalar, ensure_valid, scalar_ring
+from .algebra import (
+    CentralScalar,
+    FiniteAlgebra,
+    _diagonal,
+    certify_central_scalar,
+    ensure_valid,
+    scalar_ring,
+)
 from .errors import AlgebraError, CertificationError, RankBudgetExceeded, StageMismatch
 from .residue import _matmul_mod
 
@@ -69,16 +76,71 @@ def double(
     (central, symmetric, invertible) against `algebra` here, and only
     `algebra`'s own record of the values it has certified spares the checks.
 
+    A twisted group algebra with unit e_0 and a diagonal involution doubled
+    by a scalar a 1 is doubled on its twist (`_double_by_twist`); any other
+    input on its structure tensor (`_double_by_tensor`), the oracle of the
+    twisted route. Both give the same algebra.
+    """
+    ensure_valid(algebra)
+    cert = certify_central_scalar(algebra, alpha)
+    meta = {
+        "labels": _doubled_labels(algebra.labels, symbol if symbol is not None else "v"),
+        "name": f"({algebra.name},{_param_text(algebra, cert.value)})",
+        "parent": algebra,
+        "alpha": cert,
+    }
+    a = _twisted_scalar(algebra, cert.value)
+    if a is None:
+        doubled = _double_by_tensor(algebra, cert.value, **meta)
+    else:
+        doubled = _double_by_twist(algebra, a, **meta)
+    return ensure_valid(doubled)
+
+
+def _twisted_scalar(algebra: FiniteAlgebra, alpha_vec: np.ndarray) -> int | None:
+    """a when alpha_vec = a e_0 and `algebra` is a twisted group algebra with
+    unit e_0 and a diagonal involution, else None."""
+    if algebra.twist is None or _diagonal(algebra.involution) is None:
+        return None
+    if algebra.unit[0] != 1 or algebra.unit[1:].any() or alpha_vec[1:].any():
+        return None
+    return int(alpha_vec[0])
+
+
+def _double_by_twist(algebra: FiniteAlgebra, a: int, **meta) -> FiniteAlgebra:
+    """The double by a 1 of a twisted group algebra with unit e_0 and the
+    diagonal involution e_i* = s_i e_i, built from its twist f with d^2 work.
+
+    The second copy's e_j is e_{d + j}, and d + j = d xor j, so the double is
+    twisted too, with F = [[f, s_i f(i, j)], [f(j, i), a s_i f(j, i)]]: by
+    the product rule (e_i, 0)(0, e_j) = (0, e_i* e_j), (0, e_i)(e_j, 0) =
+    (0, e_j e_i) and (0, e_i)(0, e_j) = (a e_j e_i*, 0). Each product is
+    of two residues, reduced before the next. The involution is diag(s, -1)
+    and the unit stays e_0. The double's structure tensor is built only if
+    a reader asks for it (`FiniteAlgebra.from_twist`)."""
+    n, d, f = algebra.modulus, algebra.rank, algebra.twist
+    s = np.diagonal(algebra.involution)
+    twist = np.empty((2 * d, 2 * d), dtype=np.int64)
+    twist[:d, :d] = f
+    twist[:d, d:] = s[:, None] * f % n
+    twist[d:, :d] = f.T
+    twist[d:, d:] = (a * s % n)[:, None] * f.T % n
+    unit = np.zeros(2 * d, dtype=np.int64)
+    unit[0] = 1
+    sigma = np.diag(np.concatenate([s, np.full(d, n - 1)]))
+    return FiniteAlgebra.from_twist(n, twist, unit, sigma, **meta)
+
+
+def _double_by_tensor(algebra: FiniteAlgebra, alpha_vec: np.ndarray, **meta) -> FiniteAlgebra:
+    """The double by alpha_vec of any algebra, built on its structure tensor.
+
     The new blocks are multiplication matrices of the old algebra
     (`FiniteAlgebra.mul_matrices`): the block of a* b holds the left matrix
     of e_i* at i, that of b a* the right matrix of e_i*, and
     alpha (b a*) is that times the left matrix of alpha.
     """
-    ensure_valid(algebra)
-    cert = certify_central_scalar(algebra, alpha)
     n, d = algebra.modulus, algebra.rank
     sigma = algebra.involution
-    alpha_vec = cert.value
     left = algebra.mul_matrices(np.vstack([sigma, alpha_vec]), "left")  # e_i*, then alpha
 
     big = np.zeros((2 * d, 2 * d, 2 * d), dtype=np.int64)
@@ -95,20 +157,7 @@ def double(
     sigma2 = np.zeros((2 * d, 2 * d), dtype=np.int64)
     sigma2[:d, :d] = sigma
     sigma2[d:, d:] = (-np.eye(d, dtype=np.int64)) % n
-
-    sym = symbol if symbol is not None else "v"
-    doubled = FiniteAlgebra(
-        n,
-        big,
-        unit2,
-        sigma2,
-        labels=_doubled_labels(algebra.labels, sym),
-        name=f"({algebra.name},{_param_text(algebra, alpha_vec)})",
-        parent=algebra,
-        alpha=cert,
-    )
-    del big  # the double holds its own copy; validation needs the room
-    return ensure_valid(doubled)
+    return FiniteAlgebra(n, big, unit2, sigma2, **meta)
 
 
 def _next_stage(stages: list[FiniteAlgebra], param, max_rank: int) -> FiniteAlgebra:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,9 @@ from cdrings import algebra as algebra_module
 from cdrings.algebra import (
     CentralScalar,
     FiniteAlgebra,
+    _tensor_violations,
+    _twisted_associators,
+    _twisted_violations,
     associator_tensor,
     certify_central_scalar,
     identity_flags,
@@ -32,6 +36,7 @@ from cdrings.analysis import (
     predicted_associative_center,
     predicted_center,
 )
+from cdrings.document import algebra_to_document, document_to_algebra
 from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, tower
 from cdrings.errors import (
     CertificationError,
@@ -43,6 +48,7 @@ from cdrings.errors import (
 from cdrings.essentiality import is_centrally_essential, is_left_n_essential, is_right_n_essential
 from cdrings.residue import _exact_dtype, all_vectors
 from cdrings.suites import sweep_towers
+from test_analysis import _twists_with_diagonal_involutions
 
 
 @pytest.fixture(scope="module")
@@ -607,6 +613,94 @@ def test_anti_multiplicativity_is_reported_at_its_first_basis_pair(route):
     assert sum("anti-multiplicative" in v for v in reported) >= 6
 
 
+@st.composite
+def _mutated_twisted_algebras(draw):
+    """(algebra, s): a tower stage rebuilt from its twist (`from_twist`) with
+    one twist entry, one unit coordinate or one s_i (to a value whose square
+    is not 1) changed, or left whole; or a drawn twist with a drawn diagonal
+    involution, which is mostly invalid."""
+    if draw(st.booleans()):
+        n, f, sigma = draw(_twists_with_diagonal_involutions())
+        u = np.eye(len(f), dtype=np.int64)[0]
+        s = np.diagonal(sigma) % n
+    else:
+        n = draw(st.sampled_from((4, 6, 8, 9, 12, 30, 2**31 - 1)))
+        if n == 2**31 - 1:
+            params = [draw(st.integers(1, n - 1))]
+        else:
+            units = [v for v in range(1, n) if math.gcd(v, n) == 1]
+            params = draw(st.lists(st.sampled_from(units), min_size=1, max_size=3))
+        stage = tower(n, *params)
+        d, f, u = stage.rank, stage.twist.copy(), stage.unit.copy()
+        s = np.diagonal(stage.involution).copy()
+        index = st.integers(0, d - 1)
+        shift = st.integers(1, n - 1)
+        kind = draw(st.sampled_from(("twist", "unit", "involution", "none")))
+        if kind == "twist":
+            i, j = draw(index), draw(index)
+            f[i, j] = (f[i, j] + draw(shift)) % n
+        elif kind == "unit":
+            k = draw(index)
+            u[k] = (u[k] + draw(shift)) % n
+        elif kind == "involution":
+            s[draw(index)] = draw(st.integers(0, n - 1).filter(lambda v: v * v % n != 1))
+    return FiniteAlgebra.from_twist(n, f, u, np.diag(s)), s
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_mutated_twisted_algebras())
+def test_twisted_validation_equals_the_tensor_route(case):
+    alg, s = case
+    twisted = validate_algebra(alg)
+    assert alg._structure is None  # the twisted route never builds the tensor
+    assert twisted == _twisted_violations(alg, s) == _tensor_violations(alg)
+    assert twisted == _einsum_violations(alg)
+    # The same algebra built from its tensor takes the twisted route too.
+    twin = FiniteAlgebra(alg.modulus, alg.structure, alg.unit, alg.involution)
+    assert np.array_equal(twin.twist, alg.twist) and validate_algebra(twin) == twisted
+
+
+def test_stage_procedures_of_twisted_towers_build_no_tensor(monkeypatch):
+    def refuse(f):
+        raise AssertionError("the structure tensor was built")
+
+    monkeypatch.setattr(algebra_module, "_twisted_structure", refuse)
+    stages = build_tower(TowerSpec(3, (1,) * 5))
+    for stage in stages[-2:]:
+        center(stage)
+        essentiality_data(stage)
+        identity_flags(stage)
+    stage, top = stages[-2:]
+    data = essentiality_data(stage)
+    assert predicted_associative_center(data, top) == center(top).N
+    assert predicted_center(data, top) == center(top).Z
+    assert all(a._structure is None for a in stages[1:])
+    monkeypatch.undo()
+    # A document is a tensor, built on demand; the loaded copy is the same
+    # algebra, built from that tensor.
+    loaded = document_to_algebra(algebra_to_document(top))
+    assert top._structure is not None and stage._structure is None
+    assert loaded == top and loaded.labels == top.labels and loaded.name == top.name
+    assert np.array_equal(loaded.twist, top.twist)
+    assert center(loaded) == center(top) and identity_flags(loaded) == identity_flags(top)
+
+
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(182, np.int16), (183, np.int32), (46_341, np.int32), (46_342, np.int64)],
+)
+def test_twisted_associators_take_the_narrowest_exact_dtype(n, dtype):
+    # Entries 0, 1 and n - 1 reach both ends, +-(n - 1)^2, of the unreduced
+    # difference; the int64 formula is the reference.
+    rng = np.random.default_rng(n)
+    f = rng.choice([0, 1, n - 1, rng.integers(n)], size=(8, 8))
+    i, j, k = np.ix_(*3 * [np.arange(8)])
+    raw = f[i, j] * f[i ^ j, k] - f[j, k] * f[i, j ^ k]
+    assert raw.max() == (n - 1) ** 2 and raw.min() == -((n - 1) ** 2)
+    got = _twisted_associators(f, n)
+    assert got.dtype == dtype and np.array_equal(got, raw % n)
+
+
 # -- the one reader of the structure tensor ------------------------------------
 
 # At rank 4 the float32 edge of `_exact_dtype` lies between 2048 and 2049 and
@@ -688,9 +782,16 @@ def test_each_algebra_reads_its_twist_once(monkeypatch):
     identity_flags(top)
     for check in (is_centrally_essential, is_left_n_essential, is_right_n_essential):
         check(top)
-    assert all(any(a is stage for a in built) for stage in stages)
-    assert len({id(a) for a in built}) == len(built)
-    assert top.twist is not None and not top.twist.flags.writeable
+    # The base ring is built from its tensor and reads its twist once; every
+    # double is built from its twist (`FiniteAlgebra.from_twist`) and never
+    # reads one, even after its tensor is built for the scans.
+    assert len(built) == 1 and built[0] is stages[0]
+    assert top._structure is not None
+    for stage in stages:
+        assert stage.twist is not None and not stage.twist.flags.writeable
+    copy = FiniteAlgebra(3, top.structure, top.unit, top.involution)
+    assert len(built) == 2 and built[1] is copy
+    assert np.array_equal(copy.twist, top.twist)
     with pytest.raises(ValueError):
         top.twist[0, 0] = 2
     # The twist is read off the reduced tensor: shifted by -3, every entry of

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cdrings import algebra as algebra_module
 from cdrings import doubling
@@ -16,6 +18,7 @@ from cdrings.algebra import (
 )
 from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, split, tower, unit_towers
 from cdrings.errors import (
+    AlgebraError,
     InvalidAlgebra,
     NotCentral,
     NotInvertible,
@@ -24,6 +27,8 @@ from cdrings.errors import (
     StageMismatch,
 )
 from cdrings.presentations import octonion_algebra
+from test_algebra import largest_exact_modulus
+from test_analysis import _twisted_algebra, _twists_with_diagonal_involutions
 
 
 def test_double_of_base_has_nu_squared_alpha():
@@ -291,3 +296,86 @@ def test_unit_towers_yield_construction_errors_in_place(monkeypatch):
             build_tower(TowerSpec(3, params), max_rank=4)
         assert isinstance(stages, RankBudgetExceeded)
         assert str(stages) == str(raised.value) == "stage 3 would have rank 8 > limit 4"
+
+
+def _fields(build, *args, **kwargs):
+    """The structure, unit, involution, labels, name and twist of the algebra
+    build returns, or the type and message of the AlgebraError it raises."""
+    try:
+        a = build(*args, **kwargs)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    arrays = (a.structure, a.unit, a.involution, a.twist)
+    return [None if x is None else (x.dtype, x.tolist()) for x in arrays] + [a.labels, a.name]
+
+
+@st.composite
+def _doubling_cases(draw):
+    """(n, f, sigma, a): a drawn twist with a diagonal involution, mostly
+    invalid, or a tower stage's, and a scalar a, unit or not, zero included."""
+    if draw(st.booleans()):
+        n, f, sigma = draw(_twists_with_diagonal_involutions())
+    else:
+        n = draw(st.sampled_from((4, 6, 9, 12, 30)))
+        units = [u for u in range(1, n) if np.gcd(u, n) == 1]
+        stage = tower(n, *draw(st.lists(st.sampled_from(units), max_size=3)))
+        n, f, sigma = stage.modulus, stage.twist, stage.involution
+    a = draw(st.one_of(st.sampled_from((0, 1, n - 1, n // 2, n // 3)), st.integers(0, n - 1)))
+    return n, f, sigma, a
+
+
+def _at_the_bound(rank, doubled_rank):
+    """The rank-`rank` tower stage over n = largest_exact_modulus(doubled_rank)
+    with parameters n - 1, doubled by n - 1: the widest products there are."""
+    n = largest_exact_modulus(doubled_rank)
+    stage = tower(n, *[n - 1] * (rank.bit_length() - 1))
+    return n, stage.twist, stage.involution, n - 1
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_doubling_cases())
+# zero and non-unit twist values, and an involution scaling e_1 and e_2 by 11 and 5
+@example((
+    12,
+    np.array([[1, 1, 1, 1], [1, 0, 6, 4], [1, 3, 2, 0], [1, 9, 8, 11]]),
+    np.diag([1, 11, 5, 1]),
+    10,
+))
+# a valid stage over a composite modulus, by a unit and by a non-unit
+@example((12, tower(12, 5, 7).twist, tower(12, 5, 7).involution, 7))
+@example((12, tower(12, 5, 7).twist, tower(12, 5, 7).involution, 4))
+# n - 1 at the modulus bound of the double: a s f^T formed unreduced would overflow
+@example(_at_the_bound(2, 4))
+@example(_at_the_bound(4, 8))
+# and one past it, where both routes refuse the double's rank
+@example(_at_the_bound(2, 2))
+@example(_at_the_bound(4, 4))
+def test_twisted_double_equals_the_tensor_route(case):
+    n, f, sigma, a = case
+    parent = _twisted_algebra(n, f, sigma)
+    assert doubling._twisted_scalar(parent, parent.scalar(a)) == a % n
+    meta = {"labels": [f"b{i}" for i in range(2 * parent.rank)], "name": "D", "parent": parent}
+    by_twist = _fields(doubling._double_by_twist, parent, a, **meta)
+    assert by_twist == _fields(doubling._double_by_tensor, parent, parent.scalar(a), **meta)
+    # `double` itself, validation and certification included, against the
+    # same steps with the tensor routes alone.
+    twisted = _fields(double, _twisted_algebra(n, f, sigma), a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(doubling, "_twisted_scalar", lambda *args: None)
+        patch.setattr(algebra_module, "validate_algebra", algebra_module._tensor_violations)
+        assert twisted == _fields(double, _twisted_algebra(n, f, sigma), a)
+    if not isinstance(twisted[0], type):
+        assert twisted[:3] == by_twist[:3]
+
+
+def test_twisted_route_needs_unit_e0_a_diagonal_involution_and_a_scalar():
+    stage = tower(5, 2, 3)
+    assert doubling._twisted_scalar(stage, stage.scalar(4)) == 4
+    assert doubling._twisted_scalar(stage, np.array([4, 0, 0, 1])) is None
+    # Off the pattern, an involution that swaps e_1 and e_2, and a unit off e_0.
+    loose = FiniteAlgebra(5, np.ones((2, 2, 2)), [1, 0], np.eye(2))
+    assert loose.twist is None and doubling._twisted_scalar(loose, loose.scalar(1)) is None
+    swapped = FiniteAlgebra(5, stage.structure, stage.unit, stage.involution[[0, 2, 1, 3]])
+    assert doubling._twisted_scalar(swapped, swapped.scalar(1)) is None
+    moved = FiniteAlgebra.from_twist(5, stage.twist, [0, 1, 0, 0], stage.involution)
+    assert doubling._twisted_scalar(moved, moved.scalar(1)) is None
