@@ -5,24 +5,25 @@ for every nonzero u of a universe U, the multiples {s u : s in S} meet a
 target T outside 0. Centrally essential and left/right N-essential take
 S = T = Z(R) or N(R) and U = R (right N-essential multiplies u s); an
 essential ideal I of a ring C takes S = U = C and T = I. Neither is
-listed: S is read by index in code order (`Submodule.code_order`), U is
-walked from its generators (`residue._combinations`), a tile at a time, and
-for each fixed s the linear map u -> s u turns that walk into the walk of
-the images of the generators, so every product s u is formed by additions
-in a narrow unsigned dtype. A product p lies in T iff p @ W = 0 for a matrix W
+listed: both are walks of their Howell rows (`Submodule.walk`, code order
+for R and for every coordinate sum), S read by index (`residue._walker`)
+and U walked a tile at a time (`residue._combinations`), and for each fixed
+s the linear map u -> s u turns that walk into the walk of the images of
+the generators, so every product s u is formed by additions in a narrow
+unsigned dtype. A product p lies in T iff p @ W = 0 for a matrix W
 whose columns span the dual of T, but the quantifier structure is exactly
 the definition; nothing is replaced by algebraic shortcuts.
 
-While the universe fits the enumeration budget the scan is the route, so
-every such verdict, cost and witness is the scan's. Beyond the budget
-`_socle` decides the same quantifier by linear algebra (method "socle"):
-T is essential in the S-module M iff it contains the socle of M, which lies
-in the small, explicit U = {m in M : rad(n) m = 0}. It is one route for
-every algebra: products by S come from S's multiplication matrices, and
-memberships, spans and meets are `Submodule` operations. It raises
-EnumerationBudgetExceeded, an explicit skip, when S is not a unital subring
-of N(R) acting on M and T, or when its last step would scan a U beyond the
-budget.
+While the universe fits the enumeration budget the scan is the route
+(`_decide`), so every such verdict, cost and witness is the scan's. Beyond
+the budget `_socle` decides the same quantifier by linear algebra (method
+"socle"): T is essential in the S-module M iff it contains the socle of
+M, which lies in the small, explicit U = {m in M : rad(n) m = 0}. It is one
+route for every algebra: products by S come from S's multiplication
+matrices, and memberships, spans and meets are `Submodule` operations. It
+raises EnumerationBudgetExceeded, an explicit skip, when S is not a unital
+subring of N(R) acting on M and T, or when its last step would scan a U
+beyond the budget.
 
 The criteria route computes the same verdicts from stage data of the
 undoubled algebra:
@@ -105,26 +106,25 @@ def _scan(
     algebra: FiniteAlgebra,
     multipliers: Submodule,
     target: Submodule,
-    universe: tuple[np.ndarray, list[int]],
+    module: Submodule,
     *,
     side: str,
     property_name: str,
     detail: str,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
-    """Definitional scan: for every nonzero u in universe, does some s in
-    the submodule multipliers give a product s u (side='left') or u s
-    (side='right') in target\\{0}?
+    """Definitional scan: for every nonzero u in the submodule module, does
+    some s in the submodule multipliers give a product s u (side='left') or
+    u s (side='right') in target\\{0}?
 
-    The multipliers are never listed: they are read by index in code order
-    (`Submodule.code_order`, the all_vectors order: 0, the unit and its
-    scalar multiples first), and more than `budget` of them raise
-    EnumerationBudgetExceeded before any product is formed. The universe is
-    not materialized either: it is the walk (generators, radices) of
-    `residue._combinations`, whose index i names the element
-    sum_k c_k g_k mod n for the mixed-radix digits c_k of i (the first
-    generator fastest), zero at index 0: (I_d, [n] * d) for the whole
-    algebra in code order, `Submodule.walk()` for a submodule. A witness
+    Neither submodule is listed. Each is its walk (`Submodule.walk`), whose
+    index i names the element sum_k c_k g_k for the mixed-radix digits c_k of
+    i over the Howell rows g_k (the first fastest), zero at index 0; for the
+    whole algebra (`Submodule.full`) and every coordinate sum that is code
+    order. The multipliers are read by index (`residue._walker`), and more
+    than `budget` of them raise EnumerationBudgetExceeded before any product
+    is formed; the module's walk is the universe. No verdict or witness
+    depends on the order of S, only `cost` does. A witness
     pre-pass first tries a few fixed candidates u (universe indices 1..32
     and the powers n**k); each walks the multipliers in chunks of 64, 256,
     1024, ... and stops at the first chunk with a hit, so a candidate is
@@ -172,10 +172,10 @@ def _scan(
     if count > budget:
         raise EnumerationBudgetExceeded(count, budget)
     n, d = algebra.modulus, algebra.rank
-    gens, radices = universe
-    total = math.prod(radices)
+    gens, radices = module.walk()
+    total = module.order()
 
-    multipliers_at = multipliers.code_order()
+    multipliers_at = _walker(*multipliers.walk(), multipliers.modulus)
     universe_at = _walker(gens, radices, n)
     dtype = _exact_dtype(n, d)
     dual = kernel(ResidueMatrix(n, target.generators.T)).generators.T
@@ -202,7 +202,7 @@ def _scan(
         return in_target(_matmul_mod(rows, mat, n))
 
     def chunk_hit(start: int, stop: int, mat: np.ndarray) -> bool:
-        """Does a multiplier of code indices start..stop - 1 give a product
+        """Does a multiplier of walk indices start..stop - 1 give a product
         s @ mat in target\\{0}? The whole chunk is counted."""
         nonlocal cost
         cost += stop - start
@@ -262,7 +262,7 @@ def _scan(
             return refuted(candidates[c])
 
     def sweep():
-        """(s, matrix of s on `side`) in code order, formed 64 at a time."""
+        """(s, matrix of s on `side`) in walk order, formed 64 at a time."""
         for lo in range(0, count, 64):
             block = multipliers_at(np.arange(lo, min(lo + 64, count)))
             yield from zip(block, algebra.mul_matrices(block, side))
@@ -306,7 +306,6 @@ def _socle(
     side: str,
     property_name: str,
     budget: int,
-    required: int,
 ) -> EssentialityVerdict:
     """Is target essential in module as a left (or right) module over ring,
     decided on the socle-bounded universe instead of the whole module.
@@ -327,7 +326,7 @@ def _socle(
     One membership of the candidates e g in T serves (a) and (b).
     The precondition is checked on generators first, once per distinct
     submodule among S, T and M; when it fails, the check raises
-    EnumerationBudgetExceeded(required, budget), as an over-budget scan
+    EnumerationBudgetExceeded(|M|, budget), as an over-budget scan of M
     would. Every product by S is read off S's own multiplication matrices
     (`FiniteAlgebra.mul_matrices` on `side`), formed once per check, and
     every membership, span and meet is a `Submodule` operation, which
@@ -351,7 +350,7 @@ def _socle(
         and all(sub.contains(times_ring(sub.generators)).all() for sub in subs)
     )
     if not sound:
-        raise EnumerationBudgetExceeded(required, budget)
+        raise EnumerationBudgetExceeded(module.order(), budget)
     U = module if rad == n else intersect(module, Submodule.coordinate_sum(n, np.full(d, rad)))
     # The candidates e u of step (b), u-major. The idempotents sum to 1, so
     # U lies in T iff every candidate does, and one in T (zero among them)
@@ -376,10 +375,35 @@ def _socle(
     # scan as its image in (Z/rad(n))^d, lifted to residues below rad(n).
     image = ring if rad == n else Submodule.span(rad, ring.generators % rad, algebra.rank)
     scan = _scan(
-        algebra, image, target, U.walk(),
+        algebra, image, target, U,
         side=side, property_name=property_name, detail=detail, budget=budget,
     )
     return replace(scan, method="socle", detail=detail)
+
+
+def _decide(
+    algebra: FiniteAlgebra,
+    multipliers: Submodule,
+    target: Submodule,
+    module: Submodule,
+    *,
+    side: str,
+    property_name: str,
+    detail: str,
+    budget: int,
+) -> EssentialityVerdict:
+    """Is target essential in module over multipliers: scanned (`_scan`)
+    while the module fits the budget, decided on the socle-bounded universe
+    (`_socle`) beyond it."""
+    if module.order() > budget:
+        return _socle(
+            algebra, multipliers, target, module,
+            side=side, property_name=property_name, budget=budget,
+        )
+    return _scan(
+        algebra, multipliers, target, module,
+        side=side, property_name=property_name, detail=detail, budget=budget,
+    )
 
 
 def _scan_ambient(
@@ -391,23 +415,11 @@ def _scan_ambient(
     side: str = "left",
 ) -> EssentialityVerdict:
     """Is sub essential in R as a module over itself: does sub r (or r sub)
-    meet sub\\{0} for every nonzero r? Scanned while R fits the budget,
-    decided on the socle-bounded universe (`_socle`) beyond it."""
-    n, d = algebra.modulus, algebra.rank
-    if n**d > budget:
-        return _socle(
-            algebra, sub, sub, Submodule.full(n, d),
-            side=side, property_name=property_name, budget=budget, required=n**d,
-        )
-    return _scan(
-        algebra,
-        sub,
-        sub,
-        (np.eye(d, dtype=np.int64), [n] * d),
-        side=side,
-        property_name=property_name,
-        detail=f"{side} multiples of the submodule by the witness miss it",
-        budget=budget,
+    meet sub\\{0} for every nonzero r?"""
+    return _decide(
+        algebra, sub, sub, Submodule.full(algebra.modulus, algebra.rank),
+        side=side, property_name=property_name,
+        detail=f"{side} multiples of the submodule by the witness miss it", budget=budget,
     )
 
 
@@ -438,21 +450,10 @@ def is_essential_ideal(
     """
     if not ring.contains(ideal.generators).all():
         raise ValueError("ideal is not contained in the ring it should be essential in")
-    size = ring.order()
-    if size > budget:
-        return _socle(
-            algebra, ring, ideal, ring,
-            side="left", property_name=property_name, budget=budget, required=size,
-        )
-    return _scan(
-        algebra,
-        ring,
-        ideal,
-        ring.walk(),
-        side="left",
-        property_name=property_name,
-        detail="ring multiples of the witness miss the ideal",
-        budget=budget,
+    return _decide(
+        algebra, ring, ideal, ring,
+        side="left", property_name=property_name,
+        detail="ring multiples of the witness miss the ideal", budget=budget,
     )
 
 
@@ -599,8 +600,9 @@ def noncommutative_centrally_essential_definitional(
 ) -> EssentialityVerdict:
     """Definitional counterpart of the quaternion criterion."""
     ce = is_centrally_essential(algebra, budget=budget)
-    verdict = ce.verdict and not is_commutative(algebra)
-    detail = "" if verdict else ("commutative" if is_commutative(algebra) else ce.detail)
+    commutative = is_commutative(algebra)
+    verdict = ce.verdict and not commutative
+    detail = "" if verdict else ("commutative" if commutative else ce.detail)
     return EssentialityVerdict(
         "non-commutative centrally essential (definitional)",
         verdict,

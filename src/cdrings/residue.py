@@ -20,10 +20,12 @@ instead, and `contains` tests each coordinate for divisibility by n / g_l
 (`Submodule.coordinate_sum`). Every submodule stores its orders g, or None,
 once, when it is built; `coordinate_orders` reads them back.
 
-`Submodule.code_order` reads the elements of a span in code order (the
-`all_vectors` order, `np.lexsort(rows.T)`) by index, without listing them: a
-mixed-radix walk over the Howell rows of the span with its coordinates
-reversed, each digit shifted by what the slower rows left in its pivot column.
+The package lists and reads submodules in one order, the walk of their
+Howell rows (`Submodule.walk`): the mixed-radix sums of the rows, the first
+row fastest, zero first. `elements` and `all_vectors` list it, and `_walker`
+reads it by index without listing. For a coordinate sum, and so for the whole
+module, it is code order: coordinate 0 fastest, the order of
+`np.lexsort(rows.T)`.
 
 All vectors are rows; the kernel convention throughout the package is the
 left kernel {v : v @ m = 0}.
@@ -351,10 +353,10 @@ class Submodule:
         return coeffs[0] if inside[0] else None
 
     def elements(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-        """All elements of the span as an (order, d) array: the sums
-        c_1 g_1 + ... + c_k g_k mod n over the canonical generators g_i, with
-        0 <= c_i < n / p_i for pivot value p_i, in `itertools.product` order
-        of the coefficients (c_1 slowest, c_k fastest), so zero comes first.
+        """All elements of the span as an (order, d) array, in `walk` order:
+        the sums c_1 g_1 + ... + c_k g_k mod n over the canonical generators
+        g_i, with 0 <= c_i < n / p_i for pivot value p_i, c_1 fastest, so zero
+        comes first.
 
         Raises EnumerationBudgetExceeded instead of silently truncating.
         """
@@ -364,52 +366,11 @@ class Submodule:
         return _combinations(*self.walk(), self.modulus)
 
     def walk(self) -> tuple[np.ndarray, list[int]]:
-        """The (generators, radices) whose `_combinations` walk lists the
-        elements in `elements` order: the canonical generators g_i, last
-        first, each with its radix n / p_i for pivot value p_i."""
-        radices = [self.modulus // p for _, p in self.pivots]
-        return self.generators[::-1], radices[::-1]
-
-    def code_order(self):
-        """The function from indices to int64 rows that reads the elements
-        sorted in code order (`np.lexsort(self.elements().T)`, the
-        `all_vectors` order: the last coordinate the most significant, zero
-        first) by index, without listing them.
-
-        With the coordinates reversed, code order is lexicographic, so it is
-        a mixed-radix walk over the Howell rows r_j of the reversed span,
-        pivot p_j in column P_j, row 0 slowest: given the sum x of the rows
-        before j, the values x[P_j] + a p_j mod n, 0 <= a < n / p_j, are
-        x[P_j] mod p_j + m p_j in increasing order of m, so index digit m_j
-        takes a_j = (m_j - x[P_j] // p_j) mod (n / p_j). When no row has an
-        entry in a later row's pivot column, x[P_j] is 0 and a_j = m_j, so
-        the rows are one `_walker` matmul; for a coordinate sum, whose rows
-        are single entries, that is the walk of its own rows, the first
-        fastest, with no elimination. The rows and radices are worked out
-        once, here. Every term is below n^2, exact wherever
-        `_require_exact` admits the rank.
-        """
-        n, d = self.modulus, self.ambient_rank
-        if self._orders is not None:
-            return _walker(self.generators, [n // p for _, p in self.pivots], n)
-        flipped, cols = _howell(self.generators[:, ::-1], n)
-        rows, cols = flipped[:, ::-1], [d - 1 - c for c in cols]
-        pivots = [int(rows[j, c]) for j, c in enumerate(cols)]
-        radices = [n // p for p in pivots]
-        if not any(rows[:j, c].any() for j, c in enumerate(cols)):
-            return _walker(rows[::-1], radices[::-1], n)
-        strides = np.cumprod([1, *radices[:0:-1]], dtype=np.int64)[::-1]
-
-        def rows_at(ids) -> np.ndarray:
-            ids = np.asarray(ids, dtype=np.int64)
-            x = np.zeros((len(ids), d), dtype=np.int64)
-            for row, col, p, r, stride in zip(rows, cols, pivots, radices, strides):
-                a = (ids // stride - x[:, col] // p) % r
-                x += a[:, None] * row
-                x %= n
-            return x
-
-        return rows_at
+        """The (generators, radices) of the package's one enumeration order,
+        walked by `_combinations` and read by index by `_walker`: the
+        canonical generators g_i, each with its radix n / p_i for pivot value
+        p_i, the first fastest. For a coordinate sum it is code order."""
+        return self.generators, [self.modulus // p for _, p in self.pivots]
 
     def __eq__(self, other) -> bool:
         return (
@@ -568,10 +529,6 @@ def _walker(generators: np.ndarray, radices, n: int):
 
 
 def all_vectors(modulus: int, rank: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
-    """Every vector of (Z/nZ)^rank, ordered by mixed-radix code (coordinate 0
-    fastest), zero first: the walk of the unit vectors, built anew on each
-    call."""
-    total = modulus**rank
-    if total > budget:
-        raise EnumerationBudgetExceeded(total, budget)
-    return _combinations(np.eye(rank, dtype=np.int64), [modulus] * rank, modulus)
+    """Every vector of (Z/nZ)^rank in code order (coordinate 0 fastest), zero
+    first: the elements of the full module, listed anew on each call."""
+    return Submodule.full(modulus, rank).elements(budget)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdrings import algebra, essentiality, residue
@@ -252,8 +252,8 @@ def test_witness_pre_pass_stops_each_candidate_at_its_first_hit(check):
 def sequential_scan(algebra, multipliers, target, universe, side, branches=None):
     """`_scan` with its witness pre-pass walked literally, one candidate at a
     time, each with its own products of every chunk of 64, 256, 1024, ...
-    multipliers in `np.lexsort` order; the sweep is the same s-outer loop
-    over the universe rows. Products come from the structure tensor
+    of the listed multiplier rows, in their listed order; the sweep is the
+    same s-outer loop over the universe rows. Products come from the structure tensor
     (`batch_mul`), membership in target \\ {0} from a table indexed by
     mixed-radix codes. Returns the verdict, witness and cost, and per walked
     candidate the pair (chunks walked, refuted); the sweep's dense and
@@ -264,7 +264,6 @@ def sequential_scan(algebra, multipliers, target, universe, side, branches=None)
     member = np.zeros(n**d, dtype=bool)
     member[target.elements() @ weights] = True
     member[0] = False
-    order = np.lexsort(multipliers.T)
     total = len(universe)
     cost, walks = 0, []
 
@@ -283,9 +282,9 @@ def sequential_scan(algebra, multipliers, target, universe, side, branches=None)
     for uid in candidates:
         u = universe[uid]
         start, size, chunks = 0, 64, 0
-        while start < len(order):
+        while start < len(multipliers):
             chunks += 1
-            if hits(times_candidate(multipliers[order[start : start + size]], u)).any():
+            if hits(times_candidate(multipliers[start : start + size], u)).any():
                 walks.append((chunks, False))
                 break
             start, size = start + size, 4 * size
@@ -294,8 +293,7 @@ def sequential_scan(algebra, multipliers, target, universe, side, branches=None)
             return False, tuple(int(t) for t in u), cost, walks
     satisfied = np.zeros(total, dtype=bool)
     satisfied[0] = True
-    for i in order:
-        s = multipliers[i]
+    for s in multipliers:
         if not s.any():
             continue
         remaining = np.flatnonzero(~satisfied)
@@ -336,11 +334,10 @@ def test_batched_pre_pass_matches_the_sequential_reference():
             universe = all_vectors(n, d)
             for side in ("left", "right"):
                 got = essentiality._scan(
-                    alg, S, T, (np.eye(d, dtype=np.int64), [n] * d),
-                    side=side, property_name="p", detail="",
+                    alg, S, T, Submodule.full(n, d), side=side, property_name="p", detail=""
                 )
                 verdict, witness, cost, walks = sequential_scan(
-                    alg, S.elements(), T, universe, side
+                    alg, _listed(S), T, universe, side
                 )
                 assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), (
                     base, params, side
@@ -360,12 +357,13 @@ def test_batched_pre_pass_matches_the_sequential_reference():
 
 
 def _listed(sub):
-    """The elements of sub in `Submodule.elements` order, listed without the
-    walk: `itertools.product` over the coefficients of the canonical
-    generators, the first one slowest."""
+    """The elements of sub in walk order, listed without the walk:
+    `itertools.product` over the coefficients of the canonical generators,
+    taken last first and reversed back, so that the first one varies
+    fastest."""
     radices = [sub.modulus // p for _, p in sub.pivots]
-    coeffs = np.array(list(itertools.product(*map(range, radices))), dtype=np.int64)
-    return coeffs @ sub.generators % sub.modulus
+    coeffs = [c[::-1] for c in itertools.product(*map(range, radices[::-1]))]
+    return np.array(coeffs, dtype=np.int64) @ sub.generators % sub.modulus
 
 
 def _recording(monkeypatch, module, walks):
@@ -400,9 +398,8 @@ def _recording_decodes(monkeypatch, module, decoded):
 
 
 def _walk_scan_cases(n, rank, trials):
-    """(algebra, S, T, universe walk, listed universe) for random S and T and
-    a universe that is the whole algebra or a random submodule U with
-    non-unit radices."""
+    """(algebra, S, T, U, listed U) for random S and T and a universe U that
+    is the whole algebra or a random submodule with non-unit radices."""
     alg = scalar_ring(n) if rank == 1 else tower(n, *[1] * (rank.bit_length() - 1))
     rng = random.Random(n * rank)
     divisors = [k for k in range(1, n + 1) if n % k == 0]
@@ -425,9 +422,9 @@ def _walk_scan_cases(n, rank, trials):
             k = rng.choice(divisors[:-1])
             U = Submodule.span(n, [[k * rng.randrange(n) for _ in range(rank)]
                                    for _ in range(rng.randint(1, rank))], rank)
-            yield alg, S, T, U.walk(), _listed(U)
+            yield alg, S, T, U, _listed(U)
         else:
-            yield alg, S, T, (np.eye(rank, dtype=np.int64), [n] * rank), all_vectors(n, rank)
+            yield alg, S, T, Submodule.full(n, rank), all_vectors(n, rank)
 
 
 @pytest.mark.parametrize(
@@ -453,13 +450,13 @@ def test_walk_scan_matches_the_sequential_reference(n, rank, walk_dtype, monkeyp
     _recording(monkeypatch, essentiality, dense_walks)
     branches, verdicts, radices = collections.Counter(), set(), set()
     for alg, S, T, universe, rows in _walk_scan_cases(n, rank, 32):
-        radices |= set(universe[1])
+        radices |= set(universe.walk()[1])
         for side in ("left", "right"):
             got = essentiality._scan(
                 alg, S, T, universe, side=side, property_name="p", detail=""
             )
             verdict, witness, cost, _ = sequential_scan(
-                alg, S.elements(), T, rows, side, branches
+                alg, _listed(S), T, rows, side, branches
             )
             assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), side
             verdicts.add(verdict)
@@ -484,13 +481,19 @@ def test_small_tiles_match_the_sequential_reference(n, rank, tile, monkeypatch):
     # reference's.
     monkeypatch.setattr(essentiality, "_TILE", tile)
     branches = collections.Counter()
-    for alg, S, T, universe, rows in _walk_scan_cases(n, rank, 12):
+    cases = list(_walk_scan_cases(n, rank, 12))
+    # The random trials reach no sparse pass at (4, 4); S = R and T the span
+    # of every basis vector but the last, over the whole algebra, do.
+    R, alg = Submodule.full(n, rank), cases[0][0]
+    first = Submodule.span(n, np.eye(rank, dtype=np.int64)[:-1], rank)
+    cases.append((alg, R, first, R, all_vectors(n, rank)))
+    for alg, S, T, universe, rows in cases:
         for side in ("left", "right"):
             got = essentiality._scan(
                 alg, S, T, universe, side=side, property_name="p", detail=""
             )
             verdict, witness, cost, _ = sequential_scan(
-                alg, S.elements(), T, rows, side, branches
+                alg, _listed(S), T, rows, side, branches
             )
             assert (got.verdict, got.witness, got.cost) == (verdict, witness, cost), side
     assert branches["dense"] > 0 and branches["sparse"] > 0
@@ -513,16 +516,21 @@ def test_ambient_scan_builds_no_int64_table_of_the_algebra(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, d",
-    [(2**31 - 1, 4), (2**31 - 1, 5), (2**31, 3), (2, 61), (2, 62), (3, 39), (3, 40), (7, 9)],
+    [
+        (2**31 - 1, 4), (2**31 - 1, 5), (2**31, 3), (2, 61), (2, 62), (3, 39), (3, 40), (7, 9),
+        (2**31 - 2, 2), (4, 4), (12, 3), (30, 2), (36, 3),
+    ],
 )
 def test_packed_keys_give_the_lexsort_order(n, d):
-    # The scan reads its multipliers in the order of `np.lexsort` by index
-    # (`Submodule.code_order`), with no key packed from the rows: (2^31 - 1)^2
+    # The scan reads its multipliers by walk index (`Submodule.walk`,
+    # `residue._walker`), with no key packed from the rows. On every
+    # coordinate sum, the whole algebra among them, that walk is the order of
+    # `np.lexsort`, the order every golden cost was recorded in. (2^31 - 1)^2
     # < 2^62 <= (2^31)^2, 2^61 < 2^62 and 3^39 < 2^62 < 3^40, so each pair
     # sits on both sides of where one int64 key per row of Z_n^d ran out.
     # Where the modulus rule refuses rank d, no submodule of Z_n^d exists and
-    # the largest rank it admits is read instead. Ties and the extreme
-    # residues 0, 1, n - 2 and n - 1 are drawn often.
+    # the largest rank it admits is read instead. Walk indices are int64, so
+    # a drawn sum with more than 2^62 elements loses nontrivial orders first.
     rank = d
     while True:
         try:
@@ -532,23 +540,24 @@ def test_packed_keys_give_the_lexsort_order(n, d):
             rank -= 1
     assert rank == d or (rank == 2 and n >= 2**31 - 1)
     rng = np.random.default_rng(d)
-    picks = np.array([0, 1, n - 2, n - 1], dtype=np.int64)
-    most = {2: 10, 3: 6, 7: 4}.get(n, 2)
+    divisors = sorted({math.gcd(n, k) for k in range(1, 65)} | {n})
+    sums = [Submodule.zero(n, rank), Submodule.full(n, rank)]
     for _ in range(30):
-        k = int(rng.integers(1, most + 1))
-        rows = np.where(
-            rng.random((k, rank)) < 0.5,
-            picks[rng.integers(0, 4, (k, rank))],
-            rng.integers(0, n, (k, rank), dtype=np.int64),
-        )
-        if n == 2**31 and rng.random() < 0.5:
-            rows = rows * (n // 2 ** int(rng.integers(1, 9))) % n
-        s = Submodule.span(n, np.vstack([rows, rows[:1]]), rank)
-        rows_at, size = s.code_order(), s.order()
+        g = rng.choice(divisors, rank)
+        while math.prod(int(x) for x in g) > 2**62:
+            g[rng.choice(np.flatnonzero(g > 1))] = 1
+        sums.append(Submodule.coordinate_sum(n, g))
+    for s in sums:
+        size = s.order()
+        if size > 2**62:
+            assert s == Submodule.full(n, rank) and n**rank == size
+            continue
+        rows_at = residue._walker(*s.walk(), n)
         if size <= 2**16:
             listed = s.elements()
-            want = listed[np.lexsort(listed.T)]
-            assert np.array_equal(rows_at(np.arange(size)), want)
+            assert np.array_equal(rows_at(np.arange(size)), listed)
+            assert np.array_equal(np.lexsort(listed.T), np.arange(size))
+            assert len(np.unique(listed, axis=0)) == size and s.contains(listed).all()
             continue
         # Too many to list: sorted ids, the ends and runs of neighbours among
         # them, read rows of s strictly increasing in lexsort order.
@@ -590,8 +599,7 @@ def test_scan_refuses_more_multipliers_than_the_budget(monkeypatch):
     monkeypatch.setattr(FiniteAlgebra, "mul_matrices", no_products)
     with pytest.raises(EnumerationBudgetExceeded) as info:
         essentiality._scan(
-            R, S, S, (np.eye(4, dtype=np.int64), [3] * 4),
-            side="left", property_name="p", detail="", budget=80,
+            R, S, S, Submodule.full(3, 4), side="left", property_name="p", detail="", budget=80
         )
     assert (info.value.required, info.value.budget) == (81, 80)
 
@@ -981,7 +989,7 @@ def _socle_cases(algebra):
 def _socle_verdict(algebra, S, T, M, side):
     """The socle verdict of T in the S-module M, asked directly."""
     return essentiality._socle(
-        algebra, S, T, M, side=side, property_name="p", budget=2**20, required=0
+        algebra, S, T, M, side=side, property_name="p", budget=2**20
     )
 
 
@@ -1069,6 +1077,63 @@ def test_socle_equals_the_scan_off_the_coordinate_pattern(gens, witness):
     assert multiples & submodule_set(S) == {(0, 0)}
 
 
+@st.composite
+def _spans_off_the_coordinate_pattern(draw):
+    """(algebra, S, T, U): S a span that is no coordinate sum, T and U random
+    spans (U sometimes the whole algebra), over Z68 x Z68, Z9[x]/(x^2) or a
+    unit tower over Z4, Z6 or Z9 (rank 2 or 4) or Z12 (rank 2)."""
+    kind = draw(st.sampled_from(["z68", "dual numbers", "tower"]))
+    if kind == "z68":
+        alg = _z68_squared()
+    elif kind == "dual numbers":
+        alg = _dual_numbers(9)
+    else:
+        n = draw(st.sampled_from((4, 6, 9, 12)))
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        depth = draw(st.integers(1, 1 if n == 12 else 2))
+        alg = tower(n, *draw(st.lists(st.sampled_from(units), min_size=depth, max_size=depth)))
+    n, d = alg.modulus, alg.rank
+    entry = st.one_of(st.integers(0, n - 1), st.sampled_from((1, n // 2, n // 4 or 1)))
+
+    def span(min_rows):
+        row = st.lists(entry, min_size=d, max_size=d)
+        rows = draw(st.lists(row, min_size=min_rows, max_size=3))
+        return Submodule.span(n, np.array(rows, dtype=np.int64).reshape(-1, d), d)
+
+    S = span(1)
+    assume(S.coordinate_orders() is None)
+    T = S if draw(st.booleans()) else span(0)
+    U = Submodule.full(n, d) if draw(st.booleans()) else span(1)
+    return alg, S, T, U
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_spans_off_the_coordinate_pattern(), st.randoms(use_true_random=False))
+@example(
+    case=(
+        tower(9, 1, 1),
+        Submodule.span(9, [[1, 1, 1, 1], [0, 3, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]], 4),
+        Submodule.span(9, [[1, 1, 1, 8]], 4),
+        Submodule.full(9, 4),
+    ),
+    rng=random.Random(0),
+)
+def test_scan_verdict_and_witness_ignore_the_order_of_s(case, rng):
+    # Whether a pre-pass candidate or a universe element is ever met does not
+    # depend on the order in which S is read, and neither does the witness:
+    # the scan's verdict and witness equal those of the reference walking S
+    # in any order. Only the cost follows the order. In the explicit example
+    # a pre-pass candidate is met only past the first chunk of 64 multipliers.
+    alg, S, T, U = case
+    order = list(range(S.order()))
+    rng.shuffle(order)
+    shuffled = _listed(S)[order]
+    for side in ("left", "right"):
+        got = essentiality._scan(alg, S, T, U, side=side, property_name="p", detail="")
+        verdict, witness, _, _ = sequential_scan(alg, shuffled, T, _listed(U), side)
+        assert (got.verdict, got.witness) == (verdict, witness), side
+
+
 def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
     # The twist and the coordinate-sum layout belong to algebra, analysis and
     # residue; the socle route reaches them only through `Submodule`.
@@ -1082,11 +1147,17 @@ def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
 
 
 def test_essentiality_lists_no_multipliers_and_forms_no_single_matrices():
-    # The scan reads S by index (`Submodule.code_order`) and forms the
+    # The scan reads S by index along its walk (`Submodule.walk`), the one
+    # enumeration order, with no sort or second decoder, and forms the
     # sweep's matrices in blocks (`FiniteAlgebra.mul_matrices`).
     tree = ast.parse(Path(essentiality.__file__).read_text())
-    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not names & {"elements", "left_mul_matrix", "right_mul_matrix"}
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"elements", "left_mul_matrix", "right_mul_matrix", "code_order", "lexsort"}
+    assert not hasattr(Submodule, "code_order")
 
 
 @st.composite

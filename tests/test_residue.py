@@ -515,13 +515,14 @@ def _enumerable_spans(draw, moduli, max_rank):
 
 
 def _assert_coefficient_order(t: Submodule):
-    """`elements()` is the sums of the canonical generators in
-    `itertools.product` order of the coefficients, in Python ints."""
+    """`elements()` is the sums of the canonical generators with the
+    coefficient of the first varying fastest (`itertools.product` over the
+    reversed radices, each tuple reversed back), in Python ints."""
     n, gens = t.modulus, t.generators.tolist()
     radices = [n // p for _, p in t.pivots]
     expected = [
-        [sum(c * g[j] for c, g in zip(cs, gens)) % n for j in range(t.ambient_rank)]
-        for cs in itertools.product(*map(range, radices))
+        [sum(c * g[j] for c, g in zip(cs[::-1], gens)) % n for j in range(t.ambient_rank)]
+        for cs in itertools.product(*map(range, radices[::-1]))
     ]
     got = t.elements()
     assert got.dtype == np.int64 and got.shape == (t.order(), t.ambient_rank)
@@ -623,59 +624,6 @@ def test_intersect_of_coordinate_sums_equals_the_elimination(case):
     assert got == want and got.pivots == want.pivots
     # Each coordinate sum is its own Howell form.
     assert a == Submodule._from_howell(n, *_howell(np.diag(n // g), n))
-
-
-@st.composite
-def _code_order_spans(draw):
-    """A submodule of at most 36^3 elements: a span of random rows over a
-    composite modulus (orders 1 and n, the zero submodule among them), a
-    coordinate sum, or, at n = 2^31 - 2, 2^31 - 1 and 2^31, a span of rows
-    scaled by n / k for divisors k <= 64 of n, so that |S| <= 4,096 (only
-    the zero submodule at the prime 2^31 - 1)."""
-    kind = draw(st.sampled_from(["rows", "coordinate sum", "int64 bound"]))
-    if kind == "int64 bound":
-        n = draw(st.sampled_from([2**31 - 2, 2**31 - 1, 2**31]))
-        d = draw(st.integers(1, 2))
-        ks = [k for k in range(1, 65) if n % k == 0]
-        rows = [
-            [draw(st.integers(0, n - 1)) * (n // draw(st.sampled_from(ks))) % n for _ in range(d)]
-            for _ in range(draw(st.integers(0, 3)))
-        ]
-        return Submodule.span(n, np.array(rows, dtype=np.int64).reshape(-1, d), d)
-    n = draw(st.sampled_from((4, 6, 8, 9, 12, 30, 36)))
-    d = draw(st.integers(1, 4 if n <= 8 else 3 if n <= 12 else 2))
-    if kind == "coordinate sum":
-        orders = st.lists(st.sampled_from(_divisors(n)), min_size=d, max_size=d)
-        return Submodule.coordinate_sum(n, draw(orders))
-    entry = st.one_of(st.integers(0, n - 1), st.sampled_from([0, 1, n - 1, n // 2, n // 3]))
-    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), max_size=d + 1))
-    return Submodule.span(n, np.array(rows, dtype=np.int64).reshape(-1, d), d)
-
-
-def test_code_order_decode_gives_the_lexsort_order():
-    # The rows `code_order` decodes at 0..|S| - 1, and at any ids, are those
-    # of the listed elements sorted by `np.lexsort`, the scan's multiplier
-    # order. Some drawn spans need the rotated digits: the plain mixed-radix
-    # walk of the Howell rows of the reversed span is not in that order.
-    rotated = []
-
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(s=_code_order_spans(), data=st.data())
-    def check(s, data):
-        listed = s.elements()
-        want = listed[np.lexsort(listed.T)]
-        rows_at = s.code_order()
-        got = rows_at(np.arange(s.order()))
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-        ids = data.draw(st.lists(st.integers(0, s.order() - 1), max_size=20))
-        assert np.array_equal(rows_at(np.array(ids, dtype=np.int64)), want[ids])
-        flipped, cols = _howell(s.generators[:, ::-1], s.modulus)
-        radices = [s.modulus // int(flipped[j, c]) for j, c in enumerate(cols)]
-        plain = _walker(flipped[::-1, ::-1], radices[::-1], s.modulus)(range(s.order()))
-        rotated.append(not np.array_equal(plain, want))
-
-    check()
-    assert any(rotated)
 
 
 @pytest.mark.parametrize("n, d", [(4, 3), (12, 3), (30, 2), (36, 2), (2**31 - 1, 2)])
