@@ -11,13 +11,14 @@ structure tensor has one reader for products: `FiniteAlgebra.mul_matrices`
 forms the left or right multiplication matrices of a stack of elements as
 one `residue._matmul_mod`, in the narrowest dtype `residue._exact_dtype`
 finds exact, and `mul`, validation, doubling, the product tensors and the
-kernel routes of `analysis` and `essentiality` all take it. Whether the
-algebra is a twisted group algebra is read once, at construction, into
-`FiniteAlgebra.twist` (`_twist`). An algebra built from its twist
-(`FiniteAlgebra.from_twist`, as `doubling.double` builds the doubles of a
-tower) holds f alone and builds the tensor on first read of `structure`;
-validation, the centers, the stage data and the identity flags of a
-twisted algebra read f instead.
+kernel routes of `analysis` and `essentiality` all take it. The package
+writes every twisted group algebra it builds (`scalar_ring`, the doubles
+of a tower, the quaternion and octonion presentations) from its twist
+(`FiniteAlgebra.from_twist`): it holds f alone and builds the tensor on
+first read of `structure`. Only an algebra built from a tensor (a loaded
+document, a double off the pattern) has the pattern detected, once, at
+construction, into `FiniteAlgebra.twist` (`_twist`). Validation, the
+centers, the stage data and the identity flags of a twisted algebra read f.
 
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
@@ -236,13 +237,10 @@ class FiniteAlgebra:
 
 
 def scalar_ring(n: int, name: str | None = None) -> FiniteAlgebra:
-    """Z/nZ as a rank-1 algebra with the identity involution."""
-    structure = np.ones((1, 1, 1), dtype=np.int64)
-    alg = FiniteAlgebra(
-        n, structure, [1], [[1]], labels=["1"], name=name or f"Z{n}"
-    )
-    ensure_valid(alg)
-    return alg
+    """Z/nZ as a rank-1 algebra with the identity involution: the twisted
+    group algebra of the trivial group, e_0 e_0 = 1 e_0."""
+    alg = FiniteAlgebra.from_twist(n, [[1]], [1], [[1]], labels=["1"], name=name or f"Z{n}")
+    return ensure_valid(alg)
 
 
 # -- validation -------------------------------------------------------------

@@ -3,9 +3,9 @@
 No center is found by element enumeration; that is reserved for the
 desk-scale oracles in the test suite. Every Cayley-Dickson tower with scalar
 parameters is a twisted group algebra over (Z/2)^k, e_i e_j = f(i, j)
-e_{i xor j}: `doubling.double` builds its stages from f, and one
-vectorized test of the structure tensor detects the pattern in an algebra
-built from a tensor (`FiniteAlgebra.twist`, None off the pattern).
+e_{i xor j}: every stage is built from f (`FiniteAlgebra.from_twist`), and
+one vectorized test of the structure tensor detects the pattern in an
+algebra built from a tensor (`FiniteAlgebra.twist`, None off the pattern).
 There each associator and commutator condition touches one coordinate of
 x, so N, K and Z are direct sums of coordinate annihilators (n / g_l) e_l
 with g_l a gcd of values of f, read off arrays of size d^3 (in the
@@ -13,9 +13,10 @@ narrowest integer dtype that holds them, `_twisted_associators`) and d^2,
 and no twisted route reads the structure tensor.
 Every other algebra (a rank that is not a power of two, a loaded document
 or a double by a non-scalar alpha off the pattern) takes the kernel route:
-the left kernel of a stacked basis-indexed linear system
+`residue.kernel` of basis-indexed condition blocks
 (`_associative_center_kernel`, `_commutative_center_kernel`), which is also
-the oracle the closed forms are tested against (`_kernel_center`). Every
+the oracle the closed forms are tested against (`_kernel_center`); on a
+tower's blocks `kernel` reads the same coordinate sums off gcds. Every
 multiplication matrix the kernel routes need comes from
 `FiniteAlgebra.mul_matrices`.
 
@@ -55,14 +56,7 @@ import numpy as np
 from .algebra import FiniteAlgebra, _twisted_associators, associator_tensor, product_tensors
 from .doubling import _require_doubled
 from .errors import DimensionMismatch, StageMismatch
-from .residue import (
-    ResidueMatrix,
-    Submodule,
-    _distinct_columns,
-    _matmul_mod,
-    intersect,
-    kernel,
-)
+from .residue import ResidueMatrix, Submodule, _matmul_mod, intersect, kernel
 
 
 @dataclass(frozen=True)
@@ -138,24 +132,19 @@ def _associative_center_kernel(algebra: FiniteAlgebra) -> Submodule:
     """N of any algebra, and the oracle of the closed form.
 
     Each condition is linear in x once a, b range over basis pairs, so N is
-    the left kernel of the associator tensor with x moved to each of its
-    three slots in turn, the blocks stacked horizontally. The full d x 3d^3
-    stack is never built: a block whose columns have at most one nonzero
-    entry each (every block of a twisted algebra) has the left kernel of
-    diag(gcd(n, its row gcds)) and is replaced by that diagonal, which keeps
-    the coordinate pattern `kernel` reads off gcds; any other block is cut
-    to its distinct columns.
+    the meet of the left kernels of the associator tensor with x moved to
+    each of its three slots in turn, each block handed to `kernel` as it is:
+    `kernel` reads a block whose columns have at most one nonzero entry
+    (every block of a twisted algebra) off gcds and eliminates the distinct
+    columns of any other.
     """
     n, d = algebra.modulus, algebra.rank
     t = associator_tensor(algebra)
-    blocks = []
-    for s in range(3):
-        block = np.moveaxis(t, s, 0).reshape(d, -1)
-        if (np.count_nonzero(block, axis=0) <= 1).all():
-            blocks.append(np.diag(np.gcd(n, np.gcd.reduce(block, axis=1))))
-        else:
-            blocks.append(_distinct_columns(block, n))
-    return kernel(ResidueMatrix(n, np.concatenate(blocks, axis=1)))
+    kernels = (
+        kernel(ResidueMatrix._from_reduced(n, np.moveaxis(t, s, 0).reshape(d, -1)))
+        for s in range(3)
+    )
+    return functools.reduce(intersect, kernels)
 
 
 def commutative_center(algebra: FiniteAlgebra) -> Submodule:

@@ -1,7 +1,10 @@
 """Direct presentations of the rank-4 and rank-8 algebras over Z/nZ.
 
-`quaternion_algebra(n, a, b)` writes down the structure constants of the
-generalized quaternion algebra on the basis (1, i, j, k):
+Both are twisted group algebras e_x e_y = f(x, y) e_{x xor y}, built from
+their twist f (`FiniteAlgebra.from_twist`). `quaternion_algebra(n, a, b)`
+writes the relations of the generalized quaternion algebra on the basis
+(1, i, j, k) as f, with no doubling, a route to the depth-2 tower
+independent of `doubling.double`:
 
     i^2 = a,  j^2 = b,  ij = -ji = k,  ik = -ki = aj,  kj = -jk = bi,
     k^2 = -ab (forced by the relations), involution fixing 1 and negating
@@ -10,8 +13,9 @@ generalized quaternion algebra on the basis (1, i, j, k):
 `octonion_algebra(n, a, b, c)` is deliberately not an independent table: it
 is the depth-3 doubling tower relabeled through the basis correspondence
 1, i, j, k, l, il, jl, kl (in pair coordinates k = (0, -i), il = (0, -i),
-jl = (0, -j), kl = (0, -k) of the relevant stages). `verify_basis_map`
-checks such signed relabelings exactly, tensor entry by tensor entry.
+jl = (0, -j), kl = (0, -k) of the relevant stages), signed on the stage's
+twist. `verify_basis_map` checks such signed relabelings exactly, tensor
+entry by tensor entry.
 """
 
 from __future__ import annotations
@@ -33,30 +37,17 @@ def require_units(n: int, *params: int) -> None:
 
 
 def quaternion_algebra(n: int, a: int, b: int) -> FiniteAlgebra:
-    """The generalized quaternion algebra on basis (1, i, j, k) over Z/nZ."""
+    """The generalized quaternion algebra on basis (1, i, j, k) over Z/nZ:
+    row x of the twist holds x 1, x i, x j, x k (i xor j = k, so ij = k is
+    f(i, j) = 1)."""
     require_units(n, a, b)
     a %= n
     b %= n
-    d = 4
-    c = np.zeros((d, d, d), dtype=np.int64)
-    one, i, j, k = range(4)
-    for x in range(d):
-        c[one, x, x] += 1
-        c[x, one, x] += 1
-    c[one, one, one] -= 1  # 1*1 counted twice above
-    c[i, i, one] = a
-    c[j, j, one] = b
-    c[k, k, one] = (-a * b) % n
-    c[i, j, k] = 1
-    c[j, i, k] = -1 % n
-    c[i, k, j] = a
-    c[k, i, j] = (-a) % n
-    c[k, j, i] = b
-    c[j, k, i] = (-b) % n
+    twist = [[1, 1, 1, 1], [1, a, 1, a], [1, -1, b, -b], [1, -a, b, -a * b % n]]
     involution = np.diag([1, -1, -1, -1]) % n
-    alg = FiniteAlgebra(
+    alg = FiniteAlgebra.from_twist(
         n,
-        c % n,
+        twist,
         [1, 0, 0, 0],
         involution,
         labels=["1", "i", "j", "k"],
@@ -84,11 +75,14 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
     require_units(n, a, b, c)
     stage = build_tower(TowerSpec(n, (a % n, b % n, c % n)))[-1]
     s = _OCTONION_SIGNS  # applied as +-1, so no product leaves [-(n-1), n-1]
-    tensor = stage.structure * np.einsum("p,q,r->pqr", s, s, s) % n
+    i = np.arange(8)
+    # e_p e_q = f(p, q) e_{p xor q} becomes s_p s_q s_{p xor q} f(p, q) once
+    # each basis element is signed.
+    twist = stage.twist * np.outer(s, s) * s[i[:, None] ^ i] % n
     involution = stage.involution * np.outer(s, s) % n
-    alg = FiniteAlgebra(
+    alg = FiniteAlgebra.from_twist(
         n,
-        tensor,
+        twist,
         stage.unit,
         involution,
         labels=list(_OCTONION_LABELS),

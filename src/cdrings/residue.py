@@ -427,11 +427,10 @@ def kernel(m: ResidueMatrix) -> Submodule:
     touches one coordinate: v_p m[p, j] = 0 for all j holds iff v_p is a
     multiple of n / g_p, g_p = gcd(n, the entries of row p), so the kernel
     is the coordinate sum of orders g and no elimination runs (the dual of a
-    coordinate sum, and the condition matrices of a twisted group algebra).
+    coordinate sum, and the condition blocks of a twisted group algebra).
     Otherwise duplicate and zero columns are dropped first
     (`_distinct_columns`): the kernel depends only on the set of columns,
-    and condition matrices are mostly repeats (the associator blocks of the
-    rank-32 tower(3, 1, ..., 1) have 98,304 columns and 62 distinct ones).
+    and condition matrices are mostly repeats.
     """
     _require_exact(m.modulus, m.rows)
     if (np.count_nonzero(m.array, axis=0) <= 1).all():

@@ -36,7 +36,7 @@ from cdrings.analysis import (
     predicted_associative_center,
     predicted_center,
 )
-from cdrings.document import algebra_to_document, document_to_algebra
+from cdrings.document import algebra_to_document, document_to_algebra, load_algebra, save_algebra
 from cdrings.doubling import TowerSpec, build_tower, double, embed, nu, tower
 from cdrings.errors import (
     CertificationError,
@@ -46,6 +46,7 @@ from cdrings.errors import (
     NotCentral,
 )
 from cdrings.essentiality import is_centrally_essential, is_left_n_essential, is_right_n_essential
+from cdrings.presentations import octonion_algebra, quaternion_algebra
 from cdrings.residue import _exact_dtype, all_vectors
 from cdrings.suites import sweep_towers
 from test_analysis import _twists_with_diagonal_involutions
@@ -766,7 +767,7 @@ def test_mul_matrices_equal_the_int64_einsum(case):
             assert np.array_equal(y @ mat % n, product), side
 
 
-def test_each_algebra_reads_its_twist_once(monkeypatch):
+def test_each_algebra_reads_its_twist_once(monkeypatch, tmp_path):
     built = []
     read = algebra_module._twist
 
@@ -775,6 +776,10 @@ def test_each_algebra_reads_its_twist_once(monkeypatch):
         return read(algebra)
 
     monkeypatch.setattr(algebra_module, "_twist", counted)
+    # Every algebra the package writes is built from its twist
+    # (`FiniteAlgebra.from_twist`) and never reads one: the base ring, every
+    # double and the presentations, even after a tensor is built for the
+    # scans.
     stages = build_tower(TowerSpec(3, (1, 1, 1, 1)))
     top = stages[-1]
     essentiality_data(top)
@@ -782,18 +787,21 @@ def test_each_algebra_reads_its_twist_once(monkeypatch):
     identity_flags(top)
     for check in (is_centrally_essential, is_left_n_essential, is_right_n_essential):
         check(top)
-    # The base ring is built from its tensor and reads its twist once; every
-    # double is built from its twist (`FiniteAlgebra.from_twist`) and never
-    # reads one, even after its tensor is built for the scans.
-    assert len(built) == 1 and built[0] is stages[0]
+    quaternion_algebra(3, 1, 2)
+    octonion_algebra(3, 1, 2, 1)
+    assert built == []
     assert top._structure is not None
     for stage in stages:
         assert stage.twist is not None and not stage.twist.flags.writeable
-    copy = FiniteAlgebra(3, top.structure, top.unit, top.involution)
-    assert len(built) == 2 and built[1] is copy
-    assert np.array_equal(copy.twist, top.twist)
     with pytest.raises(ValueError):
         top.twist[0, 0] = 2
+    # A copy built from the tensor, and a saved tower loaded back, each read
+    # the twist once, read-only and equal to the original.
+    copy = FiniteAlgebra(3, top.structure, top.unit, top.involution)
+    loaded = load_algebra(save_algebra(tmp_path / "tower.json", top))
+    assert len(built) == 2 and built[0] is copy and built[1] is loaded
+    for algebra in built:
+        assert np.array_equal(algebra.twist, top.twist) and not algebra.twist.flags.writeable
     # The twist is read off the reduced tensor: shifted by -3, every entry of
     # the Z3 quaternions is nonzero until it is reduced.
     quaternions = stages[2]

@@ -33,6 +33,7 @@ from cdrings.residue import Submodule, _tail, all_vectors, intersect, kernel
 from cdrings.suites import sweep_towers
 
 from conftest import brute_span, holds_on_basis, identity_difference, submodule_set
+from test_residue import _counting_howell
 
 
 @pytest.fixture(scope="module")
@@ -713,26 +714,12 @@ def test_the_lemma_2_1_suite_reports_the_pairwise_witness(shrink, monkeypatch):
 
 
 def _kernel_of_the_full_stack(algebra):
-    """N as `_tail` of [the three full associator blocks | I]: no block is
-    deduplicated or replaced by its diagonal."""
+    """N as `_tail` of [the three full associator blocks | I]: one
+    elimination, no block deduplicated or read off gcds."""
     n, d = algebra.modulus, algebra.rank
     t = associator_tensor(algebra)
     stack = np.concatenate([np.moveaxis(t, s, 0).reshape(d, -1) for s in range(3)], axis=1)
     return _tail(np.hstack([stack, np.eye(d, dtype=np.int64)]), stack.shape[1], n)
-
-
-@pytest.fixture
-def distinct_column_calls(monkeypatch):
-    """How often `_associative_center_kernel` deduplicates a block."""
-    calls = []
-    real = analysis._distinct_columns
-
-    def counted(arr, n):
-        calls.append(arr.shape)
-        return real(arr, n)
-
-    monkeypatch.setattr(analysis, "_distinct_columns", counted)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -740,13 +727,19 @@ def distinct_column_calls(monkeypatch):
     [(2, 1, 1, 1), (3, 1, 1, 1), (4, 1, 3, 1), (6, 1, 5, 5), (9, 2, 1, 4), (2, 1, 1, 1, 1)],
     ids=str,
 )
-def test_kernel_oracle_of_towers_equals_the_full_stack(params, distinct_column_calls):
+def test_kernel_oracle_of_towers_equals_the_full_stack(params, monkeypatch):
     algebra = tower(*params)
     assert algebra.twist is not None
-    got = _associative_center_kernel(algebra)
     want = _kernel_of_the_full_stack(algebra)
+
+    def no_elimination(rows, n):
+        raise AssertionError(f"Howell elimination of a {rows.shape} block")
+
+    # Every slot block of a tower is on the coordinate pattern, so `kernel`
+    # reads each off gcds and `intersect` meets them coordinate by coordinate.
+    monkeypatch.setattr(residue, "_howell", no_elimination)
+    got = _associative_center_kernel(algebra)
     assert got == want and got.pivots == want.pivots
-    assert distinct_column_calls == []
 
 
 def _off_pattern_algebras():
@@ -765,13 +758,18 @@ def _off_pattern_algebras():
     yield double(tower(6, 1, 1), [4, 3, 0, 0])
 
 
-def test_kernel_oracle_off_the_pattern_equals_the_full_stack(distinct_column_calls):
+def test_kernel_oracle_off_the_pattern_equals_the_full_stack(monkeypatch):
+    eliminations = []
     for algebra in _off_pattern_algebras():
         assert algebra.twist is None
-        got = _associative_center_kernel(algebra)
         want = _kernel_of_the_full_stack(algebra)
+        with monkeypatch.context() as m:
+            eliminations.append(_counting_howell(m))
+            got = _associative_center_kernel(algebra)
         assert got == want and got.pivots == want.pivots
-    assert distinct_column_calls  # the mixed algebra dedupes one block
+    # The mixed algebra's first slot block has a column with two entries, so
+    # its kernel runs an elimination.
+    assert len(eliminations[1]) >= 1
 
 
 # -- the twisted stage data against the closure and kernel routes ------------

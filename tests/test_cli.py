@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -546,6 +547,24 @@ def test_suite_signatures_match_the_readme_flags_table():
             documented[suite] = params
     taken = {name: set(inspect.signature(fn).parameters) for name, fn in SUITES.items()}
     assert taken == documented
+
+
+def test_the_readme_library_example_runs_and_its_true_lines_hold():
+    # The block under "## Library" runs as written, and every expression
+    # marked `# True` there, the closed form of N against the default route
+    # among them, evaluates to True.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    claims = [line.split("#")[0].strip() for line in lines if line.endswith("# True")]
+    assert "predicted_associative_center(data, R) == associative_center(R)" in claims
+    namespace = {}
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if code in claims:
+            assert eval(code, namespace) is True, code
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
 
 
 def test_build_reduces_a_parameter_beyond_int64(tmp_path, capsys):

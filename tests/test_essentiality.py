@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cdrings import algebra, essentiality, residue
+from cdrings import algebra, analysis, essentiality, residue
 from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
 from cdrings.analysis import associative_center, center, essentiality_data
 from cdrings.doubling import double, tower, unit_towers
@@ -1134,28 +1134,34 @@ def test_scan_verdict_and_witness_ignore_the_order_of_s(case, rng):
         assert (got.verdict, got.witness) == (verdict, witness), side
 
 
-def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
-    # The twist and the coordinate-sum layout belong to algebra, analysis and
-    # residue; the socle route reaches them only through `Submodule`.
-    tree = ast.parse(Path(essentiality.__file__).read_text())
-    names = {
+def _names(module) -> set[str]:
+    """Every name and attribute name the module's source mentions."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {
         node.attr if isinstance(node, ast.Attribute) else node.id
         for node in ast.walk(tree)
         if isinstance(node, (ast.Attribute, ast.Name))
     }
-    assert not names & {"twist", "coordinate_orders"}
+
+
+def test_essentiality_reads_neither_the_twist_nor_coordinate_orders():
+    # The twist and the coordinate-sum layout belong to algebra, analysis and
+    # residue; the socle route reaches them only through `Submodule`.
+    assert not _names(essentiality) & {"twist", "coordinate_orders"}
+
+
+def test_analysis_keeps_no_coordinate_test_or_column_dedupe():
+    # The kernel oracle hands its condition blocks to `residue.kernel` as
+    # they are: which blocks are coordinate patterns, and which columns
+    # repeat, is known to `residue` alone.
+    assert not _names(analysis) & {"_distinct_columns", "count_nonzero"}
 
 
 def test_essentiality_lists_no_multipliers_and_forms_no_single_matrices():
     # The scan reads S by index along its walk (`Submodule.walk`), the one
     # enumeration order, with no sort or second decoder, and forms the
     # sweep's matrices in blocks (`FiniteAlgebra.mul_matrices`).
-    tree = ast.parse(Path(essentiality.__file__).read_text())
-    names = {
-        node.attr if isinstance(node, ast.Attribute) else node.id
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Attribute, ast.Name))
-    }
+    names = _names(essentiality)
     assert not names & {"elements", "left_mul_matrix", "right_mul_matrix", "code_order", "lexsort"}
     assert not hasattr(Submodule, "code_order")
 

@@ -23,6 +23,7 @@ from cdrings.presentations import (
     verify_basis_map,
 )
 from cdrings.residue import Submodule
+from test_algebra import largest_exact_modulus
 
 
 def test_quaternion_relations_mod4():
@@ -38,17 +39,28 @@ def test_quaternion_relations_mod4():
     assert is_associative(A)
 
 
-@pytest.mark.parametrize("n,a,b", [(4, 1, 3), (5, 2, 3), (7, 3, 5), (9, 2, 4)])
+# The largest modulus rank 4 admits; 7 and 11 do not divide it, so N - 7 and
+# N - 11 are units, and -ab is formed near 2^61.
+_WIDEST = largest_exact_modulus(4)
+
+
+@pytest.mark.parametrize(
+    "n,a,b",
+    [(4, 1, 3), (5, 2, 3), (7, 3, 5), (9, 2, 4), (_WIDEST, _WIDEST - 7, _WIDEST - 11)],
+)
 def test_quaternion_general_relations(n, a, b):
     A = quaternion_algebra(n, a, b)
-    one, i, j, k = (A.basis_element(t) for t in range(4))
-    assert np.array_equal(A.mul(i, i), (a * one) % n)
-    assert np.array_equal(A.mul(j, j), (b * one) % n)
-    assert np.array_equal(A.mul(i, j), k)
-    assert np.array_equal(A.mul(j, i), (-k) % n)
-    assert np.array_equal(A.mul(i, k), (a * j) % n)
-    assert np.array_equal(A.mul(k, j), (b * i) % n)
-    assert np.array_equal(A.mul(k, k), (-a * b * one) % n)
+    one, i, j, k = basis = [A.basis_element(t) for t in range(4)]
+    # products[x][y] = x y for all 16 basis products
+    products = [
+        [one, i, j, k],
+        [i, a * one, k, a * j],
+        [j, -k, b * one, -b * i],
+        [k, -a * j, b * i, (-a * b % n) * one],
+    ]
+    for x, row in zip(basis, products):
+        for y, want in zip(basis, row):
+            assert np.array_equal(A.mul(x, y), want % n)
     assert is_associative(A)
 
 
