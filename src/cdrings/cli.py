@@ -5,8 +5,9 @@ construction errors, 141 (128 + SIGPIPE) the reader closed standard output
 early, as `cdrings search ... | head` does; that exit prints nothing. The
 enumeration budget can be overridden with --budget, before or after the
 subcommand, or the CDRINGS_ENUM_BUDGET environment variable. Malformed
-integers, moduli below 2, negative depths, non-positive budgets and flags
-a suite does not take are usage errors.
+integers, moduli below 2, negative search depths, verify depths below 1
+(a sweep of no tower verifies nothing), non-positive budgets and flags a
+suite does not take are usage errors.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def _int_at_least(low: int, what: str):
 _budget = _int_at_least(1, "budget")
 _modulus = _int_at_least(2, "modulus")
 _depth = _int_at_least(0, "depth")
+_verify_depth = _int_at_least(1, "depth")
 
 
 def _budget_from(args) -> int:
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--bases", type=_parse_range, default=None, help="tower bases, e.g. 2,3,4"
     )
-    p_verify.add_argument("--depth", type=_depth, default=None, help="tower depth")
+    p_verify.add_argument("--depth", type=_verify_depth, default=None, help="tower depth (>= 1)")
     p_verify.add_argument("--json", action="store_true", help="emit a JSON report")
     p_verify.set_defaults(func=cmd_verify)
 

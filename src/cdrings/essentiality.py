@@ -37,9 +37,19 @@ undoubled algebra:
 The rank-4 and rank-8 criteria ask whether Ann(2) is a proper essential
 ideal of Z/nZ, which is the same ideal scan over the scalar ring.
 
-Right N-essential is the mirror of the left definition (products r N instead
-of N r); whether the two can ever differ is an open question, so the mirror
-choice is flagged in the docs and the search tool treats it as searchable.
+Right N-essential is the mirror of the left definition (products u N instead
+of N u), and the two always agree. Every valid algebra has an involution *
+of order 2 with (xy)* = y* x*, so (a, b, c)* = -(c*, b*, a*) for the
+associator (a, b, c) = (ab)c - a(bc): an element associates with everything
+iff its involute does, and N* = N. Then u s lies in N\\{0} iff
+(u s)* = s* u* does, and s* runs over N as s does, so u is a witness against
+right N-essentiality iff u* is one against left N-essentiality. The right
+check is still its own definitional scan.
+
+Each decision is kept in the algebra's memo under (S, T, M, side, budget)
+(see `_decide`), so checks that reduce to the same quantifier on one
+instance, like centrally essential and left N-essential wherever
+Z(R) = N(R), decide it once.
 """
 
 from __future__ import annotations
@@ -82,7 +92,9 @@ class EssentialityVerdict:
     element witness and carries only detail text). `cost` counts the
     products the scan's walk evaluates (see `_scan`); a pre-pass candidate
     stops at its first hit, so a scan's cost is usually far below |S| times
-    |U|.
+    |U|. A verdict kept in the memo (see `_decide`) and handed to a later
+    check carries the cost of the one decision it records, not that of any
+    repeated scan.
     """
 
     property_name: str
@@ -394,16 +406,32 @@ def _decide(
 ) -> EssentialityVerdict:
     """Is target essential in module over multipliers: scanned (`_scan`)
     while the module fits the budget, decided on the socle-bounded universe
-    (`_socle`) beyond it."""
-    if module.order() > budget:
-        return _socle(
-            algebra, multipliers, target, module,
-            side=side, property_name=property_name, budget=budget,
-        )
-    return _scan(
-        algebra, multipliers, target, module,
-        side=side, property_name=property_name, detail=detail, budget=budget,
-    )
+    (`_socle`) beyond it.
+
+    Each quantifier is decided once per (S, T, M, side, budget) and kept in
+    `algebra.memo`, so checks that ask the same one (centrally essential and
+    left N-essential wherever Z(R) = N(R)) share a decision. A kept verdict
+    takes the caller's `property_name`, and a refuted scan its `detail`, so
+    it equals a fresh decision field by field. A call that raises keeps
+    nothing."""
+    key = ("_decide", multipliers, target, module, side, budget)
+    verdict = algebra.memo.get(key)
+    if verdict is None:
+        if module.order() > budget:
+            verdict = _socle(
+                algebra, multipliers, target, module,
+                side=side, property_name=property_name, budget=budget,
+            )
+        else:
+            verdict = _scan(
+                algebra, multipliers, target, module,
+                side=side, property_name=property_name, detail=detail, budget=budget,
+            )
+        algebra.memo[key] = verdict
+        return verdict
+    if verdict.method == "definitional" and not verdict.verdict:
+        return replace(verdict, property_name=property_name, detail=detail)
+    return replace(verdict, property_name=property_name)
 
 
 def _scan_ambient(

@@ -142,8 +142,12 @@ def sweep_towers(bases=DEFAULT_SWEEP_BASES, depth=None):
 
     Covers all depths 1..depth of each base in `unit_towers` order and
     raises the first construction error. Without a depth the sweep is the
-    paper's: DEFAULT_SWEEP_DEPTH plus the EXTRA_DEPTHS of each base.
+    paper's: DEFAULT_SWEEP_DEPTH plus the EXTRA_DEPTHS of each base. A
+    depth below 1 raises ValueError: it would sweep no tower, and a suite
+    that checked nothing would pass.
     """
+    if depth is not None and depth < 1:
+        raise ValueError(f"sweep depth must be >= 1, got {depth}")
     for base in bases:
         top = EXTRA_DEPTHS.get(base, DEFAULT_SWEEP_DEPTH) if depth is None else depth
         for params, stages in itertools.islice(unit_towers(base, top), 1, None):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cdrings import cli, suites
+from cdrings import cli, essentiality, suites
 from cdrings.cli import build_parser, main
+from cdrings.doubling import tower
 from cdrings.errors import EnumerationBudgetExceeded
 from cdrings.essentiality import centrally_essential_criterion, n_essential_criterion
 from cdrings.suites import SUITES, sweep_towers
@@ -281,6 +282,21 @@ def test_search_depth_zero_matches_commutative(capsys):
     assert {(r["base"], tuple(r["params"])) for r in rows} == {(3, ()), (4, ())}
 
 
+@pytest.mark.parametrize("spec, scans", [((4, 1, 1, 1), 2), ((3, 1, 1), 3)])
+def test_search_flags_decide_a_shared_quantifier_once(spec, scans, monkeypatch):
+    # Over Z4 (rank 8) Z = N, so centrally essential and left N-essential
+    # share one scan and right N-essential has its own. Over Z3 (rank 4)
+    # |N| = 81 and |Z| = 3: three quantifiers, three scans.
+    calls = []
+    real = essentiality._scan
+    monkeypatch.setattr(
+        essentiality, "_scan", lambda *args, **kw: calls.append(kw) or real(*args, **kw)
+    )
+    flags, skipped = cli._search_flags(tower(*spec), 2**20)
+    assert len(calls) == scans and skipped == []
+    assert flags["left_n_essential"] == flags["right_n_essential"]
+
+
 def test_search_left_vs_right_n_essential_empty(capsys):
     code, stdout, _ = run_cli(
         capsys,
@@ -493,22 +509,30 @@ def test_zero_budget_is_a_usage_error(capsys):
 
 
 def test_negative_depth_is_a_usage_error(capsys):
-    code, stderr = exit_code(capsys, "verify", "thm-1.3", "--bases", "2", "--depth", "-1")
+    code, stderr = exit_code(capsys, "search", "--bases", "2", "--depth", "-1")
     assert code == 2
     assert "depth must be >= 0" in stderr
+    code, stderr = exit_code(capsys, "verify", "thm-1.3", "--bases", "2", "--depth", "-1")
+    assert code == 2
+    assert "depth must be >= 1" in stderr
 
 
-def test_verify_honours_depth_zero(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "verify", "remark-2.5", "--bases", "2", "--depth", "0", "--json"
-    )
-    assert code == 0
-    assert json.loads(stdout)["instances"] == []
+@pytest.mark.parametrize("suite", ["thm-1.3", "thm-1.4", "remark-2.5"])
+def test_verify_refuses_depth_zero(capsys, suite):
+    # A sweep of no tower would pass having checked nothing.
+    with pytest.raises(SystemExit) as exited:
+        main(["verify", suite, "--bases", "2", "--depth", "0", "--json"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "argument --depth: depth must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        suites.run_suite(suite, bases=(2,), depth=0)
 
 
 @pytest.mark.parametrize(
     "depth, instances",
-    [("1", ["Z2;1 formula", "Z2;1 criterion-agreement"]), ("0", [])],
+    [("1", ["Z2;1 formula", "Z2;1 criterion-agreement"])],
 )
 def test_verify_explicit_depth_bounds_the_z2_sweep(capsys, depth, instances):
     code, stdout, _ = run_cli(

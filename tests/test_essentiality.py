@@ -1037,6 +1037,76 @@ def test_socle_step_c_raises_beyond_the_budget():
     assert (raised.value.required, raised.value.budget) == (9, 8)
 
 
+def _counting(monkeypatch, name):
+    """The keyword arguments of every call to essentiality.<name>, in order."""
+    calls = []
+    real = getattr(essentiality, name)
+    monkeypatch.setattr(essentiality, name, lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+    return calls
+
+
+def _decisions(algebra):
+    return [key for key in algebra.memo if isinstance(key, tuple) and key[0] == "_decide"]
+
+
+def test_checks_that_share_a_quantifier_decide_it_once(monkeypatch):
+    # Z = N = the scalars of this tower: centrally essential and left
+    # N-essential are one quantifier, refuted at e_1 after 25 products.
+    fresh = [is_centrally_essential(tower(5, 1, 1, 1)), is_left_n_essential(tower(5, 1, 1, 1))]
+    scans = _counting(monkeypatch, "_scan")
+    R = tower(5, 1, 1, 1)
+    got = [is_centrally_essential(R), is_left_n_essential(R)]
+    assert len(scans) == 1 and len(_decisions(R)) == 1
+    assert got == fresh  # every field, property_name and detail included
+    e1 = (0, 1, 0, 0, 0, 0, 0, 0)
+    assert [(v.property_name, v.verdict, v.witness, v.cost) for v in got] == [
+        ("centrally essential", False, e1, 25),
+        ("left N-essential", False, e1, 25),
+    ]
+    # A caller's own detail replaces the kept one on a refuted scan.
+    Z = center(R).Z
+    sub = is_essential_submodule(Z, R, property_name="Z essential")
+    assert len(scans) == 1
+    assert (sub.property_name, sub.detail) == ("Z essential", fresh[0].detail)
+
+
+def test_side_and_budget_are_separate_decisions(monkeypatch):
+    scans = _counting(monkeypatch, "_scan")
+    R = tower(5, 1, 1, 1)
+    left = is_left_n_essential(R)
+    right = is_right_n_essential(R)
+    assert len(scans) == 2
+    assert right.detail == "right multiples of the submodule by the witness miss it"
+    assert is_left_n_essential(R, budget=2**19) == left
+    assert len(scans) == 3 and len(_decisions(R)) == 3
+    assert is_right_n_essential(R) == right and len(scans) == 3
+
+
+def test_a_kept_socle_verdict_keeps_its_step_detail(monkeypatch):
+    # 6^8 elements: both checks are decided on the socle, at step (b).
+    fresh = is_left_n_essential(tower(6, 1, 1, 1))
+    socles = _counting(monkeypatch, "_socle")
+    R = tower(6, 1, 1, 1)
+    ce = is_centrally_essential(R)
+    left = is_left_n_essential(R)
+    assert len(socles) == 1
+    assert left == fresh and left.method == "socle"
+    assert left.detail == ce.detail and left.detail.startswith("socle step (b):")
+
+
+def test_a_check_that_raises_keeps_nothing(monkeypatch):
+    # The step-(c) setup of `test_socle_step_c_raises_beyond_the_budget`.
+    A = _dual_numbers(9)
+    ring, ideal = Submodule.full(9, 2), Submodule.span(9, [[0, 1]], 2)
+    socles = _counting(monkeypatch, "_socle")
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetExceeded):
+            is_essential_ideal(ideal, ring, A, budget=8)
+    assert len(socles) == 2 and _decisions(A) == []
+    assert is_essential_ideal(ideal, ring, A, budget=20).method == "socle"
+    assert len(socles) == 3 and len(_decisions(A)) == 1
+
+
 def test_socle_refuses_rings_outside_its_precondition():
     # xA lacks the unit: the scan decides it, the socle route refuses it.
     A = _dual_numbers(9)
@@ -1200,3 +1270,28 @@ def test_socle_gcd_certificates_and_twist_flags_equal_their_oracles(case, c):
     except NotInvertible:
         got = None
     assert got == (inverse.tolist() if ok else None)
+
+
+@st.composite
+def _unit_towers(draw):
+    n = draw(st.integers(2, 7))
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    return n, tuple(draw(st.lists(st.sampled_from(units), max_size=3)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_unit_towers())
+@example((4, (1, 1, 1)))
+@example((3, (1, 1, 1)))  # refuted by a scan
+@example((6, (1, 1, 1)))  # refuted on the socle
+def test_left_and_right_n_essential_agree(case):
+    # The involution gives N* = N, and u is a right witness iff u* is a left
+    # one (see the `essentiality` module docstring).
+    n, params = case
+    R = tower(n, *params)
+    left, right = is_left_n_essential(R), is_right_n_essential(R)
+    assert left.verdict == right.verdict
+    if not right.verdict:
+        N, w = associative_center(R), R.involve(right.witness)
+        multiples = Submodule.span(n, [R.mul(g, w) for g in N.generators], R.rank)
+        assert w.any() and intersect(multiples, N).is_zero

@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdrings
 from cdrings.cli import main
 
@@ -41,17 +43,35 @@ def test_every_tracer_target_resolves_to_a_library_callable():
         assert callable(owner), f"{group}: {module_name}.{path}"
 
 
-def test_search_rows_pass_the_benchmark_check(capsys, monkeypatch):
-    # perfbench/workloads.py, loaded read-only: each flag the recorded
-    # reference decided must keep its value, and each one it skipped must be
-    # decided now and equal the stage criterion.
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded read-only."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_rows_pass_the_benchmark_check(capsys, workloads):
+    # Each flag the recorded reference decided must keep its value, and each
+    # one it skipped must be decided now and equal the stage criterion.
     assert main(["search", "--bases", "2..4", "--depth", "4"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     tally = workloads.search_check(rows, workloads.load_reference("search-sweep"), {})
     assert (tally.attempted, tally.decided, tally.failed) == (469, 469, 0), tally.notes
+
+
+@pytest.mark.parametrize(
+    "name, expected", [("paper-sweep", (520, 520, 0)), ("identity-sweep", (512, 512, 0))]
+)
+def test_suite_workloads_pass_the_benchmark_check(workloads, name, expected):
+    # One pass of the workload, checked against its recorded reference as a
+    # benchmark run checks it: every instance (for identity-sweep, every
+    # swept (x, y) pair) decided and none failed.
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.make_inputs(1)
+    tally = workload.check(workload.run_pass(inputs), workloads.load_reference(name), inputs)
+    assert (tally.attempted, tally.decided, tally.failed) == expected, tally.notes
