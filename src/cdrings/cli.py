@@ -219,6 +219,10 @@ def _search_flags(algebra, budget: int) -> tuple[dict[str, bool], list[str]]:
     flags = identity_flags(algebra)
     skipped = []
     for name, _, check in _essentiality_checks():
+        if name == "right_n_essential" and "left_n_essential" in flags:
+            # Right equals left N-essential (involution proof, `essentiality` docstring).
+            flags[name] = flags["left_n_essential"]
+            continue
         try:
             flags[name] = check(algebra, budget=budget).verdict
         except EnumerationBudgetExceeded:

@@ -43,8 +43,10 @@ of order 2 with (xy)* = y* x*, so (a, b, c)* = -(c*, b*, a*) for the
 associator (a, b, c) = (ab)c - a(bc): an element associates with everything
 iff its involute does, and N* = N. Then u s lies in N\\{0} iff
 (u s)* = s* u* does, and s* runs over N as s does, so u is a witness against
-right N-essentiality iff u* is one against left N-essentiality. The right
-check is still its own definitional scan.
+right N-essentiality iff u* is one against left N-essentiality. `search`
+therefore reads the right flag off the left decision, and
+`is_right_n_essential` stays the direct route (its own scan or socle
+check), which `analyze` reports and the tests hold the derived flag to.
 
 Each decision is kept in the algebra's memo under (S, T, M, side, budget)
 (see `_decide`), so checks that reduce to the same quantifier on one

@@ -23,6 +23,24 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _recording(real, seen):
+    """`real`, noting the `side` of each call in `seen`."""
+
+    def wrapper(*args, **kw):
+        seen.append(kw["side"])
+        return real(*args, **kw)
+
+    return wrapper
+
+
+def _never_called(algebra, budget):
+    raise AssertionError("search ran the right N-essential check after a decided left one")
+
+
+def _over_budget(algebra, budget):
+    raise EnumerationBudgetExceeded(algebra.modulus**algebra.rank, budget)
+
+
 def test_build_writes_document_and_flags(tmp_path, capsys):
     out = tmp_path / "oct.json"
     code, stdout, _ = run_cli(
@@ -50,10 +68,7 @@ def test_build_rank16_not_right_alternative(tmp_path, capsys):
 
 
 def test_build_reports_a_check_it_cannot_decide(capsys, monkeypatch):
-    def over_budget(algebra, budget):
-        raise EnumerationBudgetExceeded(4**16, budget)
-
-    monkeypatch.setattr(cli, "is_centrally_essential", over_budget)
+    monkeypatch.setattr(cli, "is_centrally_essential", _over_budget)
     code, stdout, _ = run_cli(capsys, "build", "--base", "4", "--params", "1,1,1,1")
     assert code == 0
     assert "centrally essential: skipped (over enumeration budget)" in stdout
@@ -282,19 +297,41 @@ def test_search_depth_zero_matches_commutative(capsys):
     assert {(r["base"], tuple(r["params"])) for r in rows} == {(3, ()), (4, ())}
 
 
-@pytest.mark.parametrize("spec, scans", [((4, 1, 1, 1), 2), ((3, 1, 1), 3)])
+@pytest.mark.parametrize("spec, scans", [((4, 1, 1, 1), 1), ((3, 1, 1), 2)])
 def test_search_flags_decide_a_shared_quantifier_once(spec, scans, monkeypatch):
     # Over Z4 (rank 8) Z = N, so centrally essential and left N-essential
-    # share one scan and right N-essential has its own. Over Z3 (rank 4)
-    # |N| = 81 and |Z| = 3: three quantifiers, three scans.
+    # share one scan. Over Z3 (rank 4) |N| = 81 and |Z| = 3: two quantifiers,
+    # two scans. Right N-essential is read off the left verdict in both.
     calls = []
     real = essentiality._scan
     monkeypatch.setattr(
         essentiality, "_scan", lambda *args, **kw: calls.append(kw) or real(*args, **kw)
     )
+    monkeypatch.setattr(cli, "is_right_n_essential", _never_called)
     flags, skipped = cli._search_flags(tower(*spec), 2**20)
     assert len(calls) == scans and skipped == []
     assert flags["left_n_essential"] == flags["right_n_essential"]
+
+
+def test_search_flags_decide_right_n_essential_itself_when_left_is_skipped(monkeypatch):
+    alg = tower(3, 1, 1, 1)
+    direct = essentiality.is_right_n_essential(tower(3, 1, 1, 1)).verdict
+    calls = []
+    real = cli.is_right_n_essential
+    monkeypatch.setattr(cli, "is_left_n_essential", _over_budget)
+    monkeypatch.setattr(
+        cli, "is_right_n_essential", lambda *args, **kw: calls.append(kw) or real(*args, **kw)
+    )
+    flags, skipped = cli._search_flags(alg, 2**20)
+    assert skipped == ["left_n_essential"] and "left_n_essential" not in flags
+    assert len(calls) == 1 and flags["right_n_essential"] == direct
+
+    # When the right check is over budget too, neither flag is copied or set.
+    monkeypatch.setattr(cli, "is_right_n_essential", _over_budget)
+    flags, skipped = cli._search_flags(alg, 2**20)
+    assert skipped == ["left_n_essential", "right_n_essential"]
+    assert [name for name in cli.SEARCH_FLAGS if name in skipped] == skipped
+    assert not {"left_n_essential", "right_n_essential"} & set(flags)
 
 
 def test_search_left_vs_right_n_essential_empty(capsys):
@@ -311,6 +348,25 @@ def test_search_left_vs_right_n_essential_empty(capsys):
     assert code == 0
     rows = [json.loads(line) for line in stdout.splitlines()]
     assert [r for r in rows if not r.get("skipped")] == []
+    # search reads the right flag off the left verdict, so the filter above
+    # finds nothing by construction; the direct right check is the oracle.
+    code, stdout, _ = run_cli(capsys, "search", "--bases", "2,3,4", "--depth", "3")
+    assert code == 0
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert len(rows) == 34
+    for r in rows:
+        direct = essentiality.is_right_n_essential(tower(r["base"], *r["params"]))
+        assert r["flags"]["right_n_essential"] == direct.verdict, r
+
+
+def test_search_pass_runs_no_right_side_scan_or_socle_check(capsys, monkeypatch):
+    sides = {"_scan": [], "_socle": []}
+    for name, seen in sides.items():
+        monkeypatch.setattr(essentiality, name, _recording(getattr(essentiality, name), seen))
+    code, _, _ = run_cli(capsys, "search", "--bases", "2..4", "--depth", "4")
+    assert code == 0
+    assert (len(sides["_scan"]), len(sides["_socle"])) == (43, 32)
+    assert set(sides["_scan"]) | set(sides["_socle"]) == {"left"}
 
 
 def test_search_decides_rows_over_budget_as_the_scans_do(capsys):
@@ -325,10 +381,7 @@ def test_search_decides_rows_over_budget_as_the_scans_do(capsys):
 
 
 def test_search_marks_budget_skips(capsys, monkeypatch):
-    def over_budget(algebra, budget):
-        raise EnumerationBudgetExceeded(algebra.modulus**algebra.rank, budget)
-
-    monkeypatch.setattr(cli, "is_centrally_essential", over_budget)
+    monkeypatch.setattr(cli, "is_centrally_essential", _over_budget)
     code, stdout, _ = run_cli(
         capsys, "search", "--bases", "4", "--depth", "1", "--filter", "centrally_essential"
     )
