@@ -251,13 +251,13 @@ def annihilator(s: Submodule, within: Submodule, algebra: FiniteAlgebra) -> Subm
     l with g_l = 1 adding a multiple of n. The result is the coordinate sum
     of orders gcd(h, g_within). Any other input takes `_annihilator_kernel`.
     """
-    if s.ambient_rank != algebra.rank or within.ambient_rank != algebra.rank:
+    n, d = algebra.modulus, algebra.rank
+    if any(sub.modulus != n or sub.ambient_rank != d for sub in (s, within)):
         raise StageMismatch("submodules do not live in this algebra's module")
     g, g_within = s.coordinate_orders(), within.coordinate_orders()
     f = None if g is None or g_within is None else algebra.twist
     if f is None:
         return _annihilator_kernel(s, within, algebra)
-    n = algebra.modulus
     # (n / g_l) f(k, l) < n^2: exact in int64 wherever `_require_exact` admits the rank.
     h = np.gcd(n, np.gcd.reduce(f * (n // g), axis=1))
     return Submodule.coordinate_sum(n, np.gcd(h, g_within))

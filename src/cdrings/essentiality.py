@@ -48,10 +48,11 @@ therefore reads the right flag off the left decision, and
 `is_right_n_essential` stays the direct route (its own scan or socle
 check), which `analyze` reports and the tests hold the derived flag to.
 
-Each decision is kept in the algebra's memo under (S, T, M, side, budget)
-(see `_decide`), so checks that reduce to the same quantifier on one
-instance, like centrally essential and left N-essential wherever
-Z(R) = N(R), decide it once.
+Every check enters through `_decide`, the one place that knows who asked:
+it validates S, T and M, routes to `_scan` or `_socle`, keeps their unnamed
+decision in the algebra's memo under (S, T, M, side, budget) and names the
+verdict it returns. So checks that ask one quantifier of one instance, like
+centrally essential and left N-essential wherever Z(R) = N(R), decide it once.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, certify_central_scalar, is_commutative, scalar_ring
 from .analysis import annihilator, associative_center, center, essentiality_data
-from .errors import EnumerationBudgetExceeded
+from .errors import DimensionMismatch, EnumerationBudgetExceeded
 from .modn import prime_powers
 from .presentations import require_units
 from .residue import (
@@ -94,9 +95,10 @@ class EssentialityVerdict:
     element witness and carries only detail text). `cost` counts the
     products the scan's walk evaluates (see `_scan`); a pre-pass candidate
     stops at its first hit, so a scan's cost is usually far below |S| times
-    |U|. A verdict kept in the memo (see `_decide`) and handed to a later
-    check carries the cost of the one decision it records, not that of any
-    repeated scan.
+    |U|. `_scan` and `_socle` return unnamed verdicts (empty
+    `property_name`); `_decide` keeps those in the memo and names each
+    verdict it hands out, so a repeated check carries the cost of the one
+    decision it records, not that of any repeated scan.
     """
 
     property_name: str
@@ -123,13 +125,12 @@ def _scan(
     module: Submodule,
     *,
     side: str,
-    property_name: str,
-    detail: str,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> EssentialityVerdict:
     """Definitional scan: for every nonzero u in the submodule module, does
     some s in the submodule multipliers give a product s u (side='left') or
-    u s (side='right') in target\\{0}?
+    u s (side='right') in target\\{0}? The verdict is unnamed, with empty
+    `property_name` and detail; `_decide` names it.
 
     Neither submodule is listed. Each is its walk (`Submodule.walk`), whose
     index i names the element sum_k c_k g_k for the mixed-radix digits c_k of
@@ -249,7 +250,7 @@ def _scan(
 
     def refuted(u) -> EssentialityVerdict:
         witness = tuple(int(t) for t in u)
-        return EssentialityVerdict(property_name, False, "definitional", witness, cost, detail)
+        return EssentialityVerdict("", False, "definitional", witness, cost)
 
     # Witness pre-pass: an unsatisfied candidate is already a complete
     # counterexample, which spares the full sweep in false cases.
@@ -300,7 +301,7 @@ def _scan(
                 ids = remaining[lo : lo + _TILE]
                 satisfied[ids[hits_at(universe_at(ids), mat)]] = True
     if satisfied.all():
-        return EssentialityVerdict(property_name, True, "definitional", None, cost)
+        return EssentialityVerdict("", True, "definitional", None, cost)
     return refuted(universe_at(np.flatnonzero(~satisfied)[:1])[0])
 
 
@@ -318,11 +319,11 @@ def _socle(
     module: Submodule,
     *,
     side: str,
-    property_name: str,
     budget: int,
 ) -> EssentialityVerdict:
     """Is target essential in module as a left (or right) module over ring,
-    decided on the socle-bounded universe instead of the whole module.
+    decided on the socle-bounded universe instead of the whole module? The
+    verdict is unnamed (see `_decide`); its detail names the deciding step.
 
     With S = ring, T = target and M = module: when S is a unital subring of
     N(R) and S M in M, S T in T, M is an S-module, T a submodule of it, and
@@ -378,20 +379,15 @@ def _socle(
             break
     detail = f"socle step ({step}): {_SOCLE_STEPS[step]}; |U| = {U.order()}, |S| = {ring.order()}"
     if step == "a":
-        return EssentialityVerdict(property_name, True, "socle", None, 0, detail)
+        return EssentialityVerdict("", True, "socle", None, 0, detail)
     if step == "b":
-        return EssentialityVerdict(
-            property_name, False, "socle", tuple(int(t) for t in witness), 0, detail
-        )
+        return EssentialityVerdict("", False, "socle", tuple(int(t) for t in witness), 0, detail)
     if U.order() > budget:
         raise EnumerationBudgetExceeded(U.order(), budget)
     # rad(n) u = 0 makes s u depend on s mod rad(n) only, so S enters the
     # scan as its image in (Z/rad(n))^d, lifted to residues below rad(n).
     image = ring if rad == n else Submodule.span(rad, ring.generators % rad, algebra.rank)
-    scan = _scan(
-        algebra, image, target, U,
-        side=side, property_name=property_name, detail=detail, budget=budget,
-    )
+    scan = _scan(algebra, image, target, U, side=side, budget=budget)
     return replace(scan, method="socle", detail=detail)
 
 
@@ -406,34 +402,26 @@ def _decide(
     detail: str,
     budget: int,
 ) -> EssentialityVerdict:
-    """Is target essential in module over multipliers: scanned (`_scan`)
-    while the module fits the budget, decided on the socle-bounded universe
-    (`_socle`) beyond it.
-
-    Each quantifier is decided once per (S, T, M, side, budget) and kept in
-    `algebra.memo`, so checks that ask the same one (centrally essential and
-    left N-essential wherever Z(R) = N(R)) share a decision. A kept verdict
-    takes the caller's `property_name`, and a refuted scan its `detail`, so
-    it equals a fresh decision field by field. A call that raises keeps
-    nothing."""
+    """Is target essential in module over multipliers? The one entry for
+    every essentiality decision: it validates S, T and M (DimensionMismatch
+    for another modulus or ambient rank), routes by |M| to `_scan` or, over
+    the budget, to `_socle`, keeps their unnamed decision in `algebra.memo`
+    under (S, T, M, side, budget) and names every verdict it returns. A
+    refuted scan takes the caller's `detail`, every other verdict keeps its
+    own, so a kept verdict equals a fresh decision field by field. A call
+    that raises keeps nothing."""
+    n, d = algebra.modulus, algebra.rank
+    if any((sub.modulus, sub.ambient_rank) != (n, d) for sub in (multipliers, target, module)):
+        raise DimensionMismatch(f"submodules do not live in the module (Z/{n}Z)^{d}")
     key = ("_decide", multipliers, target, module, side, budget)
     verdict = algebra.memo.get(key)
     if verdict is None:
-        if module.order() > budget:
-            verdict = _socle(
-                algebra, multipliers, target, module,
-                side=side, property_name=property_name, budget=budget,
-            )
-        else:
-            verdict = _scan(
-                algebra, multipliers, target, module,
-                side=side, property_name=property_name, detail=detail, budget=budget,
-            )
-        algebra.memo[key] = verdict
-        return verdict
-    if verdict.method == "definitional" and not verdict.verdict:
-        return replace(verdict, property_name=property_name, detail=detail)
-    return replace(verdict, property_name=property_name)
+        route = _socle if module.order() > budget else _scan
+        verdict = algebra.memo[key] = route(
+            algebra, multipliers, target, module, side=side, budget=budget
+        )
+    own = verdict.method != "definitional" or verdict.verdict
+    return replace(verdict, property_name=property_name, detail=verdict.detail if own else detail)
 
 
 def _scan_ambient(
@@ -508,28 +496,25 @@ def is_right_n_essential(
     )
 
 
-def _conjunction(name: str, clauses) -> EssentialityVerdict:
-    """Criterion verdict from lazily produced (verdict, failure detail)
-    clauses: the first failing one decides and lends its witness."""
-    cost = 0
-    for verdict, failure in clauses:
-        cost += verdict.cost
-        if not verdict.verdict:
-            return EssentialityVerdict(name, False, "criterion", verdict.witness, cost, failure)
-    return EssentialityVerdict(name, True, "criterion", None, cost)
-
-
 def _stage_criterion(
     name: str, algebra: FiniteAlgebra, alpha, budget: int, clauses
 ) -> EssentialityVerdict:
-    """Certify alpha, then decide `clauses(essentiality_data(algebra))` once
-    per (name, budget): no clause depends on alpha, so every certified alpha
-    shares one verdict, kept in `algebra.memo`. An over-budget scan raises
-    and leaves nothing there."""
+    """Certify alpha, then decide the conjunction of the lazily produced
+    (verdict, failure detail) pairs of `clauses(essentiality_data(algebra))`:
+    the first failing clause decides and lends its witness. No clause
+    depends on alpha, so the verdict is kept in `algebra.memo` once per
+    (name, budget) and every certified alpha shares it. An over-budget scan
+    raises and leaves nothing there."""
     certify_central_scalar(algebra, alpha)
     key = (name, budget)
     if key not in algebra.memo:
-        algebra.memo[key] = _conjunction(name, clauses(essentiality_data(algebra)))
+        verdict = EssentialityVerdict(name, True, "criterion")
+        for clause, failure in clauses(essentiality_data(algebra)):
+            verdict = replace(verdict, cost=verdict.cost + clause.cost)
+            if not clause.verdict:
+                verdict = replace(verdict, verdict=False, witness=clause.witness, detail=failure)
+                break
+        algebra.memo[key] = verdict
     return algebra.memo[key]
 
 

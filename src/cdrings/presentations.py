@@ -132,6 +132,8 @@ def verify_basis_map(
     if source.modulus != target.modulus or source.rank != target.rank:
         raise DimensionMismatch("algebras differ in modulus or rank")
     n, d = source.modulus, source.rank
+    if len(basis_map.entries) != d:
+        return False, f"index map has {len(basis_map.entries)} entries, rank is {d}"
     targets = [basis_map.target_index(s) for s in range(d)]
     if sorted(targets) != list(range(d)):
         return False, "index map is not a bijection"

@@ -743,8 +743,8 @@ def test_reports_match_the_golden_files(capsys, monkeypatch, tmp_path, golden):
     # - search-*.jsonl: the rows of `search --bases 2..4 --depth 4`;
     # - analyze-<base>-<params>.txt: `analyze` of the document that
     #   `build --base <base> --params <params> --out` writes;
-    # - criteria-*.json: `_criterion_rows()`, whose ideal scans take
-    #   `Submodule.elements` of a ring as their universe.
+    # - criteria-*.json: `_criterion_rows()`, whose ideal scans walk a
+    #   ring as their universe without listing it.
     # Every verdict, cost, witness and skip must stay byte-identical;
     # regenerate a file only for an output change that is meant and stated.
     monkeypatch.delenv("CDRINGS_ENUM_BUDGET", raising=False)

@@ -1,5 +1,6 @@
 import ast
 import collections
+import inspect
 import itertools
 import math
 import random
@@ -13,9 +14,16 @@ from hypothesis import strategies as st
 
 from cdrings import algebra, analysis, essentiality, residue
 from cdrings.algebra import FiniteAlgebra, product_tensors, scalar_ring
-from cdrings.analysis import associative_center, center, essentiality_data
+from cdrings.analysis import annihilator, associative_center, center, essentiality_data
 from cdrings.doubling import double, tower, unit_towers
-from cdrings.errors import AlgebraError, EnumerationBudgetExceeded, ModulusTooLarge, NotInvertible
+from cdrings.errors import (
+    AlgebraError,
+    DimensionMismatch,
+    EnumerationBudgetExceeded,
+    ModulusTooLarge,
+    NotInvertible,
+    StageMismatch,
+)
 from cdrings.essentiality import (
     ann2_ideal,
     centrally_essential_criterion,
@@ -333,9 +341,7 @@ def test_batched_pre_pass_matches_the_sequential_reference():
             T = S if rng.random() < 0.5 else _random_submodule(rng, n, d)
             universe = all_vectors(n, d)
             for side in ("left", "right"):
-                got = essentiality._scan(
-                    alg, S, T, Submodule.full(n, d), side=side, property_name="p", detail=""
-                )
+                got = essentiality._scan(alg, S, T, Submodule.full(n, d), side=side)
                 verdict, witness, cost, walks = sequential_scan(
                     alg, _listed(S), T, universe, side
                 )
@@ -452,9 +458,7 @@ def test_walk_scan_matches_the_sequential_reference(n, rank, walk_dtype, monkeyp
     for alg, S, T, universe, rows in _walk_scan_cases(n, rank, 32):
         radices |= set(universe.walk()[1])
         for side in ("left", "right"):
-            got = essentiality._scan(
-                alg, S, T, universe, side=side, property_name="p", detail=""
-            )
+            got = essentiality._scan(alg, S, T, universe, side=side)
             verdict, witness, cost, _ = sequential_scan(
                 alg, _listed(S), T, rows, side, branches
             )
@@ -489,9 +493,7 @@ def test_small_tiles_match_the_sequential_reference(n, rank, tile, monkeypatch):
     cases.append((alg, R, first, R, all_vectors(n, rank)))
     for alg, S, T, universe, rows in cases:
         for side in ("left", "right"):
-            got = essentiality._scan(
-                alg, S, T, universe, side=side, property_name="p", detail=""
-            )
+            got = essentiality._scan(alg, S, T, universe, side=side)
             verdict, witness, cost, _ = sequential_scan(
                 alg, _listed(S), T, rows, side, branches
             )
@@ -598,9 +600,7 @@ def test_scan_refuses_more_multipliers_than_the_budget(monkeypatch):
     monkeypatch.setattr(essentiality, "_matmul_mod", no_products)
     monkeypatch.setattr(FiniteAlgebra, "mul_matrices", no_products)
     with pytest.raises(EnumerationBudgetExceeded) as info:
-        essentiality._scan(
-            R, S, S, Submodule.full(3, 4), side="left", property_name="p", detail="", budget=80
-        )
+        essentiality._scan(R, S, S, Submodule.full(3, 4), side="left", budget=80)
     assert (info.value.required, info.value.budget) == (81, 80)
 
 
@@ -988,9 +988,7 @@ def _socle_cases(algebra):
 
 def _socle_verdict(algebra, S, T, M, side):
     """The socle verdict of T in the S-module M, asked directly."""
-    return essentiality._socle(
-        algebra, S, T, M, side=side, property_name="p", budget=2**20
-    )
+    return essentiality._socle(algebra, S, T, M, side=side, budget=2**20)
 
 
 def test_socle_equals_the_scan_on_every_in_budget_check_of_the_unit_towers():
@@ -1080,6 +1078,44 @@ def test_side_and_budget_are_separate_decisions(monkeypatch):
     assert is_left_n_essential(R, budget=2**19) == left
     assert len(scans) == 3 and len(_decisions(R)) == 3
     assert is_right_n_essential(R) == right and len(scans) == 3
+
+
+def test_decide_names_its_verdict_on_a_miss_and_on_a_hit():
+    # The memo keeps the unnamed scan; each call names the verdict it returns.
+    R, ideal, ring = scalar_ring(6), Submodule.span(6, [[2]], 1), Submodule.full(6, 1)
+    miss = is_essential_ideal(ideal, ring, R)
+    assert (miss.property_name, miss.verdict, miss.witness, miss.detail) == (
+        "essential ideal", False, (3,), "ring multiples of the witness miss the ideal"
+    )
+    assert is_essential_ideal(ideal, ring, R) == miss
+    (key,) = _decisions(R)
+    assert (R.memo[key].property_name, R.memo[key].detail) == ("", "")
+
+
+@pytest.mark.parametrize("route", ["_scan", "_socle"])
+def test_scan_and_socle_take_no_naming_parameter(route):
+    parameters = inspect.signature(getattr(essentiality, route)).parameters
+    assert not {"property_name", "detail"} & set(parameters)
+
+
+@pytest.mark.parametrize(
+    "check, error",
+    [
+        (lambda R: is_essential_ideal(Submodule.span(4, [[2]], 1), Submodule.full(4, 1), R),
+         DimensionMismatch),
+        (lambda R: is_essential_submodule(Submodule.span(4, [[2]], 1), R), DimensionMismatch),
+        (lambda R: is_essential_submodule(Submodule.span(8, [[2, 0]], 2), R), DimensionMismatch),
+        (lambda R: annihilator(Submodule.span(4, [[2]], 1), Submodule.full(4, 1), R),
+         StageMismatch),
+    ],
+    ids=["ideal-mod-4", "submodule-mod-4", "submodule-rank-2", "annihilator-mod-4"],
+)
+def test_submodules_of_another_module_raise_a_typed_error(check, error):
+    # Over Z8, a mod-4 or rank-2 submodule is not a submodule of the algebra.
+    R = scalar_ring(8)
+    with pytest.raises(error):
+        check(R)
+    assert _decisions(R) == []
 
 
 def test_a_kept_socle_verdict_keeps_its_step_detail(monkeypatch):
@@ -1199,7 +1235,7 @@ def test_scan_verdict_and_witness_ignore_the_order_of_s(case, rng):
     rng.shuffle(order)
     shuffled = _listed(S)[order]
     for side in ("left", "right"):
-        got = essentiality._scan(alg, S, T, U, side=side, property_name="p", detail="")
+        got = essentiality._scan(alg, S, T, U, side=side)
         verdict, witness, _, _ = sequential_scan(alg, shuffled, T, _listed(U), side)
         assert (got.verdict, got.witness) == (verdict, witness), side
 

@@ -158,6 +158,14 @@ def test_identity_map_verifies():
     assert ok, violation
 
 
+@pytest.mark.parametrize("length", [1, 5])
+def test_a_map_of_the_wrong_length_is_rejected_before_any_entry_is_read(length):
+    # The right map cut short, or with a fifth entry that no basis index reads.
+    entries = (quaternion_tower_map(5).entries + ((4, 1),))[:length]
+    got = verify_basis_map(quaternion_algebra(5, 1, 1), tower(5, 1, 1), BasisMap(entries))
+    assert got == (False, f"index map has {length} entries, rank is 4")
+
+
 def test_octonion_matches_tower_under_f_map():
     # At n = 100003 the signs used to be applied as residues n - 1, an
     # unreduced (n-1)^4 product that overflowed into a spurious InvalidAlgebra.
