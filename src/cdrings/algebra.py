@@ -20,6 +20,10 @@ document, a double off the pattern) has the pattern detected, once, at
 construction, into `FiniteAlgebra.twist` (`_twist`). Validation, the
 centers, the stage data and the identity flags of a twisted algebra read f.
 
+An algebra's arrays are read-only; all it remembers (its tensor, validation,
+certificates, centers, stage data and decisions) lives in `memo`, written
+only by `FiniteAlgebra.kept`, which keeps nothing when a computation raises.
+
 Identity predicates (associative, commutative, alternative) are decided on
 basis tuples with explicit linearization terms. That is exact even with
 2-torsion: in the expansion of, say, (x, x, y), the squared coefficients
@@ -35,14 +39,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidAlgebra,
-    NotCentral,
-    NotInvertible,
-    NotSymmetric,
+from .errors import InvalidAlgebra, NotCentral, NotInvertible, NotSymmetric
+from .residue import (
+    ResidueMatrix,
+    _integer,
+    _integral,
+    _matmul_mod,
+    _require_exact,
+    _residue_rows,
+    solve_left,
 )
-from .residue import ResidueMatrix, _matmul_mod, _require_exact, solve_left
 
 
 class FiniteAlgebra:
@@ -51,7 +57,6 @@ class FiniteAlgebra:
     __slots__ = (
         "modulus",
         "rank",
-        "_structure",
         "unit",
         "involution",
         "labels",
@@ -59,8 +64,6 @@ class FiniteAlgebra:
         "parent",
         "alpha",
         "memo",
-        "valid",
-        "certified",
         "twist",
     )
 
@@ -75,13 +78,13 @@ class FiniteAlgebra:
         parent: "FiniteAlgebra | None" = None,
         alpha: "CentralScalar | None" = None,
     ):
-        structure = np.array(structure, dtype=np.int64)
+        structure = _integral(structure)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ValueError(f"structure tensor must be d x d x d, got {structure.shape}")
         self._set_fields(modulus, structure.shape[0], unit, involution, labels, name, parent, alpha)
         structure %= modulus
         structure.setflags(write=False)
-        self._structure = structure
+        self.kept("structure", lambda: structure)
         self.twist = _twist(self)  # read once, off the reduced tensor
 
     @classmethod
@@ -100,7 +103,7 @@ class FiniteAlgebra:
         rank d, a power of two, kept as its d x d twist: `structure` is built
         from it on first read (`_twisted_structure`), so an algebra whose
         readers all take the twisted routes never holds the d^3 tensor."""
-        f = np.array(twist, dtype=np.int64)
+        f = _integral(twist)
         d = f.shape[0] if f.ndim else 0
         if f.shape != (d, d) or d.bit_count() != 1:
             raise ValueError(f"twist must be d x d with d a power of two, got {f.shape}")
@@ -108,15 +111,13 @@ class FiniteAlgebra:
         algebra._set_fields(modulus, d, unit, involution, labels, name, parent, alpha)
         f %= modulus
         f.setflags(write=False)
-        algebra._structure = None
         algebra.twist = f
         return algebra
 
     def _set_fields(self, modulus, d, unit, involution, labels, name, parent, alpha) -> None:
         """Check and store everything but the product, for rank d."""
         _require_exact(modulus, d)
-        unit = np.array(unit, dtype=np.int64)
-        involution = np.array(involution, dtype=np.int64)
+        unit, involution = _integral(unit), _integral(involution)
         if unit.shape != (d,):
             raise ValueError(f"unit has shape {unit.shape}, expected ({d},)")
         if involution.shape != (d, d):
@@ -136,28 +137,26 @@ class FiniteAlgebra:
         self.name = name or f"algebra(rank {d}, Z{modulus})"
         self.parent = parent
         self.alpha = alpha
-        self.memo = {}  # invariants computed on first use, see `analysis._memoized`
-        self.valid = False  # set by `ensure_valid` once the invariants hold
-        self.certified = {}  # value bytes -> inverse, see `certify_central_scalar`
+        self.memo = {}  # the instance's only mutable state, written by `kept` alone
+
+    def kept(self, key, compute):
+        """memo[key], made by compute() on first use; a compute that raises keeps nothing."""
+        value = self.memo.get(key, self.memo)  # one lookup; the memo is never its own entry
+        if value is self.memo:
+            value = self.memo[key] = compute()
+        return value
 
     @property
     def structure(self) -> np.ndarray:
         """The read-only d x d x d structure tensor; an algebra built by
         `from_twist` builds it on first read and keeps it."""
-        if self._structure is None:
-            self._structure = _twisted_structure(self.twist)
-        return self._structure
+        return self.kept("structure", lambda: _twisted_structure(self.twist))
 
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> np.ndarray:
         """Validate and reduce a coordinate vector of this algebra."""
-        arr = np.asarray(coords, dtype=np.int64)
-        if arr.shape != (self.rank,):
-            raise DimensionMismatch(
-                f"element has shape {arr.shape}, algebra rank is {self.rank}"
-            )
-        return arr % self.modulus
+        return _residue_rows(coords, self.modulus, self.rank, (1,))
 
     def zero(self) -> np.ndarray:
         return np.zeros(self.rank, dtype=np.int64)
@@ -166,7 +165,7 @@ class FiniteAlgebra:
         return self.unit.copy()
 
     def scalar(self, c: int) -> np.ndarray:
-        return (int(c) % self.modulus * self.unit) % self.modulus
+        return (_integer(c) % self.modulus * self.unit) % self.modulus
 
     def basis_element(self, i: int) -> np.ndarray:
         out = np.zeros(self.rank, dtype=np.int64)
@@ -338,13 +337,16 @@ def _anti_multiplicative_at(i: int, j: int) -> str:
 def ensure_valid(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """Raise InvalidAlgebra unless all invariants hold; used at boundaries.
 
-    A pass is recorded on the instance, whose arrays are read-only, so each
-    algebra is validated once however many boundaries it crosses."""
-    if not algebra.valid:
+    A pass is kept as "valid" on the instance, whose arrays are read-only, so
+    each algebra is validated once however many boundaries it crosses."""
+
+    def validate() -> bool:
         violations = validate_algebra(algebra)
         if violations:
             raise InvalidAlgebra(violations)
-        algebra.valid = True
+        return True
+
+    algebra.kept("valid", validate)
     return algebra
 
 
@@ -522,9 +524,7 @@ def is_invertible(algebra: FiniteAlgebra, x) -> tuple[bool, np.ndarray | None]:
         raise NotCentral(f"{algebra.format_element(x)} is not central")
     left = ResidueMatrix(algebra.modulus, algebra.left_mul_matrix(x))
     y = solve_left(left, algebra.unit)
-    if y is None:
-        return False, None
-    if not np.array_equal(algebra.mul(y, x), algebra.unit):
+    if y is None or not np.array_equal(algebra.mul(y, x), algebra.unit):
         return False, None
     return True, y
 
@@ -545,41 +545,41 @@ class CentralScalar:
 def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:
     """Certify value as central, symmetric, and invertible, or raise.
 
-    The algebra remembers the values it has certified (value bytes ->
-    inverse), so a value is checked once per algebra; each call still returns
-    a fresh CentralScalar, since keeping one on the algebra would tie the
-    algebra into a reference cycle with its own certificate.
+    A 0-d value c is the scalar c 1, and must be an integer (`_integer`).
+    The algebra keeps the inverse of each value it certifies under
+    ("certified", value bytes) (`FiniteAlgebra.kept`), so a value is checked
+    once per algebra; each call still returns a fresh CentralScalar, since
+    keeping one on the algebra would tie the algebra into a reference cycle
+    with its own certificate.
     """
     if isinstance(value, CentralScalar):
         value = value.value
     scalar = None
-    if isinstance(value, (int, np.integer)):
-        scalar = int(value) % algebra.modulus
+    if isinstance(value, (int, np.integer)) or np.ndim(value) == 0:
+        scalar = _integer(value) % algebra.modulus
         value = algebra.scalar(scalar)
     value = algebra.element(value)
-    key = value.tobytes()
-    inverse = algebra.certified.get(key)
-    if inverse is None:
+
+    def shown() -> str:
+        return f"doubling parameter {algebra.format_element(value)}"
+
+    def certify() -> np.ndarray:
         # c 1 is central by bilinearity, and invertible iff c is a unit mod n,
         # with inverse c^-1 1; any other value takes the general route.
         if scalar is None and not is_central(algebra, value):
-            raise NotCentral(
-                f"doubling parameter {algebra.format_element(value)} is not central in {algebra.name}"
-            )
+            raise NotCentral(f"{shown()} is not central in {algebra.name}")
         if not is_symmetric(algebra, value):
-            raise NotSymmetric(
-                f"doubling parameter {algebra.format_element(value)} is not fixed by the involution"
-            )
+            raise NotSymmetric(f"{shown()} is not fixed by the involution")
         if scalar is None:
             ok, inverse = is_invertible(algebra, value)
         else:
             ok = math.gcd(scalar, algebra.modulus) == 1
             inverse = algebra.scalar(pow(scalar, -1, algebra.modulus)) if ok else None
         if not ok:
-            raise NotInvertible(
-                f"doubling parameter {algebra.format_element(value)} has no two-sided inverse"
-            )
+            raise NotInvertible(f"{shown()} has no two-sided inverse")
         inverse.setflags(write=False)
-        algebra.certified[key] = inverse
+        return inverse
+
+    inverse = algebra.kept(("certified", value.tobytes()), certify)
     value.setflags(write=False)
     return CentralScalar(algebra, value, inverse)

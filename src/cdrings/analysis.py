@@ -55,8 +55,8 @@ import numpy as np
 
 from .algebra import FiniteAlgebra, _twisted_associators, associator_tensor, product_tensors
 from .doubling import _require_doubled
-from .errors import DimensionMismatch, StageMismatch
-from .residue import ResidueMatrix, Submodule, _matmul_mod, intersect, kernel
+from .errors import StageMismatch
+from .residue import ResidueMatrix, Submodule, _matmul_mod, _residue_rows, intersect, kernel
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,8 @@ class EssentialityData:
 
 
 def _memoized(fn):
-    """Compute fn(algebra) once per instance and keep it in `algebra.memo`,
-    which dies with the algebra: equal algebras built apart never share it."""
-
-    @functools.wraps(fn)
-    def memoized(algebra: FiniteAlgebra):
-        if fn.__name__ not in algebra.memo:
-            algebra.memo[fn.__name__] = fn(algebra)
-        return algebra.memo[fn.__name__]
-
-    return memoized
+    """fn(algebra), kept on the instance under fn's name (`FiniteAlgebra.kept`)."""
+    return functools.wraps(fn)(lambda algebra: algebra.kept(fn.__name__, lambda: fn(algebra)))
 
 
 @_memoized
@@ -426,21 +418,13 @@ def n_membership_by_identities(doubled: FiniteAlgebra, x, y) -> bool | np.ndarra
     the `lemma-2.1` suite sweeps that equivalence exhaustively at desk scale.
     """
     parent = _require_doubled(doubled)
-    X, Y = (_element_rows(parent, v) for v in (x, y))
+    X, Y = (np.atleast_2d(_residue_rows(v, parent.modulus, parent.rank)) for v in (x, y))
     first, second = identity_conditions(parent)
     n = parent.modulus
     solves_first = ~_matmul_mod(X, first.array, n).any(axis=1)
     solves_second = ~_matmul_mod(Y, second.array, n).any(axis=1)
     table = solves_first[:, None] & solves_second[None, :]
     return bool(table[0, 0]) if np.ndim(x) == np.ndim(y) == 1 else table
-
-
-def _element_rows(algebra: FiniteAlgebra, v) -> np.ndarray:
-    """One element or a (k, d) stack of them, validated, as a reduced stack."""
-    arr = np.asarray(v, dtype=np.int64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != algebra.rank:
-        raise DimensionMismatch(f"element has shape {arr.shape}, algebra rank is {algebra.rank}")
-    return np.atleast_2d(arr) % algebra.modulus
 
 
 def pair_coordinates(doubled: FiniteAlgebra, x, y) -> np.ndarray:

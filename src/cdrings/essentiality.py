@@ -50,7 +50,7 @@ check), which `analyze` reports and the tests hold the derived flag to.
 
 Every check enters through `_decide`, the one place that knows who asked:
 it validates S, T and M, routes to `_scan` or `_socle`, keeps their unnamed
-decision in the algebra's memo under (S, T, M, side, budget) and names the
+decision (`FiniteAlgebra.kept`) under (S, T, M, side, budget) and names the
 verdict it returns. So checks that ask one quantifier of one instance, like
 centrally essential and left N-essential wherever Z(R) = N(R), decide it once.
 """
@@ -405,21 +405,20 @@ def _decide(
     """Is target essential in module over multipliers? The one entry for
     every essentiality decision: it validates S, T and M (DimensionMismatch
     for another modulus or ambient rank), routes by |M| to `_scan` or, over
-    the budget, to `_socle`, keeps their unnamed decision in `algebra.memo`
-    under (S, T, M, side, budget) and names every verdict it returns. A
-    refuted scan takes the caller's `detail`, every other verdict keeps its
-    own, so a kept verdict equals a fresh decision field by field. A call
-    that raises keeps nothing."""
+    the budget, to `_socle`, keeps their unnamed decision under
+    ("_decide", S, T, M, side, budget) (`FiniteAlgebra.kept`, so a call that
+    raises keeps nothing) and names every verdict it returns. A refuted scan
+    takes the caller's `detail`, every other verdict keeps its own, so a
+    kept verdict equals a fresh decision field by field."""
     n, d = algebra.modulus, algebra.rank
     if any((sub.modulus, sub.ambient_rank) != (n, d) for sub in (multipliers, target, module)):
         raise DimensionMismatch(f"submodules do not live in the module (Z/{n}Z)^{d}")
-    key = ("_decide", multipliers, target, module, side, budget)
-    verdict = algebra.memo.get(key)
-    if verdict is None:
-        route = _socle if module.order() > budget else _scan
-        verdict = algebra.memo[key] = route(
+    verdict = algebra.kept(
+        ("_decide", multipliers, target, module, side, budget),
+        lambda: (_socle if module.order() > budget else _scan)(
             algebra, multipliers, target, module, side=side, budget=budget
-        )
+        ),
+    )
     own = verdict.method != "definitional" or verdict.verdict
     return replace(verdict, property_name=property_name, detail=verdict.detail if own else detail)
 
@@ -501,21 +500,19 @@ def _stage_criterion(
 ) -> EssentialityVerdict:
     """Certify alpha, then decide the conjunction of the lazily produced
     (verdict, failure detail) pairs of `clauses(essentiality_data(algebra))`:
-    the first failing clause decides and lends its witness. No clause
-    depends on alpha, so the verdict is kept in `algebra.memo` once per
-    (name, budget) and every certified alpha shares it. An over-budget scan
-    raises and leaves nothing there."""
+    the first failing clause decides and lends its witness. No clause depends
+    on alpha, so one verdict is kept under (name, budget) for every alpha."""
     certify_central_scalar(algebra, alpha)
-    key = (name, budget)
-    if key not in algebra.memo:
+
+    def decide() -> EssentialityVerdict:
         verdict = EssentialityVerdict(name, True, "criterion")
         for clause, failure in clauses(essentiality_data(algebra)):
             verdict = replace(verdict, cost=verdict.cost + clause.cost)
             if not clause.verdict:
-                verdict = replace(verdict, verdict=False, witness=clause.witness, detail=failure)
-                break
-        algebra.memo[key] = verdict
-    return algebra.memo[key]
+                return replace(verdict, verdict=False, witness=clause.witness, detail=failure)
+        return verdict
+
+    return algebra.kept((name, budget), decide)
 
 
 def n_essential_criterion(

@@ -28,11 +28,13 @@ import numpy as np
 from .algebra import FiniteAlgebra, ensure_valid, is_associative
 from .doubling import TowerSpec, build_tower
 from .errors import DimensionMismatch, InvalidAlgebra, NotInvertible
+from .residue import _integer
 
 
 def require_units(n: int, *params: int) -> None:
+    """Every parameter must be an integer (`residue._integer`) and a unit mod n."""
     for p in params:
-        if math.gcd(int(p), n) != 1:
+        if math.gcd(_integer(p), n) != 1:
             raise NotInvertible(f"parameter {p} is not a unit mod {n}")
 
 

@@ -57,6 +57,32 @@ def _require_exact(modulus: int, rank: int) -> None:
         raise ModulusTooLarge(modulus, rank, "max(2, rank) * (modulus - 1)^2")
 
 
+def _integral(x) -> np.ndarray:
+    """x as a new int64 array, by the package's one entry rule: ValueError unless
+    every entry is an integer, so 1.5 is refused, never floored, and 1.0 is 1."""
+    arr = np.array(x)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, refused below
+        out = arr.astype(np.int64)
+    if (out != arr).any():
+        raise ValueError(f"entries must be integers, got {arr[out != arr].tolist()[0]!r}")
+    return out
+
+
+def _integer(x) -> int:
+    """A 0-d value as an int of any size, by the rule of `_integral`."""
+    return int(x) if isinstance(x, (int, np.integer)) else int(_integral(x))
+
+
+def _residue_rows(v, modulus: int, rank: int, ndims=(1, 2)) -> np.ndarray:
+    """The one reader of caller elements: `_integral` rows of width rank, reduced mod n."""
+    arr = _integral(v)
+    if arr.ndim not in ndims or arr.shape[-1] != rank:
+        raise DimensionMismatch(f"vector has shape {arr.shape}, rank is {rank}")
+    return np.remainder(arr, modulus, out=arr)
+
+
 def _exact_dtype(modulus: int, terms: int) -> type:
     """The package's one exactness rule for contractions: the narrowest of
     float32, float64 and int64 in which a sum of `terms` products of residues,
@@ -102,7 +128,7 @@ class ResidueMatrix:
     def __init__(self, modulus: int, data):
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        arr = np.array(data, dtype=np.int64)
+        arr = _integral(data)
         arr %= modulus
         arr.setflags(write=False)
         if arr.ndim != 2:
@@ -231,7 +257,7 @@ class Submodule:
 
     @classmethod
     def span(cls, modulus: int, rows, ambient_rank: int | None = None) -> "Submodule":
-        arr = np.atleast_2d(np.array(rows, dtype=np.int64))
+        arr = np.atleast_2d(_integral(rows))
         if arr.size == 0:
             if ambient_rank is None:
                 raise ValueError("ambient_rank required for an empty generating set")
@@ -257,7 +283,7 @@ class Submodule:
         """The coordinate sum of orders g: the direct sum of the cyclic groups
         (n / g_l) e_l, for divisors g_l of n. Its nonzero rows, pivot n / g_l in
         column l, are already in Howell form, so no elimination runs."""
-        g = np.array(g, dtype=np.int64)
+        g = _integral(g)
         orders = g.tolist()
         if g.ndim != 1 or any(x < 1 or modulus % x for x in orders):
             raise ValueError(f"coordinate orders must divide {modulus}, got {orders}")
@@ -316,15 +342,6 @@ class Submodule:
             size *= self.modulus // p
         return size
 
-    def _check_rows(self, v) -> np.ndarray:
-        """v, one vector or a (k, d) stack of them, as int64 mod n."""
-        arr = np.asarray(v, dtype=np.int64)
-        if arr.ndim not in (1, 2) or arr.shape[-1] != self.ambient_rank:
-            raise DimensionMismatch(
-                f"vector has shape {arr.shape}, ambient rank is {self.ambient_rank}"
-            )
-        return arr % self.modulus
-
     def _reduce_rows(self, rows: np.ndarray):
         return _echelon_coefficients(
             rows, self.generators, [c for c, _ in self.pivots], self.modulus
@@ -335,7 +352,7 @@ class Submodule:
         A coordinate sum of orders g holds x iff every x_l is a multiple of
         n / g_l; any other span reduces the rows together by one echelon
         pass against the canonical generators."""
-        rows = self._check_rows(v)
+        rows = _residue_rows(v, self.modulus, self.ambient_rank)
         stack = np.atleast_2d(rows)
         g = self._orders
         if g is None:
@@ -346,9 +363,7 @@ class Submodule:
 
     def coefficients_of(self, v) -> np.ndarray | None:
         """Coefficients c with c @ generators == v, or None if v is outside."""
-        rows = self._check_rows(v)
-        if rows.ndim != 1:
-            raise DimensionMismatch(f"expected one vector, got shape {rows.shape}")
+        rows = _residue_rows(v, self.modulus, self.ambient_rank, (1,))
         coeffs, inside = self._reduce_rows(rows[None])
         return coeffs[0] if inside[0] else None
 
@@ -477,7 +492,7 @@ def solve_left(m: ResidueMatrix, rhs) -> np.ndarray | None:
     One elimination of [m | I]: each Howell row is (t @ m, t), so the rows
     pivoting inside m give its Howell form and, after the split, the transform.
     """
-    b = np.asarray(rhs, dtype=np.int64) % m.modulus
+    b = _integral(rhs) % m.modulus
     if b.shape != (m.cols,):
         raise DimensionMismatch(f"rhs has shape {b.shape}, expected ({m.cols},)")
     _require_exact(m.modulus, m.cols)  # at most m.cols transform rows are combined

@@ -1,7 +1,9 @@
+import ast
 import functools
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cdrings.algebra import (
     _twisted_violations,
     associator_tensor,
     certify_central_scalar,
+    ensure_valid,
     identity_flags,
     is_alternative,
     is_associative,
@@ -653,7 +656,7 @@ def _mutated_twisted_algebras(draw):
 def test_twisted_validation_equals_the_tensor_route(case):
     alg, s = case
     twisted = validate_algebra(alg)
-    assert alg._structure is None  # the twisted route never builds the tensor
+    assert "structure" not in alg.memo  # the twisted route never builds the tensor
     assert twisted == _twisted_violations(alg, s) == _tensor_violations(alg)
     assert twisted == _einsum_violations(alg)
     # The same algebra built from its tensor takes the twisted route too.
@@ -675,12 +678,12 @@ def test_stage_procedures_of_twisted_towers_build_no_tensor(monkeypatch):
     data = essentiality_data(stage)
     assert predicted_associative_center(data, top) == center(top).N
     assert predicted_center(data, top) == center(top).Z
-    assert all(a._structure is None for a in stages[1:])
+    assert all("structure" not in a.memo for a in stages[1:])
     monkeypatch.undo()
     # A document is a tensor, built on demand; the loaded copy is the same
     # algebra, built from that tensor.
     loaded = document_to_algebra(algebra_to_document(top))
-    assert top._structure is not None and stage._structure is None
+    assert "structure" in top.memo and "structure" not in stage.memo
     assert loaded == top and loaded.labels == top.labels and loaded.name == top.name
     assert np.array_equal(loaded.twist, top.twist)
     assert center(loaded) == center(top) and identity_flags(loaded) == identity_flags(top)
@@ -790,7 +793,7 @@ def test_each_algebra_reads_its_twist_once(monkeypatch, tmp_path):
     quaternion_algebra(3, 1, 2)
     octonion_algebra(3, 1, 2, 1)
     assert built == []
-    assert top._structure is not None
+    assert "structure" in top.memo
     for stage in stages:
         assert stage.twist is not None and not stage.twist.flags.writeable
     with pytest.raises(ValueError):
@@ -807,3 +810,51 @@ def test_each_algebra_reads_its_twist_once(monkeypatch, tmp_path):
     quaternions = stages[2]
     shifted = FiniteAlgebra(3, quaternions.structure - 3, quaternions.unit, quaternions.involution)
     assert np.array_equal(shifted.twist, quaternions.twist)
+
+
+def test_only_kept_reads_or_writes_the_memo():
+    # An algebra remembers through one method: every cache of the package is
+    # `FiniteAlgebra.kept`, and `_set_fields` only creates the empty memo.
+    sites = set()
+
+    def visit(node, path, func):
+        func = node.name if isinstance(node, ast.FunctionDef) else func
+        if isinstance(node, ast.Attribute) and node.attr == "memo":
+            sites.add((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func)
+
+    for path in sorted(Path(algebra_module.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert sites == {("algebra.py", "_set_fields"), ("algebra.py", "kept")}
+
+
+def test_kept_computes_once_and_keeps_nothing_when_compute_raises():
+    alg = scalar_ring(5)
+    calls = []
+    assert alg.kept("probe", lambda: calls.append(1) or "value") == "value"
+    assert alg.kept("probe", lambda: calls.append(2) or "other") == "value"
+    assert calls == [1]
+
+    def failing():
+        calls.append(3)
+        raise ValueError("no value")
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            alg.kept("failing", failing)
+        assert "failing" not in alg.memo
+    assert calls == [1, 3, 3]
+    assert alg.kept("failing", lambda: 4) == 4 and alg.memo["failing"] == 4
+    # A failed validation keeps nothing and raises at every boundary.
+    bad = FiniteAlgebra.from_twist(5, [[2]], [1], [[1]])
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebra):
+            ensure_valid(bad)
+        assert "valid" not in bad.memo
+    assert ensure_valid(alg) is alg and alg.memo["valid"] is True
+
+
+def test_slots_hold_no_cache_besides_the_memo():
+    assert len(FiniteAlgebra.__slots__) == 10
+    assert not {"valid", "certified", "_structure"} & set(FiniteAlgebra.__slots__)

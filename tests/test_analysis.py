@@ -332,11 +332,12 @@ def test_closed_forms_never_seed_the_direct_kernels(base):
         data = essentiality_data(stage)
         closed_n = predicted_associative_center(data, doubled)
         closed_z = predicted_center(data, doubled)
-        assert doubled.memo == {}, params
+        derived = {"associative_center", "center", "essentiality_data", "identity_conditions"}
+        assert not derived & set(doubled.memo), params
         assert essentiality_data(stage) is data
         assert center(doubled) is center(doubled)
         essentiality_data(doubled)
-        assert set(doubled.memo) == {"associative_center", "center", "essentiality_data"}
+        assert derived & set(doubled.memo) == derived - {"identity_conditions"}
         fresh = FiniteAlgebra(
             doubled.modulus, doubled.structure, doubled.unit, doubled.involution
         )

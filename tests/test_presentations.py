@@ -5,6 +5,7 @@ import pytest
 
 from cdrings.algebra import (
     FiniteAlgebra,
+    certify_central_scalar,
     is_alternative,
     is_associative,
     is_commutative,
@@ -13,7 +14,7 @@ from cdrings.algebra import (
 from cdrings.analysis import center, essentiality_data
 from cdrings.doubling import TowerSpec, build_tower, tower
 from cdrings.errors import NotInvertible
-from cdrings.essentiality import is_essential_ideal, quaternion_criterion
+from cdrings.essentiality import is_essential_ideal, n_essential_criterion, quaternion_criterion
 from cdrings.presentations import (
     BasisMap,
     octonion_algebra,
@@ -211,6 +212,36 @@ def test_parameters_beyond_int64_are_reduced_first():
     assert quaternion_criterion(5, huge, 1) == quaternion_criterion(5, 1, 1)
     with pytest.raises(NotInvertible):
         quaternion_algebra(5, 5 * huge, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quaternion_criterion(5, 1.5, 1),
+        lambda: quaternion_algebra(5, 1, np.float64(2.5)),
+        lambda: octonion_algebra(5, 1.5, 1, 1),
+        lambda: tower(4, 1.5),
+        lambda: n_essential_criterion(tower(4, 1), 1.5),
+        lambda: certify_central_scalar(tower(4, 1), np.array(0.5)),
+        lambda: tower(4, 1).scalar(1.5),
+    ],
+    ids=["quaternion-criterion", "quaternion", "octonion", "tower", "criterion", "certify", "scalar"],
+)
+def test_non_integral_parameters_are_refused(call):
+    with pytest.raises(ValueError, match="entries must be integers"):
+        call()
+
+
+def test_integral_parameters_are_those_integers():
+    # A 0-d integral value of any type is that integer, however it is given.
+    for one in (1.0, np.float32(1), np.array(1), np.array(1.0), True):
+        assert tower(4, one) == tower(4, 1) and tower(4, one).name == tower(4, 1).name
+        assert quaternion_criterion(5, one, 1) == quaternion_criterion(5, 1, 1)
+        assert octonion_algebra(5, one, 1, 1) == octonion_algebra(5, 1, 1, 1)
+        assert n_essential_criterion(tower(4, 1), one) == n_essential_criterion(tower(4, 1), 1)
+        assert np.array_equal(tower(4, 1).scalar(one), [1, 0])
+    with pytest.raises(NotInvertible):
+        quaternion_criterion(5, 5.0, 1)
 
 
 def test_octonion_rejects_non_units():

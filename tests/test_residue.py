@@ -828,3 +828,40 @@ def test_contains_keeps_the_shape_of_its_argument():
             s.contains(bad)
     with pytest.raises(DimensionMismatch):
         s.coefficients_of([[2, 0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cdrings.tower(4, 1, 1, 1).mul([1.5, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]),
+        lambda: Submodule.span(6, [[2]]).contains([2.5]),
+        lambda: cdrings.n_membership_by_identities(
+            cdrings.tower(4, 1, 1, 1), [0.5, 0, 0, 0], [0, 0, 0, 0]
+        ),
+        lambda: Submodule.span(6, [[2.9, 0]]),
+        lambda: Submodule.coordinate_sum(6, [2.5, 3]),
+        lambda: cdrings.FiniteAlgebra(5, [[[1.7]]], [1.2], [[1]]),
+        lambda: cdrings.FiniteAlgebra.from_twist(5, [[1.5]], [1], [[1]]),
+        lambda: ResidueMatrix(5, [[2.5]]),
+        lambda: solve_left(ResidueMatrix(5, [[2]]), [1.5]),
+        lambda: Submodule.span(6, [[np.nan, 0]]),
+        lambda: ResidueMatrix(5, [[np.inf]]),
+    ],
+    ids=[
+        "mul", "contains", "identities", "span", "coordinate_sum", "algebra", "from_twist",
+        "matrix", "solve_left", "span-nan", "matrix-inf",
+    ],
+)
+def test_non_integral_entries_are_refused_not_truncated(call):
+    with pytest.raises(ValueError, match="entries must be integers"):
+        call()
+
+
+def test_integral_float_entries_are_those_integers():
+    alg = cdrings.FiniteAlgebra(2, np.ones((2, 2, 2)), np.array([1.0, 0.0]), np.eye(2))
+    assert alg == cdrings.FiniteAlgebra(2, np.ones((2, 2, 2), dtype=int), [1, 0], [[1, 0], [0, 1]])
+    assert alg.structure.dtype == np.int64
+    assert np.array_equal(alg.mul([1.0, 1.0], [1, 0]), [0, 0])
+    assert Submodule.span(6, [[2.0, 0]]) == Submodule.span(6, [[2, 0]])
+    assert Submodule.coordinate_sum(6, [2.0, 3]) == Submodule.coordinate_sum(6, [2, 3])
+    assert np.array_equal(solve_left(ResidueMatrix(5, np.eye(1) * 2), [4.0]), [2])
