@@ -81,9 +81,7 @@ class FiniteAlgebra:
         structure = _integral(structure)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ValueError(f"structure tensor must be d x d x d, got {structure.shape}")
-        self._set_fields(modulus, structure.shape[0], unit, involution, labels, name, parent, alpha)
-        structure %= modulus
-        structure.setflags(write=False)
+        self._set_fields(modulus, structure, unit, involution, labels, name, parent, alpha)
         self.kept("structure", lambda: structure)
         self.twist = _twist(self)  # read once, off the reduced tensor
 
@@ -108,14 +106,14 @@ class FiniteAlgebra:
         if f.shape != (d, d) or d.bit_count() != 1:
             raise ValueError(f"twist must be d x d with d a power of two, got {f.shape}")
         algebra = cls.__new__(cls)
-        algebra._set_fields(modulus, d, unit, involution, labels, name, parent, alpha)
-        f %= modulus
-        f.setflags(write=False)
+        algebra._set_fields(modulus, f, unit, involution, labels, name, parent, alpha)
         algebra.twist = f
         return algebra
 
-    def _set_fields(self, modulus, d, unit, involution, labels, name, parent, alpha) -> None:
-        """Check and store everything but the product, for rank d."""
+    def _set_fields(self, modulus, product, unit, involution, labels, name, parent, alpha) -> None:
+        """Check and store everything but the product (the tensor or twist, of
+        rank d = len(product)), and reduce and freeze its array with the others."""
+        d = len(product)
         _require_exact(modulus, d)
         unit, involution = _integral(unit), _integral(involution)
         if unit.shape != (d,):
@@ -126,7 +124,7 @@ class FiniteAlgebra:
             labels = [f"e{i}" for i in range(d)]
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for rank {d}")
-        for arr in (unit, involution):
+        for arr in (product, unit, involution):
             arr %= modulus
             arr.setflags(write=False)
         self.modulus = modulus
@@ -555,7 +553,7 @@ def certify_central_scalar(algebra: FiniteAlgebra, value) -> CentralScalar:
     if isinstance(value, CentralScalar):
         value = value.value
     scalar = None
-    if isinstance(value, (int, np.integer)) or np.ndim(value) == 0:
+    if np.ndim(value) == 0:
         scalar = _integer(value) % algebra.modulus
         value = algebra.scalar(scalar)
     value = algebra.element(value)

@@ -43,8 +43,7 @@ def quaternion_algebra(n: int, a: int, b: int) -> FiniteAlgebra:
     row x of the twist holds x 1, x i, x j, x k (i xor j = k, so ij = k is
     f(i, j) = 1)."""
     require_units(n, a, b)
-    a %= n
-    b %= n
+    a, b = _integer(a) % n, _integer(b) % n
     twist = [[1, 1, 1, 1], [1, a, 1, a], [1, -1, b, -b], [1, -a, b, -a * b % n]]
     involution = np.diag([1, -1, -1, -1]) % n
     alg = FiniteAlgebra.from_twist(
@@ -75,7 +74,8 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
     raise StageMismatch.
     """
     require_units(n, a, b, c)
-    stage = build_tower(TowerSpec(n, (a % n, b % n, c % n)))[-1]
+    a, b, c = (_integer(p) % n for p in (a, b, c))
+    stage = build_tower(TowerSpec(n, (a, b, c)))[-1]
     s = _OCTONION_SIGNS  # applied as +-1, so no product leaves [-(n-1), n-1]
     i = np.arange(8)
     # e_p e_q = f(p, q) e_{p xor q} becomes s_p s_q s_{p xor q} f(p, q) once
@@ -88,7 +88,7 @@ def octonion_algebra(n: int, a: int, b: int, c: int) -> FiniteAlgebra:
         stage.unit,
         involution,
         labels=list(_OCTONION_LABELS),
-        name=f"octonion({a % n},{b % n},{c % n};Z{n})",
+        name=f"octonion({a},{b},{c};Z{n})",
     )
     return ensure_valid(alg)
 

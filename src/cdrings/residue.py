@@ -59,20 +59,29 @@ def _require_exact(modulus: int, rank: int) -> None:
 
 def _integral(x) -> np.ndarray:
     """x as a new int64 array, by the package's one entry rule: ValueError unless
-    every entry is an integer, so 1.5 is refused, never floored, and 1.0 is 1."""
+    every entry is an integer, so 1.5 is refused, never floored, and 1.0 is 1;
+    OverflowError unless every entry fits in int64, so 2^63 is refused, never wrapped."""
     arr = np.array(x)
-    if arr.dtype.kind in "biu":
-        return arr.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, refused below
-        out = arr.astype(np.int64)
-    if (out != arr).any():
-        raise ValueError(f"entries must be integers, got {arr[out != arr].tolist()[0]!r}")
+    if arr.dtype == np.int64:
+        return arr
+    with np.errstate(invalid="ignore"):  # nan, inf and floats past int64 cast to garbage
+        out = arr.astype(np.int64)  # and objects past int64 raise OverflowError
+    bad = (out != arr) | (arr >= 2.0**63) if arr.dtype.kind == "f" else out != arr
+    if bad.any():
+        entry = arr[bad].tolist()[0]
+        if isinstance(entry, (int, float)) and float(entry).is_integer():
+            raise OverflowError(f"entry {entry!r} does not fit in int64")
+        raise ValueError(f"entries must be integers, got {entry!r}")
     return out
 
 
 def _integer(x) -> int:
-    """A 0-d value as an int of any size, by the rule of `_integral`."""
-    return int(x) if isinstance(x, (int, np.integer)) else int(_integral(x))
+    """A 0-d value as an int of any size: `_integral`'s rule, but 1e30 is int(1e30)."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if np.asarray(x).dtype.kind == "f" and float(x).is_integer():
+        return int(x)
+    return int(_integral(x))
 
 
 def _residue_rows(v, modulus: int, rank: int, ndims=(1, 2)) -> np.ndarray:

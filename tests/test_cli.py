@@ -119,8 +119,14 @@ _Z2 = {"format_version": 1, "modulus": 2, "rank": 1, "unit": [1], "involution": 
 
 @pytest.mark.parametrize(
     "doc",
-    [{"format_version": 1}, [], dict(_Z2, structure=[1.5]), dict(_Z2, structure=[10**20])],
-    ids=["no-modulus", "array", "float-entry", "entry-beyond-int64"],
+    [
+        {"format_version": 1},
+        [],
+        dict(_Z2, structure=[1.5]),
+        dict(_Z2, structure=[10**20]),
+        dict(_Z2, modulus=3, structure=[1], unit=[2**63]),
+    ],
+    ids=["no-modulus", "array", "float-entry", "entry-beyond-int64", "unit-beyond-int64"],
 )
 def test_analyze_rejects_a_malformed_document(tmp_path, capsys, doc):
     # The float entry used to be truncated to 1 and analyzed with exit 0.

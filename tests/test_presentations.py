@@ -210,6 +210,9 @@ def test_parameters_beyond_int64_are_reduced_first():
     assert quaternion_algebra(5, huge, 1) == quaternion_algebra(5, 1, 1)
     assert octonion_algebra(5, 1, huge, 1) == octonion_algebra(5, 1, 1, 1)
     assert quaternion_criterion(5, huge, 1) == quaternion_criterion(5, 1, 1)
+    # An integral float past int64 is that integer too: int(1e30) is 1 mod 5.
+    assert tower(5, 1e30) == tower(5, 1) and tower(5, 1e30).name == tower(5, 1).name
+    assert quaternion_criterion(5, 1e30, 1) == quaternion_criterion(5, 1, 1)
     with pytest.raises(NotInvertible):
         quaternion_algebra(5, 5 * huge, 1)
 
@@ -238,6 +241,8 @@ def test_integral_parameters_are_those_integers():
         assert tower(4, one) == tower(4, 1) and tower(4, one).name == tower(4, 1).name
         assert quaternion_criterion(5, one, 1) == quaternion_criterion(5, 1, 1)
         assert octonion_algebra(5, one, 1, 1) == octonion_algebra(5, 1, 1, 1)
+        assert octonion_algebra(5, one, 1, 1).name == "octonion(1,1,1;Z5)"
+        assert quaternion_algebra(5, one, 1).name == "quaternion(1,1;Z5)"
         assert n_essential_criterion(tower(4, 1), one) == n_essential_criterion(tower(4, 1), 1)
         assert np.array_equal(tower(4, 1).scalar(one), [1, 0])
     with pytest.raises(NotInvertible):

@@ -857,6 +857,33 @@ def test_non_integral_entries_are_refused_not_truncated(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Submodule.span(6, [[2**63]]),
+        lambda: Submodule.span(6, np.array([[2**63]], dtype=np.uint64)),
+        lambda: Submodule.span(6, [[2.0**63]]),
+        lambda: Submodule.span(6, [[-1e30]]),
+        lambda: cdrings.FiniteAlgebra(3, [[[1]]], [2**63], [[1]]),
+        lambda: cdrings.FiniteAlgebra.from_twist(3, [[1]], [1], [[2**64 - 1]]),
+        lambda: cdrings.document_to_algebra(
+            {"format_version": 1, "modulus": 3, "rank": 1, "structure": [1], "unit": [2**63],
+             "involution": [[1]]}
+        ),
+        lambda: cdrings.tower(4, 1).mul([1e30, 0], [1, 0]),
+        lambda: solve_left(ResidueMatrix(5, [[2]]), [2**63]),
+    ],
+    ids=[
+        "span", "span-uint64", "span-float", "span-negative-float", "unit", "involution",
+        "document", "mul", "solve_left",
+    ],
+)
+def test_entries_beyond_int64_are_refused_not_wrapped(call):
+    # A wrapped 2^63 reads as -2^63, which is 4 mod 6 where 2^63 is 2.
+    with pytest.raises(OverflowError, match="does not fit in int64|too large"):
+        call()
+
+
 def test_integral_float_entries_are_those_integers():
     alg = cdrings.FiniteAlgebra(2, np.ones((2, 2, 2)), np.array([1.0, 0.0]), np.eye(2))
     assert alg == cdrings.FiniteAlgebra(2, np.ones((2, 2, 2), dtype=int), [1, 0], [[1, 0], [0, 1]])
